@@ -11,13 +11,12 @@ real-world units first when reporting physical numbers.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .navigation import close_pairs
 from .sampling import TrajectoryLog
 
 __all__ = [
@@ -25,13 +24,6 @@ __all__ = [
     "distance_traveled", "MetricsReport", "evaluate_logs",
     "report_text", "report_keyvalues",
 ]
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SWARMFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def chamfer(a, b) -> float:
@@ -58,17 +50,9 @@ def coverage_and_mmd(generated, reference):
     reference = list(reference)
     if not generated or not reference:
         raise ValueError("need at least one generated and one reference cloud")
-    pairs = [(i, j) for i in range(len(generated)) for j in range(len(reference))]
     dist = np.empty((len(generated), len(reference)))
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(
-                lambda ij: chamfer(generated[ij[0]], reference[ij[1]]), pairs))
-        for (i, j), v in zip(pairs, values):
-            dist[i, j] = v
-    else:
-        for i, j in pairs:
+    for i in range(len(generated)):
+        for j in range(len(reference)):
             dist[i, j] = chamfer(generated[i], reference[j])
     matched = {int(np.argmin(dist[i])) for i in range(len(generated))}
     cov = len(matched) / len(reference)
@@ -91,9 +75,8 @@ def collision_rates(log: TrajectoryLog, kappa: float):
         if m < 2:
             per_frame.append(0.0)
             continue
-        d = cdist(frame, frame)
-        np.fill_diagonal(d, np.inf)
-        violating = np.any(d < kappa, axis=1)
+        violating = np.zeros(m, dtype=bool)
+        violating[close_pairs(frame, kappa)[0].ravel()] = True
         per_frame.append(100.0 * float(np.count_nonzero(violating)) / m)
     return float(np.mean(per_frame)), per_frame[-1]
 

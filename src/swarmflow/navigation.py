@@ -11,6 +11,12 @@ with an incremental low-dimensional solve (ball -> plane -> line); when
 the constraints are jointly infeasible a back-projection pass minimizes
 the largest violation instead.
 
+A step costs O(M k) for M agents with k neighbors each: a k-d tree
+gathers the pairs inside the culling radius, all half-spaces are built
+as stacked arrays in one pass, and only agents whose preferred velocity
+breaks a half-space or the speed cap run the LP.  The output is bit for
+bit what a dense all-pairs scan with per-pair constraints gives.
+
 All geometry is float64 and constraint order is deterministic, so the
 output is bitwise reproducible.
 """
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 __all__ = [
     "NavConfig", "HalfSpaceConstraint", "build_orca_halfspace",
@@ -80,16 +86,105 @@ class HalfSpaceConstraint:
         return float(np.dot(self.normal, self.point - v))
 
 
-def _perpendicular(v: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to ``v``.
+def close_pairs(points, radius: float):
+    """Index pairs ``(a, b)``, ``a < b``, of rows of ``points`` (N, 3) lying
+    strictly closer than ``radius``, and their distances.
+
+    A k-d tree gathers candidates within a slightly padded radius; the
+    exact test then uses sqrt(dx*dx + dy*dy + dz*dz), the same float as
+    ``scipy.spatial.distance.cdist``, so the selection matches a dense
+    distance matrix bit for bit.  Rows with a non-finite coordinate are
+    never close to anything, as with ``cdist``.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    rows = np.flatnonzero(np.all(np.isfinite(points), axis=1))
+    pairs = rows[cKDTree(points[rows]).query_pairs(
+        radius * (1.0 + 1e-9), output_type="ndarray")]
+    diff = points[pairs[:, 1]] - points[pairs[:, 0]]
+    dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
+                   + diff[:, 2] * diff[:, 2])
+    keep = dist < radius
+    return pairs[keep], dist[keep]
+
+
+def _perpendiculars(v: np.ndarray) -> np.ndarray:
+    """Deterministic unit vectors orthogonal to the rows of ``v`` (K, 3).
 
     Antisymmetric under negation (perp(-v) = -perp(v)) so a pair of
     agents building mirrored constraints from +/-v stays reciprocal.
     """
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(v)))] = 1.0
+    axis = np.zeros_like(v)
+    axis[np.arange(len(v)), np.argmin(np.abs(v), axis=1)] = 1.0
     w = np.cross(v, axis)
-    return w / np.linalg.norm(w)
+    return w / np.sqrt(np.vecdot(w, w))[:, None]
+
+
+# Every dot product and norm below goes through ``np.vecdot``, which runs
+# the same BLAS kernel (with fused multiply-adds) as ``np.dot`` on one
+# 3-vector; ``(a * b).sum(-1)`` and ``einsum`` round differently.  So each
+# stacked row equals the pair computed on its own, and the violation test
+# in ``orca_adjust`` agrees with ``HalfSpaceConstraint.violation``.
+
+def _orca_halfspaces(p_self, v_self, p_other, v_other,
+                     combined_radius: float, tau: float, dt: float):
+    """Stacked half-spaces, one per row of the (K, 3) inputs.
+
+    Returns ``(points, normals)``; row k is what ``build_orca_halfspace``
+    documents for the k-th (self, other) pair.
+    """
+    rel_pos = p_other - p_self
+    rel_vel = v_self - v_other
+    dist_sq = np.vecdot(rel_pos, rel_pos)
+    radius_sq = combined_radius * combined_radius
+    if np.any(dist_sq == 0.0):
+        raise ValueError("coincident agent positions")
+    normals = np.empty_like(rel_pos)
+    shift = np.empty_like(dist_sq)  # signed length of the correction u
+
+    def settle(rows, w, w_len, degenerate, reach):
+        # u = (reach - |w|) * unit(w); a vanishing w (exact head-on) escapes
+        # sideways along the perpendicular of the line of centers.
+        keep = ~degenerate
+        normals[rows[keep]] = w[keep] / w_len[keep, None]
+        normals[rows[degenerate]] = _perpendiculars(rel_pos[rows[degenerate]])
+        shift[rows] = reach - np.where(degenerate, 0.0, w_len)
+
+    is_outside = dist_sq > radius_sq
+    outside = np.flatnonzero(is_outside)
+    inv_tau = 1.0 / tau
+    w = rel_vel[outside] - inv_tau * rel_pos[outside]
+    w_len_sq = np.vecdot(w, w)
+    dot = np.vecdot(w, rel_pos[outside])
+    in_cap = (dot < 0.0) & (dot * dot > radius_sq * w_len_sq)
+
+    # Closest exit is through the sphere capping the obstacle.
+    cap = outside[in_cap]
+    settle(cap, w[in_cap], np.sqrt(w_len_sq[in_cap]),
+           np.zeros(len(cap), dtype=bool), combined_radius * inv_tau)
+
+    # Closest exit is through the cone flank.
+    flank = outside[~in_cap]
+    pos, vel, a = rel_pos[flank], rel_vel[flank], dist_sq[flank]
+    b = np.vecdot(pos, vel)
+    cr = np.cross(pos, vel)
+    c = np.vecdot(vel, vel) - np.vecdot(cr, cr) / (a - radius_sq)
+    t = (b + np.sqrt(b * b - a * c)) / a
+    w = vel - t[:, None] * pos
+    w_len = np.sqrt(np.vecdot(w, w))
+    scale = t * t * a
+    settle(flank, w, w_len,
+           w_len * w_len <= _EPS * np.where(scale > 1.0, scale, 1.0),
+           combined_radius * t)
+
+    # Already overlapping: resolve within a single time step.
+    overlap = np.flatnonzero(~is_outside)
+    inv_dt = 1.0 / dt
+    w = rel_vel[overlap] - inv_dt * rel_pos[overlap]
+    w_len = np.sqrt(np.vecdot(w, w))
+    settle(overlap, w, w_len, w_len * w_len <= _EPS,
+           combined_radius * inv_dt)
+
+    return v_self + 0.5 * (shift[:, None] * normals), normals
 
 
 def build_orca_halfspace(p_self, v_self, p_other, v_other,
@@ -102,59 +197,10 @@ def build_orca_halfspace(p_self, v_self, p_other, v_other,
     pairs, while already-overlapping pairs are pushed apart within one
     ``dt``.  Coincident positions are a degenerate input and raise.
     """
-    p_self = np.asarray(p_self, dtype=np.float64)
-    v_self = np.asarray(v_self, dtype=np.float64)
-    rel_pos = np.asarray(p_other, dtype=np.float64) - p_self
-    rel_vel = v_self - np.asarray(v_other, dtype=np.float64)
-    dist_sq = float(np.dot(rel_pos, rel_pos))
-    radius_sq = combined_radius * combined_radius
-    if dist_sq == 0.0:
-        raise ValueError("coincident agent positions")
-
-    if dist_sq > radius_sq:
-        inv_tau = 1.0 / tau
-        w = rel_vel - inv_tau * rel_pos
-        w_len_sq = float(np.dot(w, w))
-        dot = float(np.dot(w, rel_pos))
-        if dot < 0.0 and dot * dot > radius_sq * w_len_sq:
-            # Closest exit is through the sphere capping the obstacle.
-            w_len = np.sqrt(w_len_sq)
-            unit_w = w / w_len
-            normal = unit_w
-            u = (combined_radius * inv_tau - w_len) * unit_w
-        else:
-            # Closest exit is through the cone flank.
-            a = dist_sq
-            b = float(np.dot(rel_pos, rel_vel))
-            cr = np.cross(rel_pos, rel_vel)
-            c = float(np.dot(rel_vel, rel_vel)) - float(np.dot(cr, cr)) / (dist_sq - radius_sq)
-            t = (b + np.sqrt(b * b - a * c)) / a
-            w = rel_vel - t * rel_pos
-            w_len = float(np.linalg.norm(w))
-            if w_len * w_len <= _EPS * max(1.0, t * t * dist_sq):
-                # Relative velocity sits exactly on the cone axis (exact
-                # head-on): push out sideways along a deterministic,
-                # sign-antisymmetric perpendicular.
-                unit_w = _perpendicular(rel_pos)
-                w_len = 0.0
-            else:
-                unit_w = w / w_len
-            normal = unit_w
-            u = (combined_radius * t - w_len) * unit_w
-    else:
-        # Already overlapping: resolve within a single time step.
-        inv_dt = 1.0 / dt
-        w = rel_vel - inv_dt * rel_pos
-        w_len = float(np.linalg.norm(w))
-        if w_len * w_len <= _EPS:
-            unit_w = _perpendicular(rel_pos)
-            w_len = 0.0
-        else:
-            unit_w = w / w_len
-        normal = unit_w
-        u = (combined_radius * inv_dt - w_len) * unit_w
-
-    return HalfSpaceConstraint(point=v_self + 0.5 * u, normal=normal)
+    rows = [np.asarray(x, dtype=np.float64).reshape(1, 3)
+            for x in (p_self, v_self, p_other, v_other)]
+    points, normals = _orca_halfspaces(*rows, combined_radius, tau, dt)
+    return HalfSpaceConstraint(point=points[0], normal=normals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +356,9 @@ def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
         raise ValueError(
             f"expected matching (M, 3) arrays, got {v_pref.shape} and "
             f"{positions.shape}")
+    for name, value in (("positions", positions), ("v_pref", v_pref)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"orca_adjust: {name} holds NaN or inf")
     m = positions.shape[0]
     if m == 0:
         return np.zeros((0, 3))
@@ -322,24 +371,37 @@ def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
         v_max = max(
             2.0 * float(np.max(np.linalg.norm(v_pref, axis=1), initial=0.0)),
             cfg.kappa / cfg.dt)
-    tau = cfg.horizon
-    cull = cfg.culling_radius
 
-    dist = cdist(positions, positions) if m > 1 else np.zeros((1, 1))
-    out = np.empty_like(v_pref)
-    for i in range(m):
-        planes = []
-        for j in range(m):
-            if j == i or dist[i, j] >= cull:
-                continue
-            p_other = positions[j]
-            if dist[i, j] == 0.0:
-                # Coincident agents: break the tie with a fixed axis,
-                # oppositely signed for the two agents of the pair.
-                nudge = 1e-9 * cfg.kappa * (1.0 if j > i else -1.0)
-                p_other = p_other + np.array([nudge, 0.0, 0.0])
-            planes.append(build_orca_halfspace(
-                positions[i], v_pref[i], p_other, v_pref[j],
-                cfg.kappa, tau, cfg.dt))
-        out[i] = solve_velocity_lp(v_pref[i], planes, v_max)
+    # Directed neighbor rows (i, j), sorted by i then j, so every agent
+    # sees its half-spaces in ascending neighbor order.
+    pairs, dist = close_pairs(positions, cfg.culling_radius)
+    i = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    j = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((j, i))
+    i, j, dist = i[order], j[order], np.concatenate([dist, dist])[order]
+
+    p_other = positions[j]
+    coincident = np.flatnonzero(dist == 0.0)
+    if coincident.size:
+        # Coincident agents: break the tie with a fixed axis, oppositely
+        # signed for the two agents of the pair.
+        nudge = np.zeros((coincident.size, 3))
+        nudge[:, 0] = 1e-9 * cfg.kappa * np.where(
+            j[coincident] > i[coincident], 1.0, -1.0)
+        p_other[coincident] = p_other[coincident] + nudge
+    points, normals = _orca_halfspaces(positions[i], v_pref[i], p_other,
+                                       v_pref[j], cfg.kappa, cfg.horizon,
+                                       cfg.dt)
+
+    # An agent whose preferred velocity is within the speed cap and
+    # violates none of its half-spaces keeps it: that is the LP optimum.
+    violated = np.vecdot(normals, points - v_pref[i]) > 0.0
+    needs_lp = np.vecdot(v_pref, v_pref) > float(v_max) * float(v_max)
+    needs_lp[i[violated]] = True
+    bounds = np.searchsorted(i, np.arange(m + 1))
+    out = v_pref.copy()
+    for agent in np.flatnonzero(needs_lp):
+        planes = [HalfSpaceConstraint(points[k], normals[k])
+                  for k in range(bounds[agent], bounds[agent + 1])]
+        out[agent] = solve_velocity_lp(v_pref[agent], planes, v_max)
     return out

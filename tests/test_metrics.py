@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from swarmflow.metrics import (
     MetricsReport,
@@ -194,6 +195,32 @@ def test_collision_rates_brute_force_oracle():
     assert fin == pytest.approx(per_frame[-1], abs=1e-12)
 
 
+def _reference_collision_rates(log, kappa):
+    """Dense per-frame distance matrix, as collision_rates used to work."""
+    per_frame = []
+    for frame in log.positions:
+        d = cdist(frame, frame)
+        np.fill_diagonal(d, np.inf)
+        per_frame.append(100.0 * float(np.count_nonzero(
+            np.any(d < kappa, axis=1))) / frame.shape[0])
+    return float(np.mean(per_frame)), per_frame[-1]
+
+
+def test_collision_rates_match_dense_reference_bitwise():
+    kappa = 0.06
+    for seed in range(5):
+        rng = np.random.default_rng(300 + seed)
+        frames = rng.uniform(-0.4, 0.4, size=(7, 200, 3))
+        frames[1, 5] = frames[1, 4]  # coincident agents
+        frames[2, 9] = frames[2, 8] + np.array([0.0, kappa, 0.0])
+        frames[3, 11] = frames[3, 10] + np.array([0.999999 * kappa, 0.0, 0.0])
+        frames[4, 0] = np.nan  # never close to anything
+        frames[5, 1, 2] = np.inf
+        log = _log_from_positions(frames)
+        assert collision_rates(log, kappa) == _reference_collision_rates(
+            log, kappa)
+
+
 def test_smoothness_constant_velocity_is_perfectly_smooth():
     v = np.tile(np.array([0.3, -0.2, 0.1]), (6, 4, 1))
     acc, jerk, dirchange = smoothness(_log_from_velocities(v))
@@ -326,13 +353,3 @@ def test_report_text_and_keyvalues():
                            acc=0.0, jerk=0.0, dirchange=0.0, dist=0.0)
     assert "COV" not in report_text(no_ref)
     assert "MMD" not in report_text(no_ref)
-
-
-def test_thread_pool_matches_serial(monkeypatch):
-    rng = np.random.default_rng(13)
-    gens = [rng.standard_normal((10, 3)) for _ in range(4)]
-    refs = [rng.standard_normal((11, 3)) for _ in range(3)]
-    serial = coverage_and_mmd(gens, refs)
-    monkeypatch.setenv("SWARMFLOW_THREADS", "3")
-    threaded = coverage_and_mmd(gens, refs)
-    assert serial == threaded

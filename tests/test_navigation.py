@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
+from scipy.spatial.distance import cdist
 
 from swarmflow.navigation import (
     HalfSpaceConstraint,
     NavConfig,
-    _perpendicular,
+    _perpendiculars,
     build_orca_halfspace,
+    close_pairs,
     orca_adjust,
     solve_velocity_lp,
 )
@@ -71,11 +73,12 @@ def test_perpendicular_unit_orthogonal_antisymmetric():
     vectors = [rng.standard_normal(3) for _ in range(200)]
     vectors += [np.array([1.0, 0.0, 0.0]), np.array([0.0, -2.0, 0.0]),
                 np.array([0.0, 0.0, 3.0]), np.array([1.0, 1.0, 1.0])]
-    for v in vectors:
-        p = _perpendicular(v)
+    vectors = np.array(vectors)
+    perps = _perpendiculars(vectors)
+    for v, p in zip(vectors, perps):
         assert abs(np.linalg.norm(p) - 1.0) < 1e-12
         assert abs(np.dot(p, v)) < 1e-12 * max(1.0, np.linalg.norm(v))
-        np.testing.assert_allclose(_perpendicular(-v), -p, atol=1e-15)
+    np.testing.assert_allclose(_perpendiculars(-vectors), -perps, atol=1e-15)
 
 
 def test_halfspace_violation_sign():
@@ -394,3 +397,200 @@ def test_coincident_agents_get_pushed_apart():
     # the nudged line of centers is so short that the escape runs along
     # its deterministic perpendicular, in opposite directions per agent
     np.testing.assert_allclose(moved[0], -moved[1], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the dense all-pairs scan with one scalar half-space per pair.
+# The neighbor-list implementation must reproduce it bit for bit.
+
+def _reference_perpendicular(v):
+    axis = np.zeros(3)
+    axis[int(np.argmin(np.abs(v)))] = 1.0
+    w = np.cross(v, axis)
+    return w / np.linalg.norm(w)
+
+
+def _reference_halfspace(p_self, v_self, p_other, v_other, combined_radius,
+                         tau, dt):
+    rel_pos = p_other - p_self
+    rel_vel = v_self - v_other
+    dist_sq = float(np.dot(rel_pos, rel_pos))
+    radius_sq = combined_radius * combined_radius
+    if dist_sq > radius_sq:
+        inv_tau = 1.0 / tau
+        w = rel_vel - inv_tau * rel_pos
+        w_len_sq = float(np.dot(w, w))
+        dot = float(np.dot(w, rel_pos))
+        if dot < 0.0 and dot * dot > radius_sq * w_len_sq:
+            w_len = np.sqrt(w_len_sq)
+            unit_w = w / w_len
+            u = (combined_radius * inv_tau - w_len) * unit_w
+        else:
+            a = dist_sq
+            b = float(np.dot(rel_pos, rel_vel))
+            cr = np.cross(rel_pos, rel_vel)
+            c = (float(np.dot(rel_vel, rel_vel))
+                 - float(np.dot(cr, cr)) / (dist_sq - radius_sq))
+            t = (b + np.sqrt(b * b - a * c)) / a
+            w = rel_vel - t * rel_pos
+            w_len = float(np.linalg.norm(w))
+            if w_len * w_len <= 1e-10 * max(1.0, t * t * dist_sq):
+                unit_w = _reference_perpendicular(rel_pos)
+                w_len = 0.0
+            else:
+                unit_w = w / w_len
+            u = (combined_radius * t - w_len) * unit_w
+    else:
+        inv_dt = 1.0 / dt
+        w = rel_vel - inv_dt * rel_pos
+        w_len = float(np.linalg.norm(w))
+        if w_len * w_len <= 1e-10:
+            unit_w = _reference_perpendicular(rel_pos)
+            w_len = 0.0
+        else:
+            unit_w = w / w_len
+        u = (combined_radius * inv_dt - w_len) * unit_w
+    return HalfSpaceConstraint(point=v_self + 0.5 * u, normal=unit_w)
+
+
+def _reference_orca_adjust(v_pref, positions, cfg):
+    m = positions.shape[0]
+    v_max = cfg.v_max if cfg.v_max is not None else max(
+        2.0 * float(np.max(np.linalg.norm(v_pref, axis=1), initial=0.0)),
+        cfg.kappa / cfg.dt)
+    dist = cdist(positions, positions)
+    out = np.empty_like(v_pref)
+    for i in range(m):
+        planes = []
+        for j in range(m):
+            if j == i or dist[i, j] >= cfg.culling_radius:
+                continue
+            p_other = positions[j]
+            if dist[i, j] == 0.0:
+                nudge = 1e-9 * cfg.kappa * (1.0 if j > i else -1.0)
+                p_other = p_other + np.array([nudge, 0.0, 0.0])
+            planes.append(_reference_halfspace(
+                positions[i], v_pref[i], p_other, v_pref[j], cfg.kappa,
+                cfg.horizon, cfg.dt))
+        out[i] = solve_velocity_lp(v_pref[i], planes, v_max)
+    return out
+
+
+def _assert_matches_reference(v_pref, positions, cfg):
+    out = orca_adjust(v_pref, positions, cfg)
+    assert np.array_equal(out, _reference_orca_adjust(v_pref, positions, cfg))
+    return out
+
+
+def _halfspace_cases(rng, count):
+    """Random pairs mixing cap, flank, overlap and exact head-on cases."""
+    for k in range(count):
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        rel_pos = direction * rng.uniform(0.1 * KAPPA, 5.0 * KAPPA)
+        p_self = rng.standard_normal(3) * 0.3
+        v_self = rng.standard_normal(3) * rng.uniform(0.0, 3.0)
+        v_other = rng.standard_normal(3) * rng.uniform(0.0, 3.0)
+        if k % 5 == 0:  # exact head-on: relative velocity on the axis
+            v_self, v_other = direction * 1.5, -direction * 1.5
+        if k % 7 == 0:  # overlapping and at rest relative to each other
+            v_other = v_self.copy()
+        yield p_self, v_self, p_self + rel_pos, v_other
+
+
+def test_halfspace_matches_scalar_reference_bitwise():
+    rng = np.random.default_rng(41)
+    for p_self, v_self, p_other, v_other in _halfspace_cases(rng, 400):
+        for tau in (10.0 * DT, 3.0 * DT):
+            got = build_orca_halfspace(p_self, v_self, p_other, v_other,
+                                       KAPPA, tau, DT)
+            want = _reference_halfspace(p_self, v_self, p_other, v_other,
+                                        KAPPA, tau, DT)
+            # a head-on flank case off the axes can round its discriminant
+            # below zero; the NaN constraint must then match as well
+            assert np.array_equal(got.point, want.point, equal_nan=True)
+            assert np.array_equal(got.normal, want.normal, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_adjust_matches_reference_on_dense_clusters(seed):
+    rng = np.random.default_rng(500 + seed)
+    m = 40
+    centers = rng.uniform(-0.3, 0.3, size=(4, 3))
+    positions = (centers[rng.integers(0, 4, size=m)]
+                 + rng.normal(scale=1.5 * KAPPA, size=(m, 3)))
+    v_pref = rng.standard_normal((m, 3)) * rng.uniform(0.0, 2.0, size=(m, 1))
+    _assert_matches_reference(v_pref, positions, NavConfig(kappa=KAPPA, dt=DT))
+
+
+def test_adjust_matches_reference_with_coincident_agents():
+    rng = np.random.default_rng(53)
+    positions = rng.uniform(-0.15, 0.15, size=(12, 3))
+    positions[[3, 7, 10]] = positions[5]  # four agents share one point
+    positions[11] = positions[0]
+    v_pref = rng.standard_normal((12, 3))
+    v_pref[7] = v_pref[5]
+    _assert_matches_reference(v_pref, positions, NavConfig(kappa=KAPPA, dt=DT))
+    _assert_matches_reference(np.zeros((12, 3)), positions,
+                              NavConfig(kappa=KAPPA, dt=DT))
+
+
+def test_adjust_matches_reference_on_exact_head_on_pair():
+    positions = np.array([[-1.5 * KAPPA, 0.0, 0.0], [1.5 * KAPPA, 0.0, 0.0]])
+    v_pref = np.array([[1.5, 0.0, 0.0], [-1.5, 0.0, 0.0]])
+    out = _assert_matches_reference(v_pref, positions,
+                                    NavConfig(kappa=KAPPA, dt=DT))
+    assert np.any(out[:, 1:] != 0.0)  # escaped sideways
+
+
+def test_adjust_matches_reference_on_overlapping_pairs():
+    rng = np.random.default_rng(59)
+    base = rng.uniform(-0.3, 0.3, size=(8, 3))
+    offsets = rng.standard_normal((8, 3))
+    offsets *= (rng.uniform(0.1, 0.9, size=(8, 1)) * KAPPA
+                / np.linalg.norm(offsets, axis=1, keepdims=True))
+    positions = np.concatenate([base, base + offsets])
+    v_pref = rng.standard_normal((16, 3)) * 0.5
+    v_pref[:3] = 0.0
+    v_pref[8:11] = 0.0  # three pairs at rest
+    _assert_matches_reference(v_pref, positions, NavConfig(kappa=KAPPA, dt=DT))
+
+
+def test_pair_at_exactly_the_culling_radius_is_ignored():
+    cfg = NavConfig(kappa=KAPPA, dt=DT, neighbor_radius=0.25)
+    positions = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
+    v_pref = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    assert close_pairs(positions, 0.25)[0].shape == (0, 2)
+    out = _assert_matches_reference(v_pref, positions, cfg)
+    assert np.array_equal(out, v_pref)
+
+
+def test_adjust_matches_reference_with_speed_cap_below_preferred():
+    rng = np.random.default_rng(61)
+    positions = rng.uniform(-1.0, 1.0, size=(30, 3))  # mostly no neighbors
+    positions[1] = positions[0] + np.array([1.5 * KAPPA, 0.0, 0.0])
+    v_pref = rng.standard_normal((30, 3)) * 2.0
+    cfg = NavConfig(kappa=KAPPA, dt=DT, v_max=0.5)
+    out = _assert_matches_reference(v_pref, positions, cfg)
+    assert np.all(np.linalg.norm(out, axis=1) <= 0.5 * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_adjust_matches_reference_on_tiny_swarms(m):
+    rng = np.random.default_rng(67 + m)
+    for _ in range(20):
+        positions = rng.uniform(-2.0 * KAPPA, 2.0 * KAPPA, size=(m, 3))
+        v_pref = rng.standard_normal((m, 3)) * 1.5
+        _assert_matches_reference(v_pref, positions,
+                                  NavConfig(kappa=KAPPA, dt=DT))
+
+
+@pytest.mark.parametrize("name", ["positions", "v_pref"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adjust_rejects_non_finite_input(name, bad):
+    arrays = {"positions": np.zeros((3, 3)), "v_pref": np.zeros((3, 3))}
+    arrays["positions"][:, 0] = [0.0, 1.0, 2.0]
+    arrays[name][1, 2] = bad
+    with pytest.raises(ValueError, match=name):
+        orca_adjust(arrays["v_pref"], arrays["positions"],
+                    NavConfig(kappa=KAPPA, dt=DT))
