@@ -45,7 +45,9 @@ class Node:
     """One tape entry: a float64 array plus backward bookkeeping.
 
     Treat ``value`` as immutable once the node exists; downstream nodes
-    capture it by reference.
+    capture it by reference.  Treat ``grad`` as read-only too: it may share
+    its array with another node's, since ``backward`` stores a first
+    contribution as is and adds later ones out of place.
     """
 
     __slots__ = ("value", "grad", "op", "_parents", "_vjps")
@@ -334,12 +336,10 @@ def backward(loss: Node) -> None:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    for node in topo:
-        if node.grad is None:
-            node.grad = np.zeros(node.shape)
-    loss.grad = loss.grad + 1.0
-
+    loss.grad = np.float64(1.0) if loss.grad is None else loss.grad + 1.0
     for node in reversed(topo):
         g = node.grad
         for parent, vjp in zip(node._parents, node._vjps):
-            parent.grad = parent.grad + vjp(g)
+            contribution = vjp(g)
+            parent.grad = (contribution if parent.grad is None
+                           else parent.grad + contribution)

@@ -271,7 +271,9 @@ def _cmd_evaluate(args) -> int:
         ref_paths = sorted(Path(args.reference).glob("*.xyz"))
         if not ref_paths:
             raise ValueError(f"no .xyz clouds in {args.reference}")
-        reference = [dataio.load_pointcloud(p) for p in ref_paths]
+        # trajectories live in the normalised space train fits in
+        reference = [dataio.normalize_cloud(dataio.load_pointcloud(p))[0]
+                     for p in ref_paths]
     if args.scale is not None:
         scene = dataio.SceneScale(side=args.scale)
         logs = [dataio.to_real_scale(lg, scene)

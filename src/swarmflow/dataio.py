@@ -14,6 +14,7 @@ exactly, so save/load cycles and repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -251,23 +252,33 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(bytes(payload))
 
 
+def _read_exact(fh, size: int, path, what: str) -> bytes:
+    # checked against the file size first, so a corrupt length never
+    # becomes a huge read
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"{path}: truncated {what}")
+    return fh.read(size)
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header"))
+        header = json.loads(
+            _read_exact(fh, header_len, path, "header").decode("utf-8"))
         sections = {"params": {}, "opt_m": {}, "opt_v": {}}
         for entry in header["tensors"]:
+            if entry["section"] not in sections:
+                raise ValueError(
+                    f"{path}: unknown tensor section {entry['section']!r}")
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"{path}: truncated payload")
+            raw = _read_exact(fh, count * 8, path, "payload")
             arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             sections[entry["section"]][entry["name"]] = arr
         trailing = fh.read(1)
@@ -334,6 +345,9 @@ def load_trajectory_csv(path) -> TrajectoryLog:
             if t not in frames:
                 frames[t] = {}
                 times_in_order.append(t)
+            if agent in frames[t]:
+                raise ValueError(f"{path}: line {lineno}: duplicate row for "
+                                 f"t={t}, agent {agent}")
             frames[t][agent] = values
     if len(times_in_order) < 2:
         raise ValueError(f"{path}: need at least two frames")

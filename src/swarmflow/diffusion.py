@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .flowmatch import TrainConfig, _run_training
 from .models import Checkpoint, ModelConfig, ModelSet, kl_divergence
-from .sampling import TrajectoryLog
+from .sampling import TrajectoryLog, _euler_rollout
 
 __all__ = [
     "DiffusionSchedule", "ddpm_forward_sample", "ddpm_train_loss",
@@ -115,28 +115,25 @@ def ddpm_sample(models: ModelSet, sched: DiffusionSchedule, num_agents: int,
     w = rng.standard_normal(models.config.latent_dim)
     z_node, _ = models.bijector.forward(w)
     z = ad.wrap(z_node.value)
-    x = rng.standard_normal((num_agents, 3))
-    positions = [x.copy()]
-    applied = []
+    x_start = rng.standard_normal((num_agents, 3))
     betas = sched.betas
     alpha_bars = sched.alpha_bars
     step_dt = float(times[0] - times[1])
-    for t in range(n, 0, -1):
+
+    def velocity_fn(x, _t, k):
+        t = n - k  # ancestral step, counting down from n
         beta = betas[t - 1]
         eps_hat = models.field_net(x, t / n, z).value
-        mean = (x - beta / np.sqrt(1.0 - alpha_bars[t - 1]) * eps_hat) \
+        x_next = (x - beta / np.sqrt(1.0 - alpha_bars[t - 1]) * eps_hat) \
             / np.sqrt(1.0 - beta)
         if stochastic and t > 1:
-            x_next = mean + np.sqrt(beta) * rng.standard_normal(x.shape)
-        else:
-            x_next = mean
-        v = (x_next - x) / step_dt
-        x = positions[-1] + step_dt * v  # exact Euler identity for the log
-        applied.append(v)
-        positions.append(x.copy())
+            x_next = x_next + np.sqrt(beta) * rng.standard_normal(x.shape)
+        return (x_next - x) / step_dt
+
+    positions, applied, preferred = _euler_rollout(
+        x_start, times, velocity_fn, lambda v, _x: v)
     return TrajectoryLog(
-        times=times, positions=np.asarray(positions),
-        applied_velocities=np.asarray(applied),
-        preferred_velocities=np.asarray(applied).copy(),
+        times=times, positions=positions, applied_velocities=applied,
+        preferred_velocities=preferred,
         meta={"algorithm": "diffusion", "steps": n, "scale": "training",
               "num_agents": num_agents, "kappa": 0.0, "horizon": 1.0})

@@ -16,6 +16,7 @@ integrator.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -129,39 +130,48 @@ def adam_step(value, grad, m, v, step, lr,
 
 
 class Adam:
-    """Adam with per-tensor state keyed by parameter name."""
+    """Adam over all parameters as one flat vector.
+
+    The update is elementwise, so one ``adam_step`` on the concatenated
+    tensors does the arithmetic of one call per tensor.  ``m`` and ``v``
+    are flat; ``state_dicts`` splits them back per parameter.
+    """
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = self.v = np.zeros(0)  # adam_step never mutates them
+        self._layout = []  # (name, shape) of each parameter, in order
 
     def step(self, named_params, lr: float) -> None:
-        self.step_count += 1
+        named_params = list(named_params)
         for name, node in named_params:
-            grad = node.grad
-            if grad is None:
-                continue
-            if name not in self.m:
-                self.m[name] = np.zeros_like(node.value)
-                self.v[name] = np.zeros_like(node.value)
-            new_value, self.m[name], self.v[name] = adam_step(
-                node.value, grad, self.m[name], self.v[name],
-                self.step_count, lr, self.beta1, self.beta2, self.eps)
-            # 0-d arithmetic yields numpy scalars; keep values as ndarrays
-            node.value = np.asarray(new_value, dtype=np.float64)
+            if node.grad is None:
+                raise ValueError(f"parameter {name!r} has no gradient")
+        if self.step_count == 0:
+            self._layout = [(name, node.shape) for name, node in named_params]
+            self.m = self.v = np.zeros(
+                sum(node.value.size for _, node in named_params))
+        self.step_count += 1
+        value, self.m, self.v = adam_step(
+            np.concatenate([node.value.ravel() for _, node in named_params]),
+            np.concatenate([np.ravel(node.grad) for _, node in named_params]),
+            self.m, self.v, self.step_count, lr,
+            self.beta1, self.beta2, self.eps)
+        for (_, node), part in zip(named_params, self._split(value).values()):
+            node.value = part
+
+    def _split(self, flat) -> dict:
+        """Views of ``flat`` named and shaped like the parameters."""
+        ends = np.cumsum([math.prod(shape) for _, shape in self._layout])
+        return {name: part.reshape(shape) for (name, shape), part
+                in zip(self._layout, np.split(flat, ends[:-1]))}
 
     def state_dicts(self):
-        return ({k: a.copy() for k, a in self.m.items()},
-                {k: a.copy() for k, a in self.v.items()})
-
-    def load_state(self, m, v, step_count):
-        self.m = {k: np.asarray(a, dtype=np.float64).copy() for k, a in m.items()}
-        self.v = {k: np.asarray(a, dtype=np.float64).copy() for k, a in v.items()}
-        self.step_count = int(step_count)
+        return ({k: a.copy() for k, a in self._split(self.m).items()},
+                {k: a.copy() for k, a in self._split(self.v).items()})
 
 
 def scheduled_lr(step: int, total_steps: int, base_lr: float,
@@ -237,42 +247,43 @@ def _run_training(dataset, train_config: TrainConfig,
     opt = Adam()
     steps_per_epoch = math.ceil(len(dataset) / train_config.batch_size)
     total = train_config.epochs * steps_per_epoch
-    log_lines = []
     last_loss = float("nan")
-    for step in range(total):
-        lr = scheduled_lr(step, total, train_config.learning_rate,
-                          train_config.lr_final_frac)
-        idx = rng.integers(0, len(dataset), size=train_config.batch_size)
-        nodes = []
-        parts = {"field": 0.0, "kl": 0.0}
-        try:
-            for i in idx:
-                node, p = loss_fn(models, dataset[i], rng)
-                nodes.append(node)
-                for k in parts:
-                    parts[k] += p[k] / len(idx)
-        except FloatingPointError as exc:
-            # parameters already blew up mid-forward; report as divergence
-            # with the step index rather than a bare numerics error
-            raise TrainingDiverged(step, dict(parts, loss=float("nan"))) \
-                from exc
-        loss = nodes[0]
-        for node in nodes[1:]:
-            loss = loss + node
-        if len(nodes) > 1:
-            loss = ad.mul(loss, 1.0 / len(nodes))
-        last_loss = float(loss.value)
-        if not np.isfinite(last_loss):
-            raise TrainingDiverged(step, dict(parts, loss=last_loss))
-        models.zero_grad()
-        ad.backward(loss)
-        opt.step(models.named_parameters(), lr)
-        log_lines.append(f"{step} {last_loss:.17g} "
-                         f"{parts['field']:.17g} {parts['kl']:.17g}")
-    if log_path is not None:
-        with open(log_path, "w") as fh:
-            fh.write("# step loss field kl\n")
-            fh.write("\n".join(log_lines) + "\n")
+    # line-buffered: a run that diverges or is killed keeps its history
+    with (open(log_path, "w", buffering=1) if log_path is not None
+          else contextlib.nullcontext()) as log:
+        if log is not None:
+            log.write("# step loss field kl\n")
+        for step in range(total):
+            lr = scheduled_lr(step, total, train_config.learning_rate,
+                              train_config.lr_final_frac)
+            idx = rng.integers(0, len(dataset), size=train_config.batch_size)
+            nodes = []
+            parts = {"field": 0.0, "kl": 0.0}
+            try:
+                for i in idx:
+                    node, p = loss_fn(models, dataset[i], rng)
+                    nodes.append(node)
+                    for k in parts:
+                        parts[k] += p[k] / len(idx)
+            except FloatingPointError as exc:
+                # parameters already blew up mid-forward; report as a
+                # divergence with the step index, not a numerics error
+                raise TrainingDiverged(step, dict(parts, loss=float("nan"))) \
+                    from exc
+            loss = nodes[0]
+            for node in nodes[1:]:
+                loss = loss + node
+            if len(nodes) > 1:
+                loss = ad.mul(loss, 1.0 / len(nodes))
+            last_loss = float(loss.value)
+            if not np.isfinite(last_loss):
+                raise TrainingDiverged(step, dict(parts, loss=last_loss))
+            models.zero_grad()
+            ad.backward(loss)
+            opt.step(models.named_parameters(), lr)
+            if log is not None:
+                log.write(f"{step} {last_loss:.17g} "
+                          f"{parts['field']:.17g} {parts['kl']:.17g}\n")
     opt_m, opt_v = opt.state_dicts()
     return Checkpoint(
         algorithm=algorithm, model_config=model_config,

@@ -2,8 +2,10 @@
 an invertible coupling-layer prior over the shape latent.
 
 All three are built on the local autodiff tape (`swarmflow.autodiff`) and
-keep their weights in a ``ParamStore`` so the optimizer and checkpoint
-code can treat them uniformly as named float64 tensors.
+declare their weights in a ``ParamStore``.  ``ModelSet`` joins the three
+stores under prefixed names and alone owns whole-model parameter state
+(state dicts, gradient reset, parameter count), which the optimizer and
+the checkpoint code read as named float64 tensors.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class ParamStore:
-    """Ordered, named collection of trainable tensors."""
+    """Ordered, named collection of one network's trainable tensors."""
 
     def __init__(self):
         self._params: dict[str, Node] = {}
@@ -44,27 +46,6 @@ class ParamStore:
 
     def named(self):
         return self._params.items()
-
-    def zero_grad(self) -> None:
-        for node in self._params.values():
-            node.grad = None
-
-    def state_dict(self) -> dict:
-        return {name: node.value.copy() for name, node in self._params.items()}
-
-    def load_state_dict(self, state: dict) -> None:
-        for name, node in self._params.items():
-            if name not in state:
-                raise KeyError(f"missing parameter {name!r} in state dict")
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != node.value.shape:
-                raise ValueError(
-                    f"parameter {name!r}: shape {arr.shape} != {node.value.shape}")
-            node.value = arr.copy()
-            node.grad = None
-
-    def n_parameters(self) -> int:
-        return sum(node.value.size for node in self._params.values())
 
 
 def _init_matrix(rng, fan_in, fan_out):
@@ -347,9 +328,8 @@ class ModelSet:
             yield "bijector." + name, node
 
     def zero_grad(self) -> None:
-        self.field_net.params.zero_grad()
-        self.encoder.params.zero_grad()
-        self.bijector.params.zero_grad()
+        for _, node in self.named_parameters():
+            node.grad = None
 
     def state_dict(self) -> dict:
         return {name: node.value.copy() for name, node in self.named_parameters()}

@@ -143,7 +143,8 @@ def _orca_halfspaces(p_self, v_self, p_other, v_other,
 
     def settle(rows, w, w_len, degenerate, reach):
         # u = (reach - |w|) * unit(w); a vanishing w (exact head-on) escapes
-        # sideways along the perpendicular of the line of centers.
+        # sideways along the perpendicular of the line of centers (the
+        # flank then leans that normal back).
         keep = ~degenerate
         normals[rows[keep]] = w[keep] / w_len[keep, None]
         normals[rows[degenerate]] = _perpendiculars(rel_pos[rows[degenerate]])
@@ -168,13 +169,20 @@ def _orca_halfspaces(p_self, v_self, p_other, v_other,
     b = np.vecdot(pos, vel)
     cr = np.cross(pos, vel)
     c = np.vecdot(vel, vel) - np.vecdot(cr, cr) / (a - radius_sq)
-    t = (b + np.sqrt(b * b - a * c)) / a
+    # an exact head-on pair has a zero discriminant, which can round below
+    # zero; clamp it so the pair takes the head-on escape below
+    t = (b + np.sqrt(np.maximum(b * b - a * c, 0.0))) / a
     w = vel - t[:, None] * pos
     w_len = np.sqrt(np.vecdot(w, w))
     scale = t * t * a
-    settle(flank, w, w_len,
-           w_len * w_len <= _EPS * np.where(scale > 1.0, scale, 1.0),
-           combined_radius * t)
+    head_on = w_len * w_len <= _EPS * np.where(scale > 1.0, scale, 1.0)
+    settle(flank, w, w_len, head_on, combined_radius * t)
+    # A head-on escape leaves along the flank's normal: sideways, leaning
+    # back by the cone's half-angle (sine r / |rel_pos|), so the corrected
+    # velocity lands on the flank rather than inside the cone.
+    rows, a_h = flank[head_on], a[head_on]
+    normals[rows] = (np.sqrt(1.0 - radius_sq / a_h)[:, None] * normals[rows]
+                     - (combined_radius / a_h)[:, None] * pos[head_on])
 
     # Already overlapping: resolve within a single time step.
     overlap = np.flatnonzero(~is_outside)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from swarmflow.cli import main
-from swarmflow.dataio import load_checkpoint, load_pointcloud, \
-    load_trajectory_csv
+from swarmflow.dataio import (SceneScale, load_checkpoint, load_pointcloud,
+                              load_trajectory_csv, normalize_cloud,
+                              to_real_scale)
+from swarmflow.metrics import coverage_and_mmd
 
 CONFIG_TEXT = (
     "latent_dim = 4\n"
@@ -87,6 +89,42 @@ def test_sample_and_evaluate_and_export(pipeline, capsys):
                  "--out", str(export)]) == 0
     cloud = load_pointcloud(export / "final_cloud.xyz")
     assert np.array_equal(cloud, log.final_cloud())
+
+
+def _read_keyvalues(path):
+    pairs = (line.split(" = ") for line in path.read_text().splitlines())
+    return {key: float(value) for key, value in pairs}
+
+
+@pytest.mark.parametrize("scale", [None, 50.0])
+def test_evaluate_scores_reference_in_training_space(pipeline, scale):
+    # train normalises every cloud, so trajectories live in normalised
+    # space: evaluate must score against the normalised reference (then
+    # scaled with the trajectory under --scale), exactly as the library
+    # does
+    run = pipeline["root"] / "reference_run"
+    if not (run / "trajectory.csv").exists():
+        assert main(["sample", "--checkpoint", str(pipeline["flow"]),
+                     "--agents", "64", "--steps", "10", "--seed", "1",
+                     "--out", str(run)]) == 0
+    out = pipeline["root"] / f"reference_metrics_{scale}"
+    argv = ["evaluate", "--trajectories", str(run / "trajectory.csv"),
+            "--reference", str(pipeline["data"]), "--out", str(out)]
+    if scale is not None:
+        argv += ["--scale", str(scale)]
+    assert main(argv) == 0
+    got = _read_keyvalues(out / "metrics.kv")
+
+    log = load_trajectory_csv(run / "trajectory.csv")
+    reference = normalize_cloud(
+        load_pointcloud(pipeline["data"] / "cloud_000.xyz"))[0]
+    if scale is not None:
+        scene = SceneScale(side=scale)
+        log = to_real_scale(log, scene)
+        reference = reference * scene.factor
+    cov, mmd = coverage_and_mmd([log.final_cloud()], [reference])
+    assert got["COV"] == cov
+    assert got["MMD"] == mmd
 
 
 def test_sample_reruns_are_byte_identical(pipeline):

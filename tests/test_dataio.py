@@ -1,6 +1,7 @@
 """Tests for file formats, normalization, scaling, and synthetic shapes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -233,6 +234,37 @@ def test_checkpoint_corruption_errors(tmp_path):
     with pytest.raises(ValueError, match="trailing"):
         load_checkpoint(trailing)
 
+    header_len = struct.unpack("<Q", raw[12:20])[0]
+    header = json.loads(raw[20:20 + header_len])
+    header["tensors"][0]["section"] = "bogus"
+    text = json.dumps(header).encode("utf-8")
+    unknown = tmp_path / "unknown_section.ckpt"
+    unknown.write_bytes(raw[:12] + struct.pack("<Q", len(text)) + text
+                        + raw[20 + header_len:])
+    with pytest.raises(ValueError, match="section"):
+        load_checkpoint(unknown)
+
+    huge = tmp_path / "huge_header.ckpt"
+    huge.write_bytes(raw[:12] + struct.pack("<Q", 2**62) + raw[20:])
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(huge)
+
+    # every proper prefix of a small checkpoint (all three sections, a 0-d
+    # tensor) is rejected with a ValueError, wherever the cut falls
+    small = Checkpoint(algorithm="flow", model_config=SMALL, train_config={},
+                       params={"w": np.arange(6.0).reshape(2, 3),
+                               "s": np.array(0.5)},
+                       opt_m={"w": np.ones((2, 3)), "s": np.array(0.1)},
+                       opt_v={"w": np.ones((2, 3)), "s": np.array(0.2)},
+                       opt_step=1, step_count=1, final_loss=0.25)
+    save_checkpoint(path, small)
+    raw = path.read_bytes()
+    prefix = tmp_path / "prefix.ckpt"
+    for cut in range(len(raw)):
+        prefix.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            load_checkpoint(prefix)
+
 
 def test_trajectory_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
@@ -282,6 +314,12 @@ def test_trajectory_csv_parse_errors(tmp_path):
                     "1.0,1,1,2,3,4,5,6\n"
                     "0.5,0,1,2,3,4,5,6\n")
     with pytest.raises(ValueError, match="agent count"):
+        load_trajectory_csv(path)
+    path.write_text("t,agent,x,y,z,vx,vy,vz\n"
+                    "1.0,0,1,2,3,4,5,6\n"
+                    "1.0,0,7,8,9,4,5,6\n"
+                    "0.5,0,1,2,3,4,5,6\n")
+    with pytest.raises(ValueError, match="line 3: duplicate"):
         load_trajectory_csv(path)
 
 

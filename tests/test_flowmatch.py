@@ -129,17 +129,48 @@ def test_adam_three_step_trace_matches_decimal_oracle():
         assert np.max(np.abs(node.value - expected[step])) < 1e-9, step
 
 
-def test_adam_skips_missing_grads_and_zero_lr():
+def test_adam_missing_grad_raises_and_zero_lr_advances_state():
     node = ad.Node(np.array([1.0, 2.0]), op="param")
     opt = Adam()
     node.grad = None
-    opt.step([("w", node)], lr=0.1)
+    with pytest.raises(ValueError, match="'w'"):
+        opt.step([("w", node)], lr=0.1)
     assert np.array_equal(node.value, [1.0, 2.0])
-    assert "w" not in opt.m
+    assert opt.step_count == 0
     node.grad = np.array([1.0, -1.0])
     opt.step([("w", node)], lr=0.0)
     assert np.array_equal(node.value, [1.0, 2.0])
-    assert "w" in opt.m  # state advances even at zero learning rate
+    m, v = opt.state_dicts()  # state advances even at zero learning rate
+    assert np.all(m["w"] != 0.0) and np.all(v["w"] != 0.0)
+
+
+def test_adam_flat_update_matches_per_tensor_loop():
+    # one adam_step over the concatenation must equal one call per tensor
+    # bit for bit, for tensors of mixed shapes including a 0-d one
+    rng = np.random.default_rng(3)
+    shapes = {"a": (3, 4), "s": (), "b": (5,), "c": (2, 1, 3)}
+    nodes = {name: ad.Node(rng.standard_normal(shape), op="param")
+             for name, shape in shapes.items()}
+    want = {name: node.value.copy() for name, node in nodes.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    opt = Adam()
+    for step in range(1, 6):
+        lr = 0.1 / step
+        for name, node in nodes.items():
+            node.grad = rng.standard_normal(shapes[name])
+            want[name], m[name], v[name] = adam_step(
+                want[name], node.grad, m[name], v[name], step, lr)
+        opt.step(nodes.items(), lr)
+        for name, node in nodes.items():
+            assert node.value.shape == shapes[name]
+            assert np.array_equal(node.value, want[name]), (step, name)
+    opt_m, opt_v = opt.state_dicts()
+    assert list(opt_m) == list(shapes) and list(opt_v) == list(shapes)
+    for name, shape in shapes.items():
+        assert opt_m[name].shape == shape and opt_v[name].shape == shape
+        assert np.array_equal(opt_m[name], m[name]), name
+        assert np.array_equal(opt_v[name], v[name]), name
 
 
 def test_scheduled_lr_shape():
@@ -285,13 +316,19 @@ def test_train_empty_dataset_raises():
         train([], TrainConfig(epochs=1), SMALL)
 
 
-def test_training_diverged_carries_step_and_parts():
+def test_training_diverged_carries_step_and_parts(tmp_path):
     # an oversized learning rate blows the loss up to non-finite values;
     # the abort reports where and with which components
+    # and the streamed log keeps one row for every step before it
     cloud = np.random.default_rng(12).standard_normal((16, 3))
+    log_path = tmp_path / "diverged.log"
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(TrainingDiverged) as info:
         train([cloud], TrainConfig(epochs=400, seed=0, learning_rate=1e6),
-              SMALL)
+              SMALL, log_path=log_path)
     assert info.value.step >= 0
     assert "field" in info.value.parts
+    lines = log_path.read_text().splitlines()
+    assert lines[0] == "# step loss field kl"
+    assert [int(line.split()[0]) for line in lines[1:]] == \
+        list(range(info.value.step))

@@ -44,25 +44,7 @@ def test_param_store_basics():
     with pytest.raises(ValueError):
         store.add("w", np.zeros(1))
     assert store["w"] is w
-    assert store.n_parameters() == 4
-    ad.backward(ad.reduce_sum(ad.mul(w, w)))
-    assert w.grad is not None
-    store.zero_grad()
-    assert w.grad is None
-
-
-def test_param_store_state_roundtrip():
-    store = ParamStore()
-    store.add("a", np.arange(6.0).reshape(2, 3))
-    store.add("b", np.array(5.0))
-    state = store.state_dict()
-    store["a"].value = np.zeros((2, 3))
-    store.load_state_dict(state)
-    assert np.array_equal(store["a"].value, np.arange(6.0).reshape(2, 3))
-    with pytest.raises(KeyError):
-        store.load_state_dict({"a": state["a"]})
-    with pytest.raises(ValueError):
-        store.load_state_dict({"a": np.zeros(4), "b": state["b"]})
+    assert [name for name, _ in store.named()] == ["w"]
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +321,59 @@ def test_kl_gradient_through_reparameterization():
 # ---------------------------------------------------------------------------
 # model set
 
+TINY = ModelConfig(latent_dim=8, field_hidden=16, field_blocks=3,
+                   encoder_widths=(8, 16), coupling_layers=4,
+                   coupling_hidden=8)
+
+
 def test_build_models_and_named_parameters():
-    cfg = ModelConfig(latent_dim=8, field_hidden=16, field_blocks=3,
-                      encoder_widths=(8, 16), coupling_layers=4,
-                      coupling_hidden=8)
-    models = build_models(cfg, np.random.default_rng(0))
+    models = build_models(TINY, np.random.default_rng(0))
     names = [n for n, _ in models.named_parameters()]
     assert len(names) == len(set(names))
     assert any(n.startswith("field.") for n in names)
     assert any(n.startswith("encoder.") for n in names)
     assert any(n.startswith("bijector.") for n in names)
     state = models.state_dict()
-    models2 = build_models(cfg, np.random.default_rng(99))
+    models2 = build_models(TINY, np.random.default_rng(99))
     models2.load_state_dict(state)
     for (_, a), (_, b) in zip(models.named_parameters(),
                               models2.named_parameters()):
         assert np.array_equal(a.value, b.value)
+
+
+def test_model_set_zero_grad_and_count():
+    models = build_models(TINY, np.random.default_rng(1))
+    nodes = [node for _, node in models.named_parameters()]
+    # field 416 + 624 + 117, encoder 32 + 144 + 2 * 136,
+    # bijector 4 layers * (2 nets * 144 + 1 s_factor)
+    assert models.n_parameters() == 1157 + 448 + 1156
+    loss = ad.reduce_sum(ad.mul(nodes[0], nodes[0]))
+    for node in nodes[1:]:
+        loss = loss + ad.reduce_sum(ad.mul(node, node))
+    ad.backward(loss)
+    assert all(node.grad is not None for node in nodes)
+    models.zero_grad()
+    assert all(node.grad is None for node in nodes)
+
+
+def test_model_set_state_roundtrip():
+    models = build_models(TINY, np.random.default_rng(2))
+    state = models.state_dict()
+    assert state["bijector.c0.s_factor"].shape == ()  # 0-d tensors stay 0-d
+    for _, node in models.named_parameters():
+        node.value = np.zeros(node.value.shape)
+    models.load_state_dict(state)
+    for name, node in models.named_parameters():
+        assert node.value.shape == state[name].shape
+        assert np.array_equal(node.value, state[name]), name
+        assert node.value is not state[name]  # loaded as a copy
+    missing = dict(state)
+    del missing["encoder.mu.bias"]
+    with pytest.raises(KeyError, match="encoder.mu.bias"):
+        models.load_state_dict(missing)
+    wrong = dict(state, **{"field.b0.w": np.zeros(4)})
+    with pytest.raises(ValueError, match="field.b0.w"):
+        models.load_state_dict(wrong)
 
 
 def test_model_config_validation():

@@ -175,15 +175,21 @@ def test_coincident_positions_raise():
 def test_exact_head_on_gets_lateral_escape():
     # Relative velocity exactly on the collision-cone axis and closing
     # faster than distance/horizon (a slower approach would exit through
-    # the cap sphere instead): the constraint normal must point sideways,
-    # and mirrored inputs must get mirrored normals so the pair splits.
+    # the cap sphere instead): the constraint normal must be the flank's
+    # normal (sideways, leaning back by the half-angle, so its component
+    # along rel_pos is -kappa), the corrected relative velocity must sit on
+    # the obstacle boundary, and mirrored inputs must get mirrored normals
+    # so the pair splits.
     rel_pos = np.array([4.0 * KAPPA, 0.0, 0.0])
     v_self = np.array([1.5, 0.0, 0.0])
     v_other = np.array([-1.5, 0.0, 0.0])
     plane = build_orca_halfspace(np.zeros(3), v_self, rel_pos, v_other,
                                  KAPPA, 10.0 * DT, DT)
-    assert abs(np.dot(plane.normal, rel_pos)) < 1e-12
+    assert abs(np.dot(plane.normal, rel_pos) + KAPPA) < 1e-12
     assert abs(np.linalg.norm(plane.normal) - 1.0) < 1e-12
+    u = 2.0 * (plane.point - v_self)
+    assert abs(_obstacle_gap(rel_pos, v_self - v_other + u, KAPPA,
+                             10.0 * DT)) < 5e-7
     mirrored = build_orca_halfspace(rel_pos, v_other, np.zeros(3), v_self,
                                     KAPPA, 10.0 * DT, DT)
     np.testing.assert_allclose(mirrored.normal, -plane.normal, atol=1e-15)
@@ -375,6 +381,30 @@ def test_head_on_pair_never_collides():
     assert positions[1, 0] < 2.0 * KAPPA - 0.5 * KAPPA
 
 
+def test_head_on_pairs_off_the_axes_escape_sideways():
+    # On a line of centers off the coordinate axes the flank discriminant
+    # of an exact head-on pair can round below zero; it must still give a
+    # finite half-space on the flank's normal, and the pair must keep kappa
+    # apart even when it starts barely more than kappa apart.
+    cfg = NavConfig(kappa=KAPPA, dt=DT)
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        center = rng.uniform(-0.5, 0.5, size=3)
+        half = 0.5 * rng.uniform(1.05 * KAPPA, 3.5 * KAPPA) * direction
+        positions = np.array([center - half, center + half])
+        v_pref = np.array([1.5 * direction, -1.5 * direction])
+        plane = build_orca_halfspace(positions[0], v_pref[0], positions[1],
+                                     v_pref[1], KAPPA, cfg.horizon, DT)
+        assert np.all(np.isfinite(plane.point))
+        assert np.all(np.isfinite(plane.normal))
+        gap = np.linalg.norm(positions[1] - positions[0])
+        assert abs(np.dot(plane.normal, direction) + KAPPA / gap) < 1e-9
+        moved = positions + DT * orca_adjust(v_pref, positions, cfg)
+        assert np.linalg.norm(moved[0] - moved[1]) >= KAPPA * (1.0 - 1e-9)
+
+
 def test_overlapping_pair_separates_in_one_step():
     # Even with an all-zero preferred batch (default speed cap would be
     # zero without its kappa/dt floor) overlapping agents must split to
@@ -431,11 +461,13 @@ def _reference_halfspace(p_self, v_self, p_other, v_other, combined_radius,
             cr = np.cross(rel_pos, rel_vel)
             c = (float(np.dot(rel_vel, rel_vel))
                  - float(np.dot(cr, cr)) / (dist_sq - radius_sq))
-            t = (b + np.sqrt(b * b - a * c)) / a
+            t = (b + np.sqrt(np.maximum(b * b - a * c, 0.0))) / a
             w = rel_vel - t * rel_pos
             w_len = float(np.linalg.norm(w))
             if w_len * w_len <= 1e-10 * max(1.0, t * t * dist_sq):
-                unit_w = _reference_perpendicular(rel_pos)
+                unit_w = (np.sqrt(1.0 - radius_sq / dist_sq)
+                          * _reference_perpendicular(rel_pos)
+                          - (combined_radius / dist_sq) * rel_pos)
                 w_len = 0.0
             else:
                 unit_w = w / w_len
@@ -506,10 +538,8 @@ def test_halfspace_matches_scalar_reference_bitwise():
                                        KAPPA, tau, DT)
             want = _reference_halfspace(p_self, v_self, p_other, v_other,
                                         KAPPA, tau, DT)
-            # a head-on flank case off the axes can round its discriminant
-            # below zero; the NaN constraint must then match as well
-            assert np.array_equal(got.point, want.point, equal_nan=True)
-            assert np.array_equal(got.normal, want.normal, equal_nan=True)
+            assert np.array_equal(got.point, want.point)
+            assert np.array_equal(got.normal, want.normal)
 
 
 @pytest.mark.parametrize("seed", range(6))
