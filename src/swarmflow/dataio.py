@@ -14,6 +14,7 @@ exactly, so save/load cycles and repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -260,6 +261,39 @@ def _read_exact(fh, size: int, path, what: str) -> bytes:
     return fh.read(size)
 
 
+# every key ``save_checkpoint`` writes, with the JSON type it reads back as
+_HEADER_TYPES = {"algorithm": str, "model_config": dict, "train_config": dict,
+                 "opt_step": int, "step_count": int,
+                 "final_loss": (int, float), "tensors": list}
+_SECTIONS = ("params", "opt_m", "opt_v")
+
+
+def _check_header(header, path) -> None:
+    """One-line ``ValueError`` naming ``path`` unless ``header`` holds every
+    key with its type and every tensor entry a known section, a name and
+    a shape of non-negative integers."""
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    for key, kind in _HEADER_TYPES.items():
+        if key not in header:
+            raise ValueError(f"{path}: checkpoint header lacks {key!r}")
+        if not isinstance(header[key], kind):
+            raise ValueError(f"{path}: checkpoint header {key!r} has the "
+                             f"wrong type {type(header[key]).__name__}")
+    for k, entry in enumerate(header["tensors"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: tensor entry {k} is not a JSON object")
+        if entry.get("section") not in _SECTIONS:
+            raise ValueError(f"{path}: unknown tensor section "
+                             f"{entry.get('section')!r} in entry {k}")
+        shape = entry.get("shape")
+        if not isinstance(entry.get("name"), str) or not (
+                isinstance(shape, list)
+                and all(isinstance(n, int) and n >= 0 for n in shape)):
+            raise ValueError(f"{path}: tensor entry {k} needs a name and a "
+                             f"shape of non-negative integers")
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -269,24 +303,29 @@ def load_checkpoint(path) -> Checkpoint:
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header"))
-        header = json.loads(
-            _read_exact(fh, header_len, path, "header").decode("utf-8"))
-        sections = {"params": {}, "opt_m": {}, "opt_v": {}}
+        text = _read_exact(fh, header_len, path, "header")
+        try:
+            header = json.loads(text.decode("utf-8"))
+        except ValueError as err:
+            raise ValueError(f"{path}: bad checkpoint header: {err}") from None
+        _check_header(header, path)
+        sections = {name: {} for name in _SECTIONS}
         for entry in header["tensors"]:
-            if entry["section"] not in sections:
-                raise ValueError(
-                    f"{path}: unknown tensor section {entry['section']!r}")
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
             raw = _read_exact(fh, count * 8, path, "payload")
             arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             sections[entry["section"]][entry["name"]] = arr
         trailing = fh.read(1)
         if trailing:
             raise ValueError(f"{path}: trailing bytes after payload")
+    try:
+        model_config = ModelConfig.from_dict(header["model_config"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path}: bad model_config: {err}") from None
     return Checkpoint(
         algorithm=header["algorithm"],
-        model_config=ModelConfig.from_dict(header["model_config"]),
+        model_config=model_config,
         train_config=header["train_config"],
         params=sections["params"], opt_m=sections["opt_m"],
         opt_v=sections["opt_v"], opt_step=header["opt_step"],

@@ -14,8 +14,16 @@ the largest violation instead.
 A step costs O(M k) for M agents with k neighbors each: a k-d tree
 gathers the pairs inside the culling radius, all half-spaces are built
 as stacked arrays in one pass, and only agents whose preferred velocity
-breaks a half-space or the speed cap run the LP.  The output is bit for
-bit what a dense all-pairs scan with per-pair constraints gives.
+breaks a half-space or the speed cap run the LP.  The LP works on the
+agent's rows of those (K, 3) point and normal arrays: vectorised scans
+find the first violated plane, a line is clipped by all its planes in
+one pass, and back-projection projects all earlier planes at once.  The
+output is bit for bit what a dense all-pairs scan with per-pair
+constraints and a one-plane-at-a-time LP gives.  That holds because
+every dot product goes through ``np.dot`` / ``np.vecdot``, whose BLAS
+kernel rounds a 3-vector dot through fused multiply-adds; the plain
+``a0*b0 + a1*b1 + a2*b2`` and ``N @ v`` (matrix-vector BLAS) round
+differently.
 
 All geometry is float64 and constraint order is deterministic, so the
 output is bitwise reproducible.
@@ -23,14 +31,15 @@ output is bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 __all__ = [
-    "NavConfig", "HalfSpaceConstraint", "build_orca_halfspace",
-    "solve_velocity_lp", "orca_adjust",
+    "NavConfig", "HalfSpaceConstraint", "HalfSpaceStack",
+    "build_orca_halfspace", "solve_velocity_lp", "orca_adjust",
 ]
 
 # Parallelism threshold for squared cross products of unit vectors.
@@ -84,6 +93,22 @@ class HalfSpaceConstraint:
     def violation(self, v) -> float:
         """Signed violation depth; positive when ``v`` is forbidden."""
         return float(np.dot(self.normal, self.point - v))
+
+
+@dataclass(eq=False)
+class HalfSpaceStack:
+    """Half-spaces stacked as (K, 3) arrays: row k permits velocities with
+    (v - points[k]) . normals[k] >= 0.  Iterating yields the rows as
+    ``HalfSpaceConstraint`` objects."""
+
+    points: np.ndarray
+    normals: np.ndarray  # unit rows
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __iter__(self):
+        return map(HalfSpaceConstraint, self.points, self.normals)
 
 
 def close_pairs(points, radius: float):
@@ -213,23 +238,50 @@ def build_orca_halfspace(p_self, v_self, p_other, v_other,
 
 # ---------------------------------------------------------------------------
 # incremental low-dimensional solve (ball-constrained LP with half-spaces)
+#
+# The planes of one program are the rows of (K, 3) point and normal arrays,
+# honored in row order.  Dot products stay in ``np.dot`` / ``np.vecdot``
+# (see the module docstring); crosses of single 3-vectors are written out
+# in ``_cross3``, the same arithmetic as ``np.cross`` at a fraction of its
+# call cost.
 
-def _lp_line(planes, count, line_point, line_dir, radius, opt, direction_opt):
-    """Optimum on a line clipped by the speed ball and planes[:count]."""
+def _cross3(a, b) -> list:
+    """``a x b`` of two 3-sequences of floats, rounded as ``np.cross``."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
+def _first_violated(points, normals, v, begin: int, end: int,
+                    bound: float = 0.0) -> int:
+    """First row in [begin, end) whose violation by ``v`` exceeds
+    ``bound``, or ``end`` if there is none."""
+    if begin < end:
+        over = np.vecdot(normals[begin:end], points[begin:end] - v) > bound
+        k = int(over.argmax())
+        if over[k]:
+            return begin + k
+    return end
+
+
+def _lp_line(points, normals, count, line_point, line_dir, radius, opt,
+             direction_opt):
+    """Optimum on a line clipped by the speed ball and rows [0, count)."""
     dot = float(np.dot(line_point, line_dir))
     disc = dot * dot + radius * radius - float(np.dot(line_point, line_point))
     if disc < 0.0:
         return None  # line misses the ball
-    sqrt_disc = np.sqrt(disc)
+    sqrt_disc = math.sqrt(disc)
     t_left = -dot - sqrt_disc
     t_right = -dot + sqrt_disc
 
-    for i in range(count):
-        numerator = float(np.dot(planes[i].point - line_point, planes[i].normal))
-        denominator = float(np.dot(line_dir, planes[i].normal))
+    numerators = np.vecdot(points[:count] - line_point, normals[:count])
+    denominators = np.vecdot(line_dir, normals[:count])
+    for numerator, denominator in zip(numerators.tolist(),
+                                      denominators.tolist()):
         if denominator * denominator <= _EPS:
             if numerator > 0.0:
-                return None  # line parallel to plane i, on the forbidden side
+                return None  # parallel to the plane, on its forbidden side
             continue
         t = numerator / denominator
         if denominator >= 0.0:
@@ -247,106 +299,133 @@ def _lp_line(planes, count, line_point, line_dir, radius, opt, direction_opt):
     return line_point + t * line_dir
 
 
-def _lp_plane(planes, plane_no, radius, opt, direction_opt):
-    """Optimum on planes[plane_no] within the ball, honoring earlier planes."""
-    plane = planes[plane_no]
-    plane_dist = float(np.dot(plane.point, plane.normal))
+def _lp_plane(points, normals, plane_no, radius, opt, direction_opt):
+    """Optimum on plane ``plane_no`` within the ball, honoring earlier rows."""
+    point, normal = points[plane_no], normals[plane_no]
+    plane_dist = float(np.dot(point, normal))
     radius_sq = radius * radius
     if plane_dist * plane_dist > radius_sq:
         return None  # plane does not intersect the ball
     disc_radius_sq = radius_sq - plane_dist * plane_dist
-    plane_center = plane_dist * plane.normal
+    plane_center = plane_dist * normal
 
     if direction_opt:
         # maximize travel along `opt` within the plane's disc
-        in_plane = opt - float(np.dot(opt, plane.normal)) * plane.normal
+        in_plane = opt - float(np.dot(opt, normal)) * normal
         in_plane_sq = float(np.dot(in_plane, in_plane))
         if in_plane_sq <= _EPS:
             result = plane_center
         else:
             result = plane_center + np.sqrt(disc_radius_sq / in_plane_sq) * in_plane
     else:
-        result = opt + float(np.dot(plane.point - opt, plane.normal)) * plane.normal
+        result = opt + float(np.dot(point - opt, normal)) * normal
         if float(np.dot(result, result)) > radius_sq:
             offset = result - plane_center
             offset_sq = float(np.dot(offset, offset))
             result = plane_center + np.sqrt(disc_radius_sq / offset_sq) * offset
 
-    for i in range(plane_no):
-        if planes[i].violation(result) > 0.0:
-            cross = np.cross(planes[i].normal, plane.normal)
-            if float(np.dot(cross, cross)) <= _EPS:
-                return None  # parallel and still violating
-            line_dir = cross / np.linalg.norm(cross)
-            line_normal = np.cross(line_dir, plane.normal)
-            scale = (float(np.dot(planes[i].point - plane.point, planes[i].normal))
-                     / float(np.dot(line_normal, planes[i].normal)))
-            line_point = plane.point + scale * line_normal
-            result = _lp_line(planes, i, line_point, line_dir, radius, opt,
-                              direction_opt)
-            if result is None:
-                return None
+    normal_f = normal.tolist()
+    i = _first_violated(points, normals, result, 0, plane_no)
+    while i < plane_no:
+        cross_f = _cross3(normals[i].tolist(), normal_f)
+        cross = np.array(cross_f)
+        cross_sq = float(np.dot(cross, cross))
+        if cross_sq <= _EPS:
+            return None  # parallel and still violating
+        norm = math.sqrt(cross_sq)
+        line_dir_f = [c / norm for c in cross_f]
+        line_normal = np.array(_cross3(line_dir_f, normal_f))
+        scale = (float(np.dot(points[i] - point, normals[i]))
+                 / float(np.dot(line_normal, normals[i])))
+        result = _lp_line(points, normals, i, point + scale * line_normal,
+                          np.array(line_dir_f), radius, opt, direction_opt)
+        if result is None:
+            return None
+        i = _first_violated(points, normals, result, i + 1, plane_no)
     return result
 
 
-def _lp_full(planes, radius, opt, direction_opt):
-    """Incremental solve; returns (first_failing_index_or_len, result)."""
+def _lp_full(points, normals, radius, opt, direction_opt):
+    """Incremental solve; returns (first_failing_row_or_K, result)."""
     if direction_opt:
         result = opt * radius  # opt is a unit direction
-    elif float(np.dot(opt, opt)) > radius * radius:
-        norm = float(np.linalg.norm(opt))
-        result = opt * (radius / norm) if norm > 0.0 else np.zeros(3)
     else:
-        result = np.asarray(opt, dtype=np.float64).copy()
+        opt_sq = float(np.dot(opt, opt))
+        if opt_sq > radius * radius:
+            norm = math.sqrt(opt_sq)
+            result = opt * (radius / norm) if norm > 0.0 else np.zeros(3)
+        else:
+            result = np.array(opt, dtype=np.float64)
 
-    for i, plane in enumerate(planes):
-        if plane.violation(result) > 0.0:
-            attempt = _lp_plane(planes, i, radius, opt, direction_opt)
-            if attempt is None:
-                return i, result
-            result = attempt
-    return len(planes), result
+    k = len(points)
+    i = _first_violated(points, normals, result, 0, k)
+    while i < k:
+        attempt = _lp_plane(points, normals, i, radius, opt, direction_opt)
+        if attempt is None:
+            return i, result
+        result = attempt
+        i = _first_violated(points, normals, result, i + 1, k)
+    return k, result
 
 
-def _lp_backproject(planes, begin, radius, result):
+def _projected_planes(points, normals, i):
+    """Planes of rows j < i projected onto plane i, in row order, for the
+    back-projection program; rows parallel to plane i and facing the same
+    way are subsumed by it and left out."""
+    point, normal = points[i], normals[i]
+    cross = np.cross(normals[:i], normal)
+    parallel = np.vecdot(cross, cross) <= _EPS
+    same_way = parallel & (np.vecdot(normal, normals[:i]) > 0.0)
+    keep = np.flatnonzero(~same_way)
+    opposite = parallel[keep]
+    proj_points = np.empty((len(keep), 3))
+    # opposite parallel planes meet plane i halfway between their points
+    proj_points[opposite] = 0.5 * (point + points[keep[opposite]])
+    rows = keep[~opposite]
+    line_normal = np.cross(cross[rows], normal)
+    scale = (np.vecdot(points[rows] - point, normals[rows])
+             / np.vecdot(line_normal, normals[rows]))
+    proj_points[~opposite] = point + scale[:, None] * line_normal
+    diff = normals[keep] - normal
+    return proj_points, diff / np.sqrt(np.vecdot(diff, diff))[:, None]
+
+
+def _lp_backproject(points, normals, begin, radius, result):
     """Infeasible fallback: minimize the largest constraint violation."""
     distance = 0.0
-    for i in range(begin, len(planes)):
-        if planes[i].violation(result) > distance:
-            proj_planes = []
-            for j in range(i):
-                cross = np.cross(planes[j].normal, planes[i].normal)
-                if float(np.dot(cross, cross)) <= _EPS:
-                    if float(np.dot(planes[i].normal, planes[j].normal)) > 0.0:
-                        continue  # same orientation: j is subsumed
-                    point = 0.5 * (planes[i].point + planes[j].point)
-                else:
-                    line_normal = np.cross(cross, planes[i].normal)
-                    scale = (float(np.dot(planes[j].point - planes[i].point,
-                                          planes[j].normal))
-                             / float(np.dot(line_normal, planes[j].normal)))
-                    point = planes[i].point + scale * line_normal
-                diff = planes[j].normal - planes[i].normal
-                normal = diff / np.linalg.norm(diff)
-                proj_planes.append(HalfSpaceConstraint(point, normal))
-            fail, attempt = _lp_full(proj_planes, radius, planes[i].normal,
-                                     direction_opt=True)
-            if fail >= len(proj_planes):
-                # By construction the projected program is feasible; keep
-                # the previous result if numerics disagree.
-                result = attempt
-            distance = planes[i].violation(result)
+    k = len(points)
+    i = _first_violated(points, normals, result, begin, k, distance)
+    while i < k:
+        proj_points, proj_normals = _projected_planes(points, normals, i)
+        fail, attempt = _lp_full(proj_points, proj_normals, radius,
+                                 normals[i], direction_opt=True)
+        if fail >= len(proj_points):
+            # By construction the projected program is feasible; keep the
+            # previous result if numerics disagree.
+            result = attempt
+        distance = float(np.dot(normals[i], points[i] - result))
+        i = _first_violated(points, normals, result, i + 1, k, distance)
     return result
 
 
-def solve_velocity_lp(v_pref, constraints, v_max: float) -> np.ndarray:
+def solve_velocity_lp(v_pref, planes, v_max: float) -> np.ndarray:
     """Velocity closest to ``v_pref`` with speed <= v_max satisfying all
-    half-spaces; on an empty intersection, the minimax-violation point."""
+    half-spaces; on an empty intersection, the minimax-violation point.
+
+    ``planes`` is a ``HalfSpaceStack`` or a sequence of
+    ``HalfSpaceConstraint``; earlier rows are honored first.
+    """
+    if not isinstance(planes, HalfSpaceStack):
+        planes = list(planes)
+        planes = HalfSpaceStack(
+            np.array([c.point for c in planes], np.float64).reshape(-1, 3),
+            np.array([c.normal for c in planes], np.float64).reshape(-1, 3))
     v_pref = np.asarray(v_pref, dtype=np.float64)
-    fail, result = _lp_full(constraints, float(v_max), v_pref,
-                            direction_opt=False)
-    if fail < len(constraints):
-        result = _lp_backproject(constraints, fail, float(v_max), result)
+    fail, result = _lp_full(planes.points, planes.normals, float(v_max),
+                            v_pref, direction_opt=False)
+    if fail < len(planes):
+        result = _lp_backproject(planes.points, planes.normals, fail,
+                                 float(v_max), result)
     return result
 
 
@@ -406,10 +485,11 @@ def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
     violated = np.vecdot(normals, points - v_pref[i]) > 0.0
     needs_lp = np.vecdot(v_pref, v_pref) > float(v_max) * float(v_max)
     needs_lp[i[violated]] = True
-    bounds = np.searchsorted(i, np.arange(m + 1))
+    bounds = np.searchsorted(i, np.arange(m + 1)).tolist()
     out = v_pref.copy()
-    for agent in np.flatnonzero(needs_lp):
-        planes = [HalfSpaceConstraint(points[k], normals[k])
-                  for k in range(bounds[agent], bounds[agent + 1])]
-        out[agent] = solve_velocity_lp(v_pref[agent], planes, v_max)
+    for agent in np.flatnonzero(needs_lp).tolist():
+        lo, hi = bounds[agent], bounds[agent + 1]
+        out[agent] = solve_velocity_lp(
+            v_pref[agent], HalfSpaceStack(points[lo:hi], normals[lo:hi]),
+            v_max)
     return out

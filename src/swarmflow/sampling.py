@@ -104,14 +104,19 @@ class SampleConfig:
 
 def _euler_rollout(x0, times, velocity_fn, adjust_fn):
     """Shared Euler loop.  ``velocity_fn(x, t, k)`` gives the preferred
-    velocity; ``adjust_fn(v, x)`` turns it into the applied one."""
+    velocity; ``adjust_fn(v, x)`` turns it into the applied one.  A
+    preferred velocity holding NaN or inf raises at the step it appears."""
     x = np.array(x0, dtype=np.float64)
     dt = float(times[0] - times[1])
     positions = [x.copy()]
     preferred = []
     applied = []
     for k in range(len(times) - 1):
-        v_pref = velocity_fn(x, float(times[k]), k)
+        t = float(times[k])
+        v_pref = velocity_fn(x, t, k)
+        if not np.all(np.isfinite(v_pref)):
+            raise ValueError(
+                f"velocity field is not finite at step {k} (t={t:.17g})")
         v_app = adjust_fn(v_pref, x)
         x = x + dt * v_app
         preferred.append(v_pref)

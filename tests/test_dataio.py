@@ -249,6 +249,36 @@ def test_checkpoint_corruption_errors(tmp_path):
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(huge)
 
+    # a header that parses but holds the wrong content: one-line
+    # ValueErrors naming the file, not KeyError or TypeError
+    def rewritten(name, mutate):
+        changed = json.loads(raw[20:20 + header_len])
+        mutate(changed)
+        text = json.dumps(changed).encode("utf-8")
+        bad = tmp_path / f"{name}.ckpt"
+        bad.write_bytes(raw[:12] + struct.pack("<Q", len(text)) + text
+                        + raw[20 + header_len:])
+        return bad
+
+    def widen(h):
+        h["model_config"]["bogus_width"] = 3
+
+    def negative(h):
+        h["tensors"][0]["shape"] = [-1, 4]
+
+    cases = {
+        "no_algorithm": (lambda h: h.pop("algorithm"), "algorithm"),
+        "no_section": (lambda h: h["tensors"][0].pop("section"), "section"),
+        "config_key": (widen, "model_config"),
+        "string_tensors": (lambda h: h.update(tensors="w"), "tensors"),
+        "negative_shape": (negative, "shape"),
+    }
+    for name, (mutate, word) in cases.items():
+        bad = rewritten(name, mutate)
+        with pytest.raises(ValueError, match=word) as info:
+            load_checkpoint(bad)
+        assert str(bad) in str(info.value) and "\n" not in str(info.value)
+
     # every proper prefix of a small checkpoint (all three sections, a 0-d
     # tensor) is rejected with a ValueError, wherever the cut falls
     small = Checkpoint(algorithm="flow", model_config=SMALL, train_config={},

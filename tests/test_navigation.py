@@ -7,6 +7,7 @@ from scipy.spatial.distance import cdist
 
 from swarmflow.navigation import (
     HalfSpaceConstraint,
+    HalfSpaceStack,
     NavConfig,
     _perpendiculars,
     build_orca_halfspace,
@@ -430,8 +431,9 @@ def test_coincident_agents_get_pushed_apart():
 
 
 # ---------------------------------------------------------------------------
-# Reference: the dense all-pairs scan with one scalar half-space per pair.
-# The neighbor-list implementation must reproduce it bit for bit.
+# Reference: the dense all-pairs scan with one scalar half-space per pair
+# and the object-based LP.  The neighbor-list implementation must
+# reproduce it bit for bit.
 
 def _reference_perpendicular(v):
     axis = np.zeros(3)
@@ -485,6 +487,136 @@ def _reference_halfspace(p_self, v_self, p_other, v_other, combined_radius,
     return HalfSpaceConstraint(point=v_self + 0.5 * u, normal=unit_w)
 
 
+# The object-based scalar LP the stacked solver replaced, one
+# ``HalfSpaceConstraint`` at a time; the stacked solver must reproduce it
+# bit for bit.
+
+def _reference_lp_line(planes, count, line_point, line_dir, radius, opt,
+                       direction_opt):
+    dot = float(np.dot(line_point, line_dir))
+    disc = dot * dot + radius * radius - float(np.dot(line_point, line_point))
+    if disc < 0.0:
+        return None
+    sqrt_disc = np.sqrt(disc)
+    t_left = -dot - sqrt_disc
+    t_right = -dot + sqrt_disc
+    for i in range(count):
+        numerator = float(np.dot(planes[i].point - line_point, planes[i].normal))
+        denominator = float(np.dot(line_dir, planes[i].normal))
+        if denominator * denominator <= 1e-10:
+            if numerator > 0.0:
+                return None
+            continue
+        t = numerator / denominator
+        if denominator >= 0.0:
+            t_left = max(t_left, t)
+        else:
+            t_right = min(t_right, t)
+        if t_left > t_right:
+            return None
+    if direction_opt:
+        t = t_right if float(np.dot(opt, line_dir)) > 0.0 else t_left
+    else:
+        t = float(np.dot(line_dir, opt - line_point))
+        t = min(max(t, t_left), t_right)
+    return line_point + t * line_dir
+
+
+def _reference_lp_plane(planes, plane_no, radius, opt, direction_opt):
+    plane = planes[plane_no]
+    plane_dist = float(np.dot(plane.point, plane.normal))
+    radius_sq = radius * radius
+    if plane_dist * plane_dist > radius_sq:
+        return None
+    disc_radius_sq = radius_sq - plane_dist * plane_dist
+    plane_center = plane_dist * plane.normal
+    if direction_opt:
+        in_plane = opt - float(np.dot(opt, plane.normal)) * plane.normal
+        in_plane_sq = float(np.dot(in_plane, in_plane))
+        if in_plane_sq <= 1e-10:
+            result = plane_center
+        else:
+            result = plane_center + np.sqrt(disc_radius_sq / in_plane_sq) * in_plane
+    else:
+        result = opt + float(np.dot(plane.point - opt, plane.normal)) * plane.normal
+        if float(np.dot(result, result)) > radius_sq:
+            offset = result - plane_center
+            offset_sq = float(np.dot(offset, offset))
+            result = plane_center + np.sqrt(disc_radius_sq / offset_sq) * offset
+    for i in range(plane_no):
+        if planes[i].violation(result) > 0.0:
+            cross = np.cross(planes[i].normal, plane.normal)
+            if float(np.dot(cross, cross)) <= 1e-10:
+                return None
+            line_dir = cross / np.linalg.norm(cross)
+            line_normal = np.cross(line_dir, plane.normal)
+            scale = (float(np.dot(planes[i].point - plane.point, planes[i].normal))
+                     / float(np.dot(line_normal, planes[i].normal)))
+            line_point = plane.point + scale * line_normal
+            result = _reference_lp_line(planes, i, line_point, line_dir,
+                                        radius, opt, direction_opt)
+            if result is None:
+                return None
+    return result
+
+
+def _reference_lp_full(planes, radius, opt, direction_opt):
+    if direction_opt:
+        result = opt * radius
+    elif float(np.dot(opt, opt)) > radius * radius:
+        norm = float(np.linalg.norm(opt))
+        result = opt * (radius / norm) if norm > 0.0 else np.zeros(3)
+    else:
+        result = np.asarray(opt, dtype=np.float64).copy()
+    for i, plane in enumerate(planes):
+        if plane.violation(result) > 0.0:
+            attempt = _reference_lp_plane(planes, i, radius, opt, direction_opt)
+            if attempt is None:
+                return i, result
+            result = attempt
+    return len(planes), result
+
+
+def _reference_lp_backproject(planes, begin, radius, result):
+    distance = 0.0
+    for i in range(begin, len(planes)):
+        if planes[i].violation(result) > distance:
+            proj_planes = []
+            for j in range(i):
+                cross = np.cross(planes[j].normal, planes[i].normal)
+                if float(np.dot(cross, cross)) <= 1e-10:
+                    if float(np.dot(planes[i].normal, planes[j].normal)) > 0.0:
+                        continue
+                    point = 0.5 * (planes[i].point + planes[j].point)
+                else:
+                    line_normal = np.cross(cross, planes[i].normal)
+                    scale = (float(np.dot(planes[j].point - planes[i].point,
+                                          planes[j].normal))
+                             / float(np.dot(line_normal, planes[j].normal)))
+                    point = planes[i].point + scale * line_normal
+                diff = planes[j].normal - planes[i].normal
+                normal = diff / np.linalg.norm(diff)
+                proj_planes.append(HalfSpaceConstraint(point, normal))
+            fail, attempt = _reference_lp_full(proj_planes, radius,
+                                               planes[i].normal,
+                                               direction_opt=True)
+            if fail >= len(proj_planes):
+                result = attempt
+            distance = planes[i].violation(result)
+    return result
+
+
+def _reference_solve_lp(v_pref, planes, v_max):
+    """Returns the velocity and whether the program was infeasible."""
+    v_pref = np.asarray(v_pref, dtype=np.float64)
+    fail, result = _reference_lp_full(planes, float(v_max), v_pref,
+                                      direction_opt=False)
+    if fail < len(planes):
+        return _reference_lp_backproject(planes, fail, float(v_max),
+                                         result), True
+    return result, False
+
+
 def _reference_orca_adjust(v_pref, positions, cfg):
     m = positions.shape[0]
     v_max = cfg.v_max if cfg.v_max is not None else max(
@@ -504,7 +636,7 @@ def _reference_orca_adjust(v_pref, positions, cfg):
             planes.append(_reference_halfspace(
                 positions[i], v_pref[i], p_other, v_pref[j], cfg.kappa,
                 cfg.horizon, cfg.dt))
-        out[i] = solve_velocity_lp(v_pref[i], planes, v_max)
+        out[i] = _reference_solve_lp(v_pref[i], planes, v_max)[0]
     return out
 
 
@@ -624,3 +756,74 @@ def test_adjust_rejects_non_finite_input(name, bad):
     with pytest.raises(ValueError, match=name):
         orca_adjust(arrays["v_pref"], arrays["positions"],
                     NavConfig(kappa=KAPPA, dt=DT))
+
+
+def _lp_cases(st):
+    """Hypothesis strategy: (v_pref, points, normals, v_max) of random plane
+    sets mixing fresh, parallel, near-parallel, opposite and duplicate
+    planes, from well inside to beyond the speed cap.  Hypothesis picks the
+    structure; the numbers come from a seeded generator, because the exact
+    values Hypothesis favours (0.5, 1.0, ...) round the same with and
+    without fused multiply-adds and would hide a rounding change."""
+
+    @st.composite
+    def cases(draw):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        v_max = rng.uniform(0.1, 2.0)
+        points, normals = [], []
+        for _ in range(draw(st.integers(0, 16))):
+            kind = draw(st.sampled_from(
+                ["fresh", "parallel", "near", "opposite", "duplicate"])
+                if normals else st.just("fresh"))
+            j = draw(st.integers(0, len(normals) - 1)) if normals else 0
+            if kind == "duplicate":
+                points.append(points[j])
+                normals.append(normals[j])
+                continue
+            if kind in ("parallel", "opposite"):
+                normal = normals[j] if kind == "parallel" else -normals[j]
+            else:
+                normal = rng.standard_normal(3)
+                if kind == "near":
+                    normal = normals[j] + 1e-6 * normal
+                normal = normal / np.linalg.norm(normal)
+            points.append(v_max * rng.uniform(-1.0, 0.9) * normal
+                          + 0.5 * rng.standard_normal(3))
+            normals.append(normal)
+        v_pref = rng.standard_normal(3) * rng.uniform(0.0, 3.0)
+        return (v_pref, np.array(points).reshape(-1, 3),
+                np.array(normals).reshape(-1, 3), v_max)
+
+    return cases()
+
+
+def test_stacked_lp_matches_object_lp_bitwise():
+    hypothesis = pytest.importorskip("hypothesis")
+    seen = {"infeasible": 0, "empty": 0}
+
+    @hypothesis.settings(max_examples=600, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.example((np.array([3.0, 0.0, 0.0]), np.zeros((0, 3)),
+                         np.zeros((0, 3)), 1.0))  # speed cap only
+    @hypothesis.example((np.array([0.3, 0.1, 0.0]),  # infeasible, duplicate
+                         np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0],
+                                   [-2.0, 0.0, 0.0]]),
+                         np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                                   [-1.0, 0.0, 0.0]]), 1.0))
+    @hypothesis.given(_lp_cases(hypothesis.strategies))
+    def check(case):
+        v_pref, points, normals, v_max = case
+        planes = [HalfSpaceConstraint(p, n) for p, n in zip(points, normals)]
+        want, infeasible = _reference_solve_lp(v_pref, planes, v_max)
+        stack = HalfSpaceStack(points, normals)
+        got = solve_velocity_lp(v_pref, stack, v_max)
+        assert np.array_equal(got, want)
+        assert np.array_equal(solve_velocity_lp(v_pref, planes, v_max), want)
+        # a stack iterates as its constraints, in row order
+        assert [c.violation(got) for c in stack] == [
+            c.violation(got) for c in planes]
+        seen["infeasible"] += infeasible
+        seen["empty"] += not planes
+
+    check()
+    assert seen["infeasible"] >= 20 and seen["empty"] >= 1

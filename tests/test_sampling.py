@@ -8,7 +8,7 @@ from swarmflow.flowmatch import FlowSchedule
 from swarmflow.models import Checkpoint, ModelConfig, build_models, \
     models_from_checkpoint
 from swarmflow.navigation import NavConfig
-from swarmflow.sampling import SampleConfig, TrajectoryLog, \
+from swarmflow.sampling import SampleConfig, TrajectoryLog, _euler_rollout, \
     integrate_exact_target, sample, sample_cfm_plus_orca
 
 SMALL = ModelConfig(latent_dim=4, field_hidden=8, field_blocks=2,
@@ -183,6 +183,27 @@ def test_sample_rejects_non_flow_checkpoint():
     ckpt.algorithm = "diffusion"
     with pytest.raises(ValueError):
         sample(ckpt, SampleConfig(num_agents=2, steps=2))
+
+
+@pytest.mark.parametrize("use_orca", [False, True])
+def test_sample_with_nan_field_weights_fails_at_step_0(use_orca):
+    # the bijector checks its own numerics, so only the field goes bad
+    ckpt = _small_checkpoint()
+    ckpt.params = {name: np.full_like(value, np.nan)
+                   if name.startswith("field.") else value
+                   for name, value in ckpt.params.items()}
+    with pytest.raises(ValueError, match=r"not finite at step 0 \(t=1\)"):
+        sample(ckpt, SampleConfig(num_agents=4, steps=5, use_orca=use_orca))
+
+
+def test_rollout_names_the_step_and_time_of_a_non_finite_velocity():
+    times = 1.0 - 0.25 * np.arange(5)
+
+    def velocity_fn(x, t, k):
+        return np.full_like(x, np.inf if k == 2 else 1.0)
+
+    with pytest.raises(ValueError, match=r"step 2 \(t=0\.5\)"):
+        _euler_rollout(np.zeros((3, 3)), times, velocity_fn, lambda v, x: v)
 
 
 def test_sample_initial_cloud_override():
