@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,11 @@ import numpy as np
 from . import dataio, diffusion, flowmatch, metrics, sampling
 from .models import ModelConfig, models_from_checkpoint
 
-_TRAIN_KEYS = {"learning_rate", "epochs", "batch_size", "seed", "sigma_min",
-               "horizon", "lr_final_frac", "kappa", "dt_default"}
-_MODEL_KEYS = {"latent_dim", "field_hidden", "field_blocks", "encoder_widths",
-               "coupling_layers", "coupling_hidden"}
-_DIFFUSION_KEYS = {"diffusion_steps", "beta_start", "beta_end"}
+_TRAIN_KEYS = {f.name for f in fields(flowmatch.TrainConfig)}
+_MODEL_KEYS = {f.name for f in fields(ModelConfig)}
+# config key -> DiffusionSchedule field
+_DIFFUSION_KEYS = {"diffusion_steps": "n_steps", "beta_start": "beta_start",
+                   "beta_end": "beta_end"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,7 +148,7 @@ def _split_config(raw: dict):
         elif key in _MODEL_KEYS:
             model_kwargs[key] = value
         elif key in _DIFFUSION_KEYS:
-            diff_kwargs[key] = value
+            diff_kwargs[_DIFFUSION_KEYS[key]] = value
         else:
             raise ValueError(f"unknown config key {key!r}")
     return train_kwargs, model_kwargs, diff_kwargs, algorithm
@@ -184,10 +185,7 @@ def _cmd_train(args) -> int:
         ckpt = flowmatch.train(dataset, train_config, model_config,
                                log_path=log_path)
     else:
-        sched = diffusion.DiffusionSchedule(
-            n_steps=diff_kwargs.get("diffusion_steps", 100),
-            beta_start=diff_kwargs.get("beta_start", 1e-4),
-            beta_end=diff_kwargs.get("beta_end", 0.02))
+        sched = diffusion.DiffusionSchedule(**diff_kwargs)
         ckpt = diffusion.train(dataset, train_config, model_config, sched,
                                log_path=log_path)
     ckpt_path = out / "checkpoint.swf"

@@ -1,14 +1,17 @@
 """File formats, normalization, scene scaling, and synthetic datasets.
 
 Formats (all little-endian / plain text, stable across platforms):
-  * point clouds: XYZ text, one ``x y z`` row per point, ``#`` comments;
-  * trajectories: CSV with header ``t,agent,x,y,z,vx,vy,vz`` plus a JSON
-    metadata sidecar (same path with ``.meta.json`` appended to the stem);
+  * point clouds: XYZ text, one ``x y z`` row per point;
+  * trajectories: CSV with header ``t,agent,x,y,z,vx,vy,vz`` and
+    frame-major rows (agents 0..M-1 in order, frame times strictly
+    decreasing), plus a sidecar ``<path>.meta.json`` holding a JSON object;
   * checkpoints: magic + version + JSON header + raw float64 payload;
   * config files: ``key = value`` lines with ``#`` comments.
 
-Floats are printed with %.17g everywhere, which round-trips float64
-exactly, so save/load cycles and repeated runs are byte-identical.
+The point-cloud and trajectory readers skip blank and ``#`` lines and
+reject NaN and inf.  Floats are printed with %.17g everywhere, which
+round-trips float64 exactly, so save/load cycles and repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import math
 import os
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,26 +41,41 @@ _FMT = "%.17g"  # round-trips IEEE-754 double exactly
 # ---------------------------------------------------------------------------
 # point clouds
 
+def _read_rows(path, lines, sep, width: int, first_line: int):
+    """Parse a table file's data lines into an (N, width) float64 array
+    plus the file line of each row.  Blank and ``#`` lines are skipped;
+    every other line splits on ``sep`` (``None``: whitespace) into
+    ``width`` finite floats.  A flat ``array("d")`` holds the values, far
+    less memory than per-field string lists."""
+    values = array("d")
+    line_of_row = array("q")
+    for lineno, raw in enumerate(lines, start=first_line):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(sep)
+        if len(parts) != width:
+            raise ValueError(f"{path}: line {lineno}: expected {width} "
+                             f"fields, got {len(parts)}")
+        try:
+            values.extend(map(float, parts))
+        except ValueError as err:
+            raise ValueError(f"{path}: line {lineno}: {err}") from None
+        line_of_row.append(lineno)
+    table = np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: line {line_of_row[bad[0]]}: NaN or inf")
+    return table, line_of_row
+
+
 def load_pointcloud(path) -> np.ndarray:
     """Read an XYZ text file into an (M, 3) float64 array."""
-    points = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 floats, got "
-                    f"{len(parts)} fields")
-            try:
-                points.append([float(p) for p in parts])
-            except ValueError as err:
-                raise ValueError(f"{path}: line {lineno}: {err}") from None
-    if not points:
+        cloud, _ = _read_rows(path, fh, None, 3, 1)
+    if not len(cloud):
         raise ValueError(f"{path}: no points found")
-    return np.array(points, dtype=np.float64)
+    return cloud
 
 
 def save_pointcloud(path, cloud) -> None:
@@ -64,9 +83,7 @@ def save_pointcloud(path, cloud) -> None:
     if cloud.ndim != 2 or cloud.shape[1] != 3:
         raise ValueError(f"expected an (M, 3) cloud, got {cloud.shape}")
     with open(path, "w") as fh:
-        fh.write("# x y z\n")
-        for p in cloud:
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        np.savetxt(fh, cloud, fmt=_FMT, header="x y z", comments="# ")
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +352,7 @@ def load_checkpoint(path) -> Checkpoint:
 # ---------------------------------------------------------------------------
 # trajectories
 
-def _meta_path(path) -> str:
-    return str(path) + ".meta.json"
+_CSV_HEADER = "t,agent,x,y,z,vx,vy,vz"
 
 
 def save_trajectory_csv(path, log: TrajectoryLog) -> None:
@@ -345,74 +361,57 @@ def save_trajectory_csv(path, log: TrajectoryLog) -> None:
     The velocity columns hold the applied velocity of the step *starting*
     at each frame; the final frame, which starts no step, gets zeros.
     """
-    s = log.num_steps
+    s, m = log.num_steps, log.num_agents
+    velocities = np.concatenate([log.applied_velocities, np.zeros((1, m, 3))])
+    table = np.column_stack([np.repeat(log.times, m),
+                             np.tile(np.arange(m), s + 1),
+                             log.positions.reshape(-1, 3),
+                             velocities.reshape(-1, 3)])
     with open(path, "w") as fh:
-        fh.write("t,agent,x,y,z,vx,vy,vz\n")
-        for k in range(s + 1):
-            t = log.times[k]
-            for a in range(log.num_agents):
-                p = log.positions[k, a]
-                v = log.applied_velocities[k, a] if k < s else np.zeros(3)
-                fh.write((f"{t:.17g},{a},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},"
-                          f"{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}\n"))
-    with open(_meta_path(path), "w") as fh:
+        np.savetxt(fh, table, fmt=[_FMT, "%d"] + [_FMT] * 6, delimiter=",",
+                   header=_CSV_HEADER, comments="")
+    with open(f"{path}.meta.json", "w") as fh:
         json.dump(log.meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_trajectory_csv(path) -> TrajectoryLog:
-    """Rebuild a TrajectoryLog (without preferred velocities) from CSV."""
+    """Rebuild a TrajectoryLog (without preferred velocities) from CSV
+    rows laid out as ``save_trajectory_csv`` writes them; a missing
+    sidecar gives empty metadata."""
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "t,agent,x,y,z,vx,vy,vz":
+        if header != _CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        frames: dict[float, dict[int, tuple]] = {}
-        times_in_order = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise ValueError(f"{path}: line {lineno}: expected 8 fields")
-            try:
-                t = float(parts[0])
-                agent = int(parts[1])
-                values = tuple(float(x) for x in parts[2:])
-            except ValueError as err:
-                raise ValueError(f"{path}: line {lineno}: {err}") from None
-            if t not in frames:
-                frames[t] = {}
-                times_in_order.append(t)
-            if agent in frames[t]:
-                raise ValueError(f"{path}: line {lineno}: duplicate row for "
-                                 f"t={t}, agent {agent}")
-            frames[t][agent] = values
-    if len(times_in_order) < 2:
+        table, line_of_row = _read_rows(path, fh, ",", 8, 2)
+    t = table[:, 0]
+    later = np.flatnonzero(t != t[:1])
+    if not later.size:
         raise ValueError(f"{path}: need at least two frames")
-    counts = {len(v) for v in frames.values()}
-    if len(counts) != 1:
+    m = int(later[0])  # rows in the first frame
+    wrong = np.flatnonzero(table[:, 1] != np.arange(len(t)) % m)
+    if wrong.size:
+        k = int(wrong[0])
+        raise ValueError(f"{path}: line {line_of_row[k]}: duplicate or out-of-"
+                         f"order row for t={t[k]:.17g}, agent {table[k, 1]:g}")
+    if len(t) % m or np.any(t.reshape(-1, m) != t[::m, None]):
         raise ValueError(f"{path}: frames disagree on agent count")
-    m = counts.pop()
-    times = np.array(times_in_order)
-    positions = np.empty((len(times), m, 3))
-    applied = np.empty((len(times) - 1, m, 3))
-    for k, t in enumerate(times_in_order):
-        for a in range(m):
-            if a not in frames[t]:
-                raise ValueError(f"{path}: frame t={t} is missing agent {a}")
-            vals = frames[t][a]
-            positions[k, a] = vals[:3]
-            if k < len(times) - 1:
-                applied[k, a] = vals[3:]
-    meta = {}
+    frames = table.reshape(-1, m, 8)
+    times = frames[:, 0, 0].copy()
+    if np.any(np.diff(times) >= 0.0):
+        raise ValueError(f"{path}: frame times must strictly decrease")
+    meta_path = f"{path}.meta.json"
     try:
-        with open(_meta_path(path)) as fh:
+        with open(meta_path) as fh:
             meta = json.load(fh)
     except FileNotFoundError:
-        pass
-    return TrajectoryLog(times=times, positions=positions,
-                         applied_velocities=applied,
+        meta = {}
+    except ValueError as err:
+        raise ValueError(f"{meta_path}: bad metadata sidecar: {err}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: metadata sidecar is not a JSON object")
+    return TrajectoryLog(times=times, positions=frames[:, :, 2:5].copy(),
+                         applied_velocities=frames[:-1, :, 5:].copy(),
                          preferred_velocities=None, meta=meta)
 
 

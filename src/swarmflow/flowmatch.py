@@ -219,10 +219,6 @@ class TrainConfig:
             "dt_default": self.dt_default,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; carries the step and component breakdown."""

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line pipeline on a tiny setup."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from swarmflow.cli import main
+from swarmflow.cli import _split_config, main
 from swarmflow.dataio import (SceneScale, load_checkpoint, load_pointcloud,
                               load_trajectory_csv, normalize_cloud,
                               to_real_scale)
+from swarmflow.diffusion import DiffusionSchedule
+from swarmflow.flowmatch import TrainConfig
 from swarmflow.metrics import coverage_and_mmd
+from swarmflow.models import ModelConfig
 
 CONFIG_TEXT = (
     "latent_dim = 4\n"
@@ -218,6 +223,23 @@ def test_runtime_errors_exit_1(pipeline, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["evaluate", "--trajectories", str(tmp_path / "nope.csv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_keys_are_the_config_dataclass_fields(pipeline, tmp_path,
+                                                     capsys):
+    train = {f.name: f.default for f in fields(TrainConfig)}
+    model = {f.name: f.default for f in fields(ModelConfig)}
+    schedule = {"diffusion_steps": 7, "beta_start": 1e-3, "beta_end": 0.05}
+    got = _split_config({**train, **model, **schedule,
+                         "algorithm": "diffusion"})
+    assert got == (train, model, {"n_steps": 7, "beta_start": 1e-3,
+                                  "beta_end": 0.05}, "diffusion")
+    assert DiffusionSchedule(**got[2]).n_steps == 7
+    config = tmp_path / "bogus.cfg"
+    config.write_text(CONFIG_TEXT + "bogus = 1\n")
+    assert main(["train", "--data", str(pipeline["data"]), "--config",
+                 str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "unknown config key 'bogus'" in capsys.readouterr().err
 
 
 def test_missing_kappa_metadata_is_an_error(pipeline, capsys):

@@ -29,10 +29,10 @@ SMALL = ModelConfig(latent_dim=4, field_hidden=8, field_blocks=2,
                     coupling_hidden=4)
 
 
-def _euler_log(rng, steps=6, agents=4, meta=None):
+def _euler_log(rng, steps=6, agents=4, meta=None, spread=1.0):
     times = 1.0 - np.arange(steps + 1) / steps
     dt = float(times[0] - times[1])
-    velocities = rng.standard_normal((steps, agents, 3))
+    velocities = rng.standard_normal((steps, agents, 3)) * spread
     positions = [rng.standard_normal((agents, 3))]
     for k in range(steps):
         positions.append(positions[-1] + dt * velocities[k])
@@ -70,6 +70,76 @@ def test_pointcloud_parse_errors_name_the_line(tmp_path):
     path.write_text("# only a comment\n")
     with pytest.raises(ValueError, match="no points"):
         load_pointcloud(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("kind", ["csv", "xyz"])
+def test_readers_reject_nan_and_inf(tmp_path, kind, token):
+    if kind == "csv":
+        path = tmp_path / "run.csv"
+        path.write_text("t,agent,x,y,z,vx,vy,vz\n1,0,0,0,0,0,0,0\n\n"
+                        f"0.5,0,0,0,0,0,{token},0\n")
+        reader, line = load_trajectory_csv, 4
+    else:
+        path = tmp_path / "cloud.xyz"
+        path.write_text(f"# x y z\n1 2 3\n{token} 1 2\n")
+        reader, line = load_pointcloud, 3
+    with pytest.raises(ValueError, match=f"line {line}: NaN or inf") as info:
+        reader(path)
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
+
+
+# written by the per-row writers that np.savetxt replaced
+RECORDED_CSV = """\
+t,agent,x,y,z,vx,vy,vz
+1,0,0,0,0,1e-300,-0,7
+1,1,0,0,0,0,0,0
+1,2,0,0,0,0,0,0
+1,3,0,0,0,0,0,0
+1,4,0,0,0,0,0,0
+1,5,0,0,0,0,0,0
+1,6,0,0,0,0,0,0
+1,7,0,0,0,0,0,0
+1,8,0,0,0,0,0,0
+1,9,0,0,0,0,0,0
+1,10,0.33333333333333331,-0,1e-300,-0.33333333333333331,1e+17,0.25
+0.33333333333333331,0,0,0,0,0,0,0
+0.33333333333333331,1,0,0,0,0,0,0
+0.33333333333333331,2,0,0,0,0,0,0
+0.33333333333333331,3,0,0,0,0,0,0
+0.33333333333333331,4,0,0,0,0,0,0
+0.33333333333333331,5,0,0,0,0,0,0
+0.33333333333333331,6,0,0,0,0,0,0
+0.33333333333333331,7,0,0,0,0,0,0
+0.33333333333333331,8,0,0,0,0,0,0
+0.33333333333333331,9,0,0,0,0,0,0
+0.33333333333333331,10,1e+17,-2.5,0.10000000000000001,0,0,0
+"""
+RECORDED_XYZ = """\
+# x y z
+0.33333333333333331 -0 1e-300
+1e+17 -2.5 0.10000000000000001
+"""
+
+
+def test_writers_reproduce_recorded_bytes(tmp_path):
+    positions = np.zeros((2, 11, 3))
+    positions[0, 10] = [1 / 3, -0.0, 1e-300]
+    positions[1, 10] = [1e17, -2.5, 0.1]
+    velocities = np.zeros((1, 11, 3))
+    velocities[0, 0] = [1e-300, -0.0, 7.0]
+    velocities[0, 10] = [-1 / 3, 1e17, 0.25]
+    log = TrajectoryLog(times=np.array([1.0, 1 / 3]), positions=positions,
+                        applied_velocities=velocities,
+                        meta={"scale": "training", "kappa": 0.06})
+    save_trajectory_csv(tmp_path / "run.csv", log)
+    assert (tmp_path / "run.csv").read_bytes() == RECORDED_CSV.encode()
+    assert (tmp_path / "run.csv.meta.json").read_bytes() == \
+        b'{\n  "kappa": 0.06,\n  "scale": "training"\n}\n'
+    save_pointcloud(tmp_path / "cloud.xyz", positions[:, 10])
+    assert (tmp_path / "cloud.xyz").read_bytes() == RECORDED_XYZ.encode()
+    save_pointcloud(tmp_path / "empty.xyz", np.zeros((0, 3)))
+    assert (tmp_path / "empty.xyz").read_bytes() == b"# x y z\n"
 
 
 def test_save_pointcloud_validation(tmp_path):
@@ -327,6 +397,33 @@ def test_trajectory_csv_missing_sidecar_gives_empty_meta(tmp_path):
     assert load_trajectory_csv(path).meta == {}
 
 
+def test_trajectory_csv_skips_comments_and_blank_lines(tmp_path):
+    log = _euler_log(np.random.default_rng(11), steps=2, agents=2)
+    path = tmp_path / "run.csv"
+    save_trajectory_csv(path, log)
+    lines = path.read_text().splitlines()
+    lines[2:2] = ["# a comment", "", "   # indented"]
+    path.write_text("\n".join(lines) + "\n\n")
+    loaded = load_trajectory_csv(path)
+    assert np.array_equal(loaded.positions, log.positions)
+    assert np.array_equal(loaded.applied_velocities, log.applied_velocities)
+
+
+def test_trajectory_csv_sidecar_must_be_a_json_object(tmp_path):
+    log = _euler_log(np.random.default_rng(12), steps=2, agents=2)
+    path = tmp_path / "run.csv"
+    save_trajectory_csv(path, log)
+    sidecar = tmp_path / "run.csv.meta.json"
+    cases = [(b"[1]", "not a JSON object"), (b'"flow"', "not a JSON object"),
+             (b"{", "bad metadata sidecar"), (b"{}\n{}", "bad metadata"),
+             (b"\xff", "bad metadata sidecar")]
+    for raw, words in cases:
+        sidecar.write_bytes(raw)
+        with pytest.raises(ValueError, match=words) as info:
+            load_trajectory_csv(path)
+        assert str(sidecar) in str(info.value) and "\n" not in str(info.value)
+
+
 def test_trajectory_csv_parse_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("wrong,header\n")
@@ -351,6 +448,27 @@ def test_trajectory_csv_parse_errors(tmp_path):
                     "0.5,0,1,2,3,4,5,6\n")
     with pytest.raises(ValueError, match="line 3: duplicate"):
         load_trajectory_csv(path)
+    # only the frame-major layout save_trajectory_csv writes is accepted
+    path.write_text("t,agent,x,y,z,vx,vy,vz\n"
+                    "1.0,1,1,2,3,4,5,6\n"
+                    "1.0,0,1,2,3,4,5,6\n"
+                    "0.5,0,1,2,3,4,5,6\n"
+                    "0.5,1,1,2,3,4,5,6\n")
+    with pytest.raises(ValueError, match="line 2: duplicate or out-of-order"):
+        load_trajectory_csv(path)
+    path.write_text("t,agent,x,y,z,vx,vy,vz\n"
+                    "1.0,0,1,2,3,4,5,6\n"
+                    "1.0,1,1,2,3,4,5,6\n"
+                    "0.5,0,1,2,3,4,5,6\n"
+                    "0.4,1,1,2,3,4,5,6\n")
+    with pytest.raises(ValueError, match="agent count"):
+        load_trajectory_csv(path)
+    path.write_text("t,agent,x,y,z,vx,vy,vz\n"
+                    "0.5,0,1,2,3,4,5,6\n"
+                    "1.0,0,1,2,3,4,5,6\n")
+    with pytest.raises(ValueError, match="strictly decrease") as info:
+        load_trajectory_csv(path)
+    assert str(path) in str(info.value)
 
 
 def test_parse_config_file(tmp_path):
@@ -383,3 +501,114 @@ def test_normalization_transform_apply_invert_are_inverse():
     cloud = rng.standard_normal((20, 3))
     np.testing.assert_allclose(transform.apply(transform.invert(cloud)),
                                cloud, atol=1e-12)
+
+
+_CHUNKS = [b"nan", b"inf", b"-", b".", b"e", b"e9", b"1e999", b"0", b"7",
+           b",", b" ", b"\n", b"#", b"=", b"\xff", b"\x00"]
+
+
+def _edits(st, size):
+    """Hypothesis strategy: one to four cut/replace/insert/delete edits."""
+    chunk = st.sampled_from(_CHUNKS) | st.binary(min_size=1, max_size=3)
+    edit = st.tuples(st.sampled_from(["cut", "replace", "insert", "delete"]),
+                     st.integers(0, size), chunk)
+    return st.lists(edit, min_size=1, max_size=4)
+
+
+def _apply_edits(raw, edits):
+    data = bytearray(raw)
+    for op, pos, chunk in edits:
+        if op == "cut":
+            del data[pos:]
+        elif op == "replace":
+            data[pos:pos + len(chunk)] = chunk
+        elif op == "insert":
+            data[pos:pos] = chunk
+        else:
+            del data[pos:pos + len(chunk)]
+    return bytes(data)
+
+
+def _check_csv(log):
+    for arr in (log.times, log.positions, log.applied_velocities):
+        assert np.all(np.isfinite(arr))
+    assert isinstance(log.meta, dict)
+
+
+def _check_xyz(cloud):
+    assert cloud.ndim == 2 and cloud.shape[1] == 3 and len(cloud)
+    assert np.all(np.isfinite(cloud))
+
+
+def _check_cfg(cfg):
+    for key, value in cfg.items():
+        assert isinstance(key, str) and key
+        assert isinstance(value, (bool, int, float, tuple, str))
+
+
+@pytest.mark.parametrize("kind", ["csv", "xyz", "cfg"])
+def test_readers_raise_only_value_error_on_mutated_bytes(tmp_path, kind):
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path / f"input.{kind}"
+    if kind == "csv":
+        log = _euler_log(np.random.default_rng(13), steps=2, agents=2,
+                         meta={"kappa": 0.06})
+        save_trajectory_csv(path, log)
+        reader, check_result = load_trajectory_csv, _check_csv
+    elif kind == "xyz":
+        save_pointcloud(path, [[1.5, -2.0, 0.25], [3.0, 1e-3, -4.0]])
+        reader, check_result = load_pointcloud, _check_xyz
+    else:
+        path.write_text("# run\nepochs = 20\nlearning_rate = 1e-3\n"
+                        "encoder_widths = 8, 16\nuse_orca = true\n")
+        reader, check_result = parse_config_file, _check_cfg
+    raw = path.read_bytes()
+    seen = {"rejected": 0, "loaded": 0}
+
+    @hypothesis.settings(max_examples=1000, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(_edits(hypothesis.strategies, len(raw)))
+    def check(edits):
+        path.write_bytes(_apply_edits(raw, edits))
+        try:
+            result = reader(path)
+        except ValueError as err:
+            assert "\n" not in str(err)
+            seen["rejected"] += 1
+            return
+        check_result(result)
+        seen["loaded"] += 1
+
+    check()
+    assert seen["rejected"] >= 10 and seen["loaded"] >= 10, seen
+
+
+def test_real_scale_csv_round_trip_keeps_euler_and_bytes(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(1, 8), st.integers(1, 12),
+                      st.integers(0, 2**32 - 1), st.floats(1.0, 1e3),
+                      st.floats(1e-3, 1e3))
+    def check(steps, agents, seed, side, spread):
+        log = _euler_log(np.random.default_rng(seed), steps, agents,
+                         meta={"scale": "training", "kappa": 0.06},
+                         spread=spread)
+        real = to_real_scale(log, SceneScale(side=side))
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        save_trajectory_csv(first, real)
+        loaded = load_trajectory_csv(first)
+        assert loaded.euler_consistent()
+        assert np.array_equal(loaded.times, real.times)
+        assert np.array_equal(loaded.positions, real.positions)
+        assert np.array_equal(loaded.applied_velocities,
+                              real.applied_velocities)
+        assert loaded.meta == real.meta
+        save_trajectory_csv(second, loaded)
+        assert second.read_bytes() == first.read_bytes()
+        assert (tmp_path / "second.csv.meta.json").read_bytes() == \
+            (tmp_path / "first.csv.meta.json").read_bytes()
+
+    check()
