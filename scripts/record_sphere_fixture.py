@@ -13,6 +13,7 @@ Usage:  python3 scripts/record_sphere_fixture.py
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,7 @@ def main():
 
     out = {
         "fixture": FIXTURE,
-        "model_config": sf.ModelConfig(**FIXTURE["model"]).to_dict(),
+        "model_config": asdict(sf.ModelConfig(**FIXTURE["model"])),
         "observed": {
             "train_minutes_flow": flow_time / 60.0,
             "train_minutes_diffusion": diff_time / 60.0,

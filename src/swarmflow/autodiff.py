@@ -21,9 +21,9 @@ import numpy as np
 from scipy.special import expit
 
 __all__ = [
-    "Node", "ShapeMismatchError", "wrap", "backward", "set_finite_checks",
-    "add", "sub", "mul", "neg", "matmul", "sigmoid", "tanh", "relu",
-    "exp", "log", "reduce_sum", "reduce_mean", "amax", "concat", "take",
+    "Node", "ShapeMismatchError", "wrap", "backward",
+    "add", "sub", "mul", "neg", "matmul", "sigmoid", "tanh",
+    "exp", "reduce_sum", "amax", "concat",
 ]
 
 
@@ -31,23 +31,15 @@ class ShapeMismatchError(ValueError):
     """Operand shapes do not conform under leading-dim-only broadcasting."""
 
 
-# Optional finiteness guard: when enabled, any op producing NaN/Inf raises
-# immediately instead of letting the poison propagate through the tape.
-_FINITE_CHECKS = False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-
-
 class Node:
     """One tape entry: a float64 array plus backward bookkeeping.
 
     Treat ``value`` as immutable once the node exists; downstream nodes
-    capture it by reference.  Treat ``grad`` as read-only too: it may share
-    its array with another node's, since ``backward`` stores a first
-    contribution as is and adds later ones out of place.
+    capture it by reference.  (The optimizer writes parameter values in
+    place, but only once ``backward`` is done with the tape.)  Treat
+    ``grad`` as read-only too: it may share its array with another
+    node's, since ``backward`` stores a first contribution as is and adds
+    later ones out of place.
     """
 
     __slots__ = ("value", "grad", "op", "_parents", "_vjps")
@@ -95,21 +87,12 @@ class Node:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __getitem__(self, key):
-        return take(self, key)
-
 
 def wrap(x) -> Node:
     """Return ``x`` unchanged if it is a Node, else a constant leaf."""
     if isinstance(x, Node):
         return x
     return Node(x, op="const")
-
-
-def _node(value, parents, vjps, op) -> Node:
-    if _FINITE_CHECKS and not np.all(np.isfinite(value)):
-        raise FloatingPointError(f"op {op!r} produced non-finite values")
-    return Node(value, parents, vjps, op)
 
 
 def _check_suffix(sa, sb, op):
@@ -135,30 +118,30 @@ def _unbroadcast(g, shape):
 def add(a, b) -> Node:
     a, b = wrap(a), wrap(b)
     _check_suffix(a.shape, b.shape, "add")
-    return _node(a.value + b.value, (a, b),
-                 (lambda g: _unbroadcast(g, a.shape),
-                  lambda g: _unbroadcast(g, b.shape)), "add")
+    return Node(a.value + b.value, (a, b),
+                (lambda g: _unbroadcast(g, a.shape),
+                 lambda g: _unbroadcast(g, b.shape)), "add")
 
 
 def sub(a, b) -> Node:
     a, b = wrap(a), wrap(b)
     _check_suffix(a.shape, b.shape, "sub")
-    return _node(a.value - b.value, (a, b),
-                 (lambda g: _unbroadcast(g, a.shape),
-                  lambda g: _unbroadcast(-g, b.shape)), "sub")
+    return Node(a.value - b.value, (a, b),
+                (lambda g: _unbroadcast(g, a.shape),
+                 lambda g: _unbroadcast(-g, b.shape)), "sub")
 
 
 def mul(a, b) -> Node:
     a, b = wrap(a), wrap(b)
     _check_suffix(a.shape, b.shape, "mul")
-    return _node(a.value * b.value, (a, b),
-                 (lambda g: _unbroadcast(g * b.value, a.shape),
-                  lambda g: _unbroadcast(g * a.value, b.shape)), "mul")
+    return Node(a.value * b.value, (a, b),
+                (lambda g: _unbroadcast(g * b.value, a.shape),
+                 lambda g: _unbroadcast(g * a.value, b.shape)), "mul")
 
 
 def neg(a) -> Node:
     a = wrap(a)
-    return _node(-a.value, (a,), (lambda g: -g,), "neg")
+    return Node(-a.value, (a,), (lambda g: -g,), "neg")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +175,7 @@ def matmul(a, b) -> Node:
             return g * av
         return av.T @ g
 
-    return _node(av @ bv, (a, b), (vjp_a, vjp_b), "matmul")
+    return Node(av @ bv, (a, b), (vjp_a, vjp_b), "matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -201,32 +184,19 @@ def matmul(a, b) -> Node:
 def sigmoid(a) -> Node:
     a = wrap(a)
     s = expit(a.value)  # numerically stable on both tails
-    return _node(s, (a,), (lambda g: g * s * (1.0 - s),), "sigmoid")
+    return Node(s, (a,), (lambda g: g * s * (1.0 - s),), "sigmoid")
 
 
 def tanh(a) -> Node:
     a = wrap(a)
     t = np.tanh(a.value)
-    return _node(t, (a,), (lambda g: g * (1.0 - t * t),), "tanh")
-
-
-def relu(a) -> Node:
-    a = wrap(a)
-    mask = a.value > 0.0  # subgradient at exactly 0 is taken as 0
-    return _node(np.where(mask, a.value, 0.0), (a,),
-                 (lambda g: g * mask,), "relu")
+    return Node(t, (a,), (lambda g: g * (1.0 - t * t),), "tanh")
 
 
 def exp(a) -> Node:
     a = wrap(a)
     e = np.exp(a.value)
-    return _node(e, (a,), (lambda g: g * e,), "exp")
-
-
-def log(a) -> Node:
-    a = wrap(a)
-    v = a.value
-    return _node(np.log(v), (a,), (lambda g: g / v,), "log")
+    return Node(e, (a,), (lambda g: g * e,), "exp")
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +210,7 @@ def reduce_sum(a, axis=None) -> Node:
             return np.broadcast_to(g, a.shape).copy()
         return np.broadcast_to(np.expand_dims(g, axis), a.shape).copy()
 
-    return _node(a.value.sum(axis=axis), (a,), (vjp,), "sum")
-
-
-def reduce_mean(a, axis=None) -> Node:
-    a = wrap(a)
-    count = a.value.size if axis is None else a.shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.shape).copy() / count
-        return np.broadcast_to(np.expand_dims(g, axis), a.shape).copy() / count
-
-    return _node(a.value.mean(axis=axis), (a,), (vjp,), "mean")
+    return Node(a.value.sum(axis=axis), (a,), (vjp,), "sum")
 
 
 def amax(a, axis) -> Node:
@@ -268,7 +226,7 @@ def amax(a, axis) -> Node:
                           np.expand_dims(g, axis), axis)
         return z
 
-    return _node(out, (a,), (vjp,), "amax")
+    return Node(out, (a,), (vjp,), "amax")
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +246,8 @@ def concat(nodes, axis=0) -> Node:
         return lambda g: g[sl]
 
     value = np.concatenate([n.value for n in nodes], axis=axis)
-    return _node(value, tuple(nodes),
-                 tuple(make_vjp(i) for i in range(len(nodes))), "concat")
-
-
-def take(a, key) -> Node:
-    """Basic indexing/slicing (no repeated indices)."""
-    a = wrap(a)
-    out = a.value[key]
-
-    def vjp(g):
-        z = np.zeros(a.shape)
-        z[key] = g
-        return z
-
-    return _node(out, (a,), (vjp,), "take")
+    return Node(value, tuple(nodes),
+                tuple(make_vjp(i) for i in range(len(nodes))), "concat")
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ Formats (all little-endian / plain text, stable across platforms):
   * config files: ``key = value`` lines with ``#`` comments.
 
 The point-cloud and trajectory readers skip blank and ``#`` lines and
-reject NaN and inf.  Floats are printed with %.17g everywhere, which
-round-trips float64 exactly, so save/load cycles and repeated runs are
-byte-identical.
+reject NaN and inf, as do the config reader and checkpoint tensors.  Every
+reader raises a one-line ``ValueError`` naming the file (and the line,
+for text) on bad input, a text file that is not UTF-8 included.  Floats
+are printed with %.17g everywhere, which round-trips float64 exactly, so
+save/load cycles and repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import os
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,6 +42,19 @@ _FMT = "%.17g"  # round-trips IEEE-754 double exactly
 
 # ---------------------------------------------------------------------------
 # point clouds
+
+def _text_lines(path):
+    """Yield the lines of a UTF-8 text file, each decoded on its own so
+    that a byte that is not UTF-8 gives a one-line ``ValueError`` naming
+    its line.  Only a line feed ends a line, not a lone carriage return."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path}: line {lineno}: not UTF-8 text "
+                                 f"({err.reason})") from None
+
 
 def _read_rows(path, lines, sep, width: int, first_line: int):
     """Parse a table file's data lines into an (N, width) float64 array
@@ -71,8 +86,7 @@ def _read_rows(path, lines, sep, width: int, first_line: int):
 
 def load_pointcloud(path) -> np.ndarray:
     """Read an XYZ text file into an (M, 3) float64 array."""
-    with open(path) as fh:
-        cloud, _ = _read_rows(path, fh, None, 3, 1)
+    cloud, _ = _read_rows(path, _text_lines(path), None, 3, 1)
     if not len(cloud):
         raise ValueError(f"{path}: no points found")
     return cloud
@@ -255,7 +269,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             payload.extend(arr.astype("<f8").tobytes())
     header = json.dumps({
         "algorithm": ckpt.algorithm,
-        "model_config": ckpt.model_config.to_dict(),
+        "model_config": asdict(ckpt.model_config),
         "train_config": ckpt.train_config,
         "opt_step": ckpt.opt_step,
         "step_count": ckpt.step_count,
@@ -332,6 +346,9 @@ def load_checkpoint(path) -> Checkpoint:
             count = math.prod(shape)
             raw = _read_exact(fh, count * 8, path, "payload")
             arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: tensor {entry['section']}/"
+                                 f"{entry['name']!r} holds NaN or inf")
             sections[entry["section"]][entry["name"]] = arr
         trailing = fh.read(1)
         if trailing:
@@ -379,11 +396,11 @@ def load_trajectory_csv(path) -> TrajectoryLog:
     """Rebuild a TrajectoryLog (without preferred velocities) from CSV
     rows laid out as ``save_trajectory_csv`` writes them; a missing
     sidecar gives empty metadata."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != _CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        table, line_of_row = _read_rows(path, fh, ",", 8, 2)
+    lines = _text_lines(path)
+    header = next(lines, "").strip()
+    if header != _CSV_HEADER:
+        raise ValueError(f"{path}: unexpected header {header!r}")
+    table, line_of_row = _read_rows(path, lines, ",", 8, 2)
     t = table[:, 0]
     later = np.flatnonzero(t != t[:1])
     if not later.size:
@@ -419,24 +436,26 @@ def load_trajectory_csv(path) -> TrajectoryLog:
 # config files
 
 def parse_config_file(path) -> dict:
-    """Parse ``key = value`` lines; values become int, float, bool, or a
-    tuple of ints (comma-separated) when they look like one, else str."""
+    """Parse ``key = value`` lines; values become int, finite float, bool,
+    or a tuple of ints (comma-separated) when they look like one, else
+    str.  ``nan``, ``inf`` and overflowing floats are rejected."""
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key or not value:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'key = value'")
-            out[key] = _parse_value(value)
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key or not value:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+        parsed = _parse_value(value)
+        if isinstance(parsed, float) and not math.isfinite(parsed):
+            raise ValueError(
+                f"{path}: line {lineno}: non-finite value {value!r}")
+        out[key] = parsed
     return out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -116,62 +116,54 @@ def cfm_loss(models: ModelSet, sched: FlowSchedule, x0: np.ndarray, rng):
 # optimizer
 
 def adam_step(value, grad, m, v, step, lr,
-              beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update for a single tensor.
+              beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """One bias-corrected Adam update, in place on ``value``, ``m`` and ``v``.
 
-    ``step`` counts from 1 on the first update.  Returns the new
-    (value, m, v) triple; inputs are not mutated.
+    ``step`` counts from 1 on the first update.  The update is
+    elementwise, so the arrays may be one tensor or all parameters laid
+    end to end.  ``grad`` is overwritten with the step taken, so that one
+    temporary holds the other intermediate terms.
     """
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
-    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+    work = np.multiply(grad, 1.0 - beta1, out=np.empty_like(m))
+    np.multiply(m, beta1, out=m)
+    np.add(m, work, out=m)  # m = beta1 * m + (1 - beta1) * grad
+    np.multiply(grad, 1.0 - beta2, out=work)
+    np.multiply(work, grad, out=work)
+    np.multiply(v, beta2, out=v)
+    np.add(v, work, out=v)  # v = beta2 * v + (1 - beta2) * grad * grad
+    np.divide(v, 1.0 - beta2 ** step, out=work)
+    np.sqrt(work, out=work)
+    np.add(work, eps, out=work)  # sqrt(v_hat) + eps
+    np.divide(m, 1.0 - beta1 ** step, out=grad)
+    np.multiply(grad, lr, out=grad)
+    np.divide(grad, work, out=grad)  # lr * m_hat / (sqrt(v_hat) + eps)
+    np.subtract(value, grad, out=value)
 
 
 class Adam:
-    """Adam over all parameters as one flat vector.
+    """Adam over one flat vector of ``size`` parameters.
 
-    The update is elementwise, so one ``adam_step`` on the concatenated
-    tensors does the arithmetic of one call per tensor.  ``m`` and ``v``
-    are flat; ``state_dicts`` splits them back per parameter.
+    It holds only the flat moments ``m`` and ``v`` and the step count,
+    and knows no parameter names or shapes.  Training passes
+    ``ModelSet.values``: every parameter node's value is a view of that
+    buffer, written through by the update and never rebound, so the
+    networks see each step.  ``ModelSet.split`` names and shapes the
+    moments for a checkpoint.
     """
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size: int, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = self.v = np.zeros(0)  # adam_step never mutates them
-        self._layout = []  # (name, shape) of each parameter, in order
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, named_params, lr: float) -> None:
-        named_params = list(named_params)
-        for name, node in named_params:
-            if node.grad is None:
-                raise ValueError(f"parameter {name!r} has no gradient")
-        if self.step_count == 0:
-            self._layout = [(name, node.shape) for name, node in named_params]
-            self.m = self.v = np.zeros(
-                sum(node.value.size for _, node in named_params))
+    def step(self, values, grads, lr: float) -> None:
+        """Update ``values`` in place from ``grads``, which is overwritten."""
         self.step_count += 1
-        value, self.m, self.v = adam_step(
-            np.concatenate([node.value.ravel() for _, node in named_params]),
-            np.concatenate([np.ravel(node.grad) for _, node in named_params]),
-            self.m, self.v, self.step_count, lr,
-            self.beta1, self.beta2, self.eps)
-        for (_, node), part in zip(named_params, self._split(value).values()):
-            node.value = part
-
-    def _split(self, flat) -> dict:
-        """Views of ``flat`` named and shaped like the parameters."""
-        ends = np.cumsum([math.prod(shape) for _, shape in self._layout])
-        return {name: part.reshape(shape) for (name, shape), part
-                in zip(self._layout, np.split(flat, ends[:-1]))}
-
-    def state_dicts(self):
-        return ({k: a.copy() for k, a in self._split(self.m).items()},
-                {k: a.copy() for k, a in self._split(self.v).items()})
+        adam_step(values, grads, self.m, self.v, self.step_count, lr,
+                  self.beta1, self.beta2, self.eps)
 
 
 def scheduled_lr(step: int, total_steps: int, base_lr: float,
@@ -210,15 +202,6 @@ class TrainConfig:
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate, "epochs": self.epochs,
-            "batch_size": self.batch_size, "seed": self.seed,
-            "sigma_min": self.sigma_min, "horizon": self.horizon,
-            "lr_final_frac": self.lr_final_frac, "kappa": self.kappa,
-            "dt_default": self.dt_default,
-        }
-
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; carries the step and component breakdown."""
@@ -240,7 +223,7 @@ def _run_training(dataset, train_config: TrainConfig,
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(train_config.seed)
     models = build_models(model_config, rng)
-    opt = Adam()
+    opt = Adam(models.n_parameters())
     steps_per_epoch = math.ceil(len(dataset) / train_config.batch_size)
     total = train_config.epochs * steps_per_epoch
     last_loss = float("nan")
@@ -276,16 +259,15 @@ def _run_training(dataset, train_config: TrainConfig,
                 raise TrainingDiverged(step, dict(parts, loss=last_loss))
             models.zero_grad()
             ad.backward(loss)
-            opt.step(models.named_parameters(), lr)
+            opt.step(models.values, models.gather_grads(), lr)
             if log is not None:
                 log.write(f"{step} {last_loss:.17g} "
                           f"{parts['field']:.17g} {parts['kl']:.17g}\n")
-    opt_m, opt_v = opt.state_dicts()
     return Checkpoint(
         algorithm=algorithm, model_config=model_config,
-        train_config=train_config.to_dict(), params=models.state_dict(),
-        opt_m=opt_m, opt_v=opt_v, opt_step=opt.step_count,
-        step_count=total, final_loss=last_loss)
+        train_config=asdict(train_config), params=models.state_dict(),
+        opt_m=models.split(opt.m), opt_v=models.split(opt.v),
+        opt_step=opt.step_count, step_count=total, final_loss=last_loss)
 
 
 def train(dataset, train_config: TrainConfig = None,

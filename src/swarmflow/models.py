@@ -3,9 +3,12 @@ an invertible coupling-layer prior over the shape latent.
 
 All three are built on the local autodiff tape (`swarmflow.autodiff`) and
 declare their weights in a ``ParamStore``.  ``ModelSet`` joins the three
-stores under prefixed names and alone owns whole-model parameter state
-(state dicts, gradient reset, parameter count), which the optimizer and
-the checkpoint code read as named float64 tensors.
+stores under prefixed names and alone knows the parameter layout: it
+keeps every weight in one flat float64 buffer, ``values``, and points
+each parameter node's ``value`` at a shaped view of it.  Those values are
+buffer views, to be written through (``node.value[...] = x``) and never
+rebound.  The optimizer works on the flat buffers only; the checkpoint
+code reads named tensors from ``state_dict`` and ``split``.
 """
 
 from __future__ import annotations
@@ -92,16 +95,6 @@ class ModelConfig:
             raise ValueError("latent_dim must be >= 2")
         if self.field_blocks < 1 or self.coupling_layers < 1:
             raise ValueError("need at least one block/layer")
-
-    def to_dict(self) -> dict:
-        return {
-            "latent_dim": self.latent_dim,
-            "field_hidden": self.field_hidden,
-            "field_blocks": self.field_blocks,
-            "encoder_widths": list(self.encoder_widths),
-            "coupling_layers": self.coupling_layers,
-            "coupling_hidden": self.coupling_hidden,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -312,12 +305,28 @@ def kl_divergence(mu: Node, logvar: Node, z: Node,
 
 @dataclass
 class ModelSet:
-    """The three networks trained jointly, with uniform parameter access."""
+    """The three networks trained jointly, over one flat parameter buffer.
+
+    ``values`` holds every parameter in ``named_parameters()`` order and
+    each parameter node's ``value`` is a shaped view of it, so the
+    optimizer updates all networks by writing into ``values``.  Write
+    through the views; a rebound ``node.value`` no longer reaches the
+    buffer until ``load_state_dict`` points it back.  ``grads`` is the
+    matching flat buffer that ``gather_grads`` fills each step; the
+    optimizer then uses it as scratch.
+    """
 
     config: ModelConfig
     field_net: GatedContextualNet
     encoder: PointSetEncoder
     bijector: CouplingBijector
+
+    def __post_init__(self):
+        self.values = np.concatenate(
+            [node.value.ravel() for _, node in self.named_parameters()])
+        self.grads = np.empty_like(self.values)
+        for _, node, view in self._views(self.values):
+            node.value = view
 
     def named_parameters(self):
         for name, node in self.field_net.params.named():
@@ -327,26 +336,48 @@ class ModelSet:
         for name, node in self.bijector.params.named():
             yield "bijector." + name, node
 
+    def _views(self, flat):
+        """(name, node, shaped view of ``flat``) for each parameter."""
+        start = 0
+        for name, node in self.named_parameters():
+            stop = start + node.value.size
+            yield name, node, flat[start:stop].reshape(node.value.shape)
+            start = stop
+
+    def split(self, flat) -> dict:
+        """Named, shaped copies of a flat array laid out like ``values``."""
+        return {name: view.copy() for name, _, view in self._views(flat)}
+
+    def gather_grads(self) -> np.ndarray:
+        """Copy every parameter gradient into ``grads`` and return it."""
+        for name, node in self.named_parameters():
+            if node.grad is None:
+                raise ValueError(f"parameter {name!r} has no gradient")
+        np.concatenate([np.ravel(node.grad) for _, node
+                        in self.named_parameters()], out=self.grads)
+        return self.grads
+
     def zero_grad(self) -> None:
         for _, node in self.named_parameters():
             node.grad = None
 
     def state_dict(self) -> dict:
-        return {name: node.value.copy() for name, node in self.named_parameters()}
+        return self.split(self.values)
 
     def load_state_dict(self, state: dict) -> None:
-        for name, node in self.named_parameters():
+        for name, node, view in self._views(self.values):
             if name not in state:
                 raise KeyError(f"missing parameter {name!r} in state dict")
             arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != node.value.shape:
+            if arr.shape != view.shape:
                 raise ValueError(
-                    f"parameter {name!r}: shape {arr.shape} != {node.value.shape}")
-            node.value = arr.copy()
+                    f"parameter {name!r}: shape {arr.shape} != {view.shape}")
+            view[...] = arr
+            node.value = view
             node.grad = None
 
     def n_parameters(self) -> int:
-        return sum(node.value.size for _, node in self.named_parameters())
+        return self.values.size
 
 
 def build_models(config: ModelConfig, rng=None) -> ModelSet:

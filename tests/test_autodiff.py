@@ -36,10 +36,10 @@ def assert_close_grad(analytic, numeric):
         f"gradient mismatch: analytic {analytic[bad]}, numeric {numeric[bad]}")
 
 
-def check_op(build, *shapes, seed, positive=False):
+def check_op(build, *shapes, seed):
     """FD-check d(weighted sum of op output)/d(each input)."""
     rng = np.random.default_rng(seed)
-    inputs = [rng.uniform(0.1 if positive else -2.0, 2.0, s) for s in shapes]
+    inputs = [rng.uniform(-2.0, 2.0, s) for s in shapes]
     probe = build(*[ad.wrap(x) for x in inputs])
     weights = rng.standard_normal(probe.shape)
 
@@ -76,17 +76,12 @@ def test_matmul_gradients():
 def test_unary_gradients():
     for seed, op in enumerate([ad.sigmoid, ad.tanh, ad.exp, ad.neg]):
         check_op(op, (6, 2), seed=40 + seed)
-    check_op(ad.log, (6, 2), seed=50, positive=True)
-    # relu: inputs drawn from [-2, 2] essentially never land within EPS of 0
-    check_op(ad.relu, (6, 2), seed=51)
 
 
 def test_reduction_gradients():
     check_op(lambda x: ad.reduce_sum(x), (4, 3), seed=60)
     check_op(lambda x: ad.reduce_sum(x, axis=0), (4, 3), seed=61)
     check_op(lambda x: ad.reduce_sum(x, axis=1), (4, 3), seed=62)
-    check_op(lambda x: ad.reduce_mean(x), (4, 3), seed=63)
-    check_op(lambda x: ad.reduce_mean(x, axis=1), (4, 3), seed=64)
     check_op(lambda x: ad.amax(x, axis=0), (4, 3), seed=65)
     check_op(lambda x: ad.amax(x, axis=1), (4, 3), seed=66)
 
@@ -94,8 +89,6 @@ def test_reduction_gradients():
 def test_shape_op_gradients():
     check_op(lambda a, b: ad.concat([a, b]), (3, 2), (4, 2), seed=70)
     check_op(lambda a, b: ad.concat([a, b], axis=1), (3, 2), (3, 4), seed=71)
-    check_op(lambda x: x[1:3], (5, 2), seed=72)
-    check_op(lambda x: x[:, 1], (5, 3), seed=73)
 
 
 def test_sum_of_squares_gradient_exact():
@@ -154,12 +147,6 @@ def test_max_ties_route_to_lowest_index():
     assert np.array_equal(x.grad, np.array([[0.0, 1.0, 0.0]]))
 
 
-def test_relu_subgradient_at_zero_is_zero():
-    x = ad.wrap(np.array([0.0, -1.0, 2.0]))
-    ad.backward(ad.reduce_sum(ad.relu(x)))
-    assert np.array_equal(x.grad, np.array([0.0, 0.0, 1.0]))
-
-
 def test_broadcast_backward_shapes():
     a = ad.wrap(np.ones((5, 4)))
     b = ad.wrap(np.ones(4))
@@ -172,26 +159,13 @@ def test_broadcast_backward_shapes():
     assert c.grad == pytest.approx(40.0, abs=0)
 
 
-def test_finite_check_flag_raises_and_restores():
-    ad.set_finite_checks(True)
-    try:
-        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-            ad.log(ad.wrap(np.array([-1.0])))
-    finally:
-        ad.set_finite_checks(False)
-    # disabled again: the op silently produces nan, numpy-style
-    with np.errstate(invalid="ignore"):
-        out = ad.log(ad.wrap(np.array([-1.0])))
-    assert np.isnan(out.value[0])
-
-
 def test_deterministic_bitwise_repeat():
     def run():
         rng = np.random.default_rng(99)
         x = ad.wrap(rng.standard_normal((8, 5)))
         w = ad.wrap(rng.standard_normal((5, 4)))
         h = ad.tanh(ad.matmul(x, w))
-        loss = ad.reduce_mean(ad.mul(h, h))
+        loss = ad.reduce_sum(ad.mul(h, h))
         ad.backward(loss)
         return loss.value.copy(), x.grad.copy(), w.grad.copy()
 
@@ -200,11 +174,3 @@ def test_deterministic_bitwise_repeat():
     assert np.array_equal(l1, l2)
     assert np.array_equal(gx1, gx2)
     assert np.array_equal(gw1, gw2)
-
-
-def test_take_assigns_grad_into_slice():
-    x = ad.wrap(np.arange(12.0).reshape(3, 4))
-    ad.backward(ad.reduce_sum(x[1, 1:3]))
-    expect = np.zeros((3, 4))
-    expect[1, 1:3] = 1.0
-    assert np.array_equal(x.grad, expect)

@@ -1,7 +1,9 @@
 """Tests for file formats, normalization, scaling, and synthetic shapes."""
 
 import json
+import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from swarmflow.dataio import (
     save_trajectory_csv,
     to_real_scale,
 )
+from swarmflow.flowmatch import TrainConfig
 from swarmflow.metrics import collision_rates
 from swarmflow.models import Checkpoint, ModelConfig, build_models
 from swarmflow.sampling import TrajectoryLog
@@ -27,6 +30,17 @@ from swarmflow.sampling import TrajectoryLog
 SMALL = ModelConfig(latent_dim=4, field_hidden=8, field_blocks=2,
                     encoder_widths=(8, 16), coupling_layers=2,
                     coupling_hidden=4)
+
+
+def _small_checkpoint(s=0.5, final_loss=0.25):
+    """A checkpoint with all three sections and a 0-d tensor ``s``."""
+    return Checkpoint(algorithm="flow", model_config=SMALL,
+                      train_config=asdict(TrainConfig()),
+                      params={"w": np.arange(24.0).reshape(4, 6),
+                              "s": np.array(s)},
+                      opt_m={"w": np.ones((4, 6)), "s": np.array(0.1)},
+                      opt_v={"w": np.ones((4, 6)), "s": np.array(0.2)},
+                      opt_step=1, step_count=1, final_loss=final_loss)
 
 
 def _euler_log(rng, steps=6, agents=4, meta=None, spread=1.0):
@@ -70,6 +84,10 @@ def test_pointcloud_parse_errors_name_the_line(tmp_path):
     path.write_text("# only a comment\n")
     with pytest.raises(ValueError, match="no points"):
         load_pointcloud(path)
+    path.write_bytes(b"1 2 3\n\n4 5 \xff\n")
+    with pytest.raises(ValueError, match="line 3: not UTF-8") as info:
+        load_pointcloud(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
@@ -349,15 +367,19 @@ def test_checkpoint_corruption_errors(tmp_path):
             load_checkpoint(bad)
         assert str(bad) in str(info.value) and "\n" not in str(info.value)
 
-    # every proper prefix of a small checkpoint (all three sections, a 0-d
-    # tensor) is rejected with a ValueError, wherever the cut falls
-    small = Checkpoint(algorithm="flow", model_config=SMALL, train_config={},
-                       params={"w": np.arange(6.0).reshape(2, 3),
-                               "s": np.array(0.5)},
-                       opt_m={"w": np.ones((2, 3)), "s": np.array(0.1)},
-                       opt_v={"w": np.ones((2, 3)), "s": np.array(0.2)},
-                       opt_step=1, step_count=1, final_loss=0.25)
-    save_checkpoint(path, small)
+    # a NaN or inf tensor value is rejected naming the tensor; a NaN
+    # final_loss still loads
+    for value in (np.nan, -np.inf):
+        save_checkpoint(path, _small_checkpoint(s=value))
+        with pytest.raises(ValueError, match="params/'s' holds NaN") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+    save_checkpoint(path, _small_checkpoint(final_loss=float("nan")))
+    assert math.isnan(load_checkpoint(path).final_loss)
+
+    # every proper prefix of a small checkpoint is rejected with a
+    # ValueError, wherever the cut falls
+    save_checkpoint(path, _small_checkpoint())
     raw = path.read_bytes()
     prefix = tmp_path / "prefix.ckpt"
     for cut in range(len(raw)):
@@ -492,6 +514,16 @@ def test_parse_config_file(tmp_path):
     path.write_text("key =\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_config_file(path)
+    for text, line in (("seed = 1\nkappa = nan\n", 2),
+                       ("learning_rate = inf\n", 1),
+                       ("# big\n\nkappa = 1e999\n", 3)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}: non-finite"):
+            parse_config_file(path)
+    path.write_bytes(b"seed = 1\nshape = sph\xe9re\n")
+    with pytest.raises(ValueError, match="line 2: not UTF-8") as info:
+        parse_config_file(path)
+    assert str(path) in str(info.value)
 
 
 def test_normalization_transform_apply_invert_are_inverse():
@@ -544,9 +576,17 @@ def _check_cfg(cfg):
     for key, value in cfg.items():
         assert isinstance(key, str) and key
         assert isinstance(value, (bool, int, float, tuple, str))
+        assert not isinstance(value, float) or math.isfinite(value)
 
 
-@pytest.mark.parametrize("kind", ["csv", "xyz", "cfg"])
+def _check_ckpt(ckpt):
+    assert isinstance(ckpt, Checkpoint)
+    for table in (ckpt.params, ckpt.opt_m, ckpt.opt_v):
+        for arr in table.values():
+            assert np.all(np.isfinite(arr))
+
+
+@pytest.mark.parametrize("kind", ["csv", "xyz", "cfg", "ckpt"])
 def test_readers_raise_only_value_error_on_mutated_bytes(tmp_path, kind):
     hypothesis = pytest.importorskip("hypothesis")
     path = tmp_path / f"input.{kind}"
@@ -558,6 +598,9 @@ def test_readers_raise_only_value_error_on_mutated_bytes(tmp_path, kind):
     elif kind == "xyz":
         save_pointcloud(path, [[1.5, -2.0, 0.25], [3.0, 1e-3, -4.0]])
         reader, check_result = load_pointcloud, _check_xyz
+    elif kind == "ckpt":
+        save_checkpoint(path, _small_checkpoint())
+        reader, check_result = load_checkpoint, _check_ckpt
     else:
         path.write_text("# run\nepochs = 20\nlearning_rate = 1e-3\n"
                         "encoder_widths = 8, 16\nuse_orca = true\n")
@@ -573,7 +616,7 @@ def test_readers_raise_only_value_error_on_mutated_bytes(tmp_path, kind):
         try:
             result = reader(path)
         except ValueError as err:
-            assert "\n" not in str(err)
+            assert "\n" not in str(err) and str(path) in str(err)
             seen["rejected"] += 1
             return
         check_result(result)

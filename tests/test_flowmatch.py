@@ -107,8 +107,8 @@ def test_target_field_time_constant_identity_bulk():
 
 def test_adam_first_step_magnitude():
     # constant gradient: bias-corrected first update is -lr regardless of size
-    value, m, v = adam_step(np.array(3.0), np.array(1.0),
-                            np.array(0.0), np.array(0.0), 1, 0.1)
+    value = np.array(3.0)
+    adam_step(value, np.array(1.0), np.array(0.0), np.array(0.0), 1, 0.1)
     assert abs(float(value) - 2.9) <= 1e-8
 
 
@@ -121,54 +121,53 @@ def test_adam_three_step_trace_matches_decimal_oracle():
     }
     grads = [np.array([0.5, -1.0]), np.array([0.25, 0.5]),
              np.array([-0.5, 0.1])]
-    node = ad.Node(np.array([1.0, -2.0]), op="param")
-    opt = Adam()
+    value = np.array([1.0, -2.0])
+    opt = Adam(2)
     for step, g in enumerate(grads, start=1):
-        node.grad = g
-        opt.step([("w", node)], lr=0.1)
-        assert np.max(np.abs(node.value - expected[step])) < 1e-9, step
+        opt.step(value, g, lr=0.1)
+        assert np.max(np.abs(value - expected[step])) < 1e-9, step
 
 
 def test_adam_missing_grad_raises_and_zero_lr_advances_state():
-    node = ad.Node(np.array([1.0, 2.0]), op="param")
-    opt = Adam()
-    node.grad = None
-    with pytest.raises(ValueError, match="'w'"):
-        opt.step([("w", node)], lr=0.1)
-    assert np.array_equal(node.value, [1.0, 2.0])
-    assert opt.step_count == 0
-    node.grad = np.array([1.0, -1.0])
-    opt.step([("w", node)], lr=0.0)
-    assert np.array_equal(node.value, [1.0, 2.0])
-    m, v = opt.state_dicts()  # state advances even at zero learning rate
-    assert np.all(m["w"] != 0.0) and np.all(v["w"] != 0.0)
+    models = build_models(SMALL, np.random.default_rng(0))
+    for _, node in models.named_parameters():
+        node.grad = np.ones(node.shape)
+    models.encoder.params["mu.bias"].grad = None
+    with pytest.raises(ValueError, match="'encoder.mu.bias'") as info:
+        models.gather_grads()
+    assert "\n" not in str(info.value)
+    value = np.array([1.0, 2.0])
+    opt = Adam(2)
+    opt.step(value, np.array([1.0, -1.0]), lr=0.0)
+    assert np.array_equal(value, [1.0, 2.0])
+    assert opt.step_count == 1  # state advances even at zero learning rate
+    assert np.all(opt.m != 0.0) and np.all(opt.v != 0.0)
 
 
 def test_adam_flat_update_matches_per_tensor_loop():
-    # one adam_step over the concatenation must equal one call per tensor
-    # bit for bit, for tensors of mixed shapes including a 0-d one
-    rng = np.random.default_rng(3)
-    shapes = {"a": (3, 4), "s": (), "b": (5,), "c": (2, 1, 3)}
-    nodes = {name: ad.Node(rng.standard_normal(shape), op="param")
-             for name, shape in shapes.items()}
-    want = {name: node.value.copy() for name, node in nodes.items()}
-    m = {name: np.zeros(shape) for name, shape in shapes.items()}
-    v = {name: np.zeros(shape) for name, shape in shapes.items()}
-    opt = Adam()
+    # Adam on the ModelSet buffer must equal one adam_step per tensor on
+    # copies, bit for bit, for tensors of mixed shapes including the 0-d
+    # s_factor; ModelSet.split names and shapes the flat moments
+    models = build_models(SMALL, np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    want = models.state_dict()
+    assert want["bijector.c0.s_factor"].shape == ()
+    m = {name: np.zeros(arr.shape) for name, arr in want.items()}
+    v = {name: np.zeros(arr.shape) for name, arr in want.items()}
+    opt = Adam(models.n_parameters())
     for step in range(1, 6):
         lr = 0.1 / step
-        for name, node in nodes.items():
-            node.grad = rng.standard_normal(shapes[name])
-            want[name], m[name], v[name] = adam_step(
-                want[name], node.grad, m[name], v[name], step, lr)
-        opt.step(nodes.items(), lr)
-        for name, node in nodes.items():
-            assert node.value.shape == shapes[name]
+        for name, node in models.named_parameters():
+            node.grad = np.array(rng.standard_normal(node.shape))
+            adam_step(want[name], node.grad.copy(), m[name], v[name], step, lr)
+        opt.step(models.values, models.gather_grads(), lr)
+        for name, node in models.named_parameters():
+            assert node.value.shape == want[name].shape
             assert np.array_equal(node.value, want[name]), (step, name)
-    opt_m, opt_v = opt.state_dicts()
-    assert list(opt_m) == list(shapes) and list(opt_v) == list(shapes)
-    for name, shape in shapes.items():
-        assert opt_m[name].shape == shape and opt_v[name].shape == shape
+    opt_m, opt_v = models.split(opt.m), models.split(opt.v)
+    assert list(opt_m) == list(want) and list(opt_v) == list(want)
+    for name, arr in want.items():
+        assert opt_m[name].shape == arr.shape and opt_v[name].shape == arr.shape
         assert np.array_equal(opt_m[name], m[name]), name
         assert np.array_equal(opt_v[name], v[name]), name
 

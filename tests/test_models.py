@@ -3,11 +3,13 @@ identity-at-init), bijector round trips against a dense-Jacobian oracle,
 and the KL estimator against the closed-form Gaussian value."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from swarmflow import autodiff as ad
+from swarmflow.flowmatch import Adam, FlowSchedule, cfm_loss
 from swarmflow.models import (BijectorNumericsError, CouplingBijector,
                               GatedContextualNet, ModelConfig, ParamStore,
                               PointSetEncoder, build_models, kl_divergence,
@@ -356,17 +358,49 @@ def test_model_set_zero_grad_and_count():
     assert all(node.grad is None for node in nodes)
 
 
+def _assert_buffer_views(models):
+    """Every parameter value is the slice of ``models.values`` at its offset."""
+    start = 0
+    for name, node in models.named_parameters():
+        assert node.value.ctypes.data == models.values[start:].ctypes.data, name
+        assert np.array_equal(node.value.ravel(),
+                              models.values[start:start + node.value.size])
+        start += node.value.size
+    assert start == models.values.size == models.n_parameters()
+
+
 def test_model_set_state_roundtrip():
     models = build_models(TINY, np.random.default_rng(2))
+    _assert_buffer_views(models)
     state = models.state_dict()
     assert state["bijector.c0.s_factor"].shape == ()  # 0-d tensors stay 0-d
+    # a training step writes through the views
+    loss, _ = cfm_loss(models, FlowSchedule(), np.random.default_rng(3)
+                       .standard_normal((8, 3)), np.random.default_rng(4))
+    models.zero_grad()
+    ad.backward(loss)
+    Adam(models.n_parameters()).step(models.values, models.gather_grads(), 0.1)
+    assert not np.array_equal(models.values, np.concatenate(
+        [arr.ravel() for arr in state.values()]))
+    _assert_buffer_views(models)
+    # split: the layout's key order and shapes, as copies
+    flat = np.arange(float(models.n_parameters()))
+    parts = models.split(flat)
+    assert list(parts) == list(state)
+    for name, arr in parts.items():
+        assert arr.shape == state[name].shape, name
+        assert not np.shares_memory(arr, flat), name
+    assert np.array_equal(np.concatenate([a.ravel() for a in parts.values()]),
+                          flat)
+    # load_state_dict writes into the buffer and re-points rebound nodes
     for _, node in models.named_parameters():
         node.value = np.zeros(node.value.shape)
     models.load_state_dict(state)
+    _assert_buffer_views(models)
     for name, node in models.named_parameters():
         assert node.value.shape == state[name].shape
         assert np.array_equal(node.value, state[name]), name
-        assert node.value is not state[name]  # loaded as a copy
+        assert not np.shares_memory(node.value, state[name])  # a copy
     missing = dict(state)
     del missing["encoder.mu.bias"]
     with pytest.raises(KeyError, match="encoder.mu.bias"):
@@ -380,4 +414,4 @@ def test_model_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(latent_dim=1)
     cfg = ModelConfig(latent_dim=8, encoder_widths=(8, 16))
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict(asdict(cfg)) == cfg
