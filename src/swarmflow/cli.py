@@ -207,14 +207,19 @@ def _write_trajectory(log, out_dir, scale) -> None:
     print(f"trajectory: {out / 'trajectory.csv'}")
 
 
-def _cmd_sample(args) -> int:
-    ckpt = dataio.load_checkpoint(args.checkpoint)
+def _sample_config(args, ckpt, use_orca: bool) -> sampling.SampleConfig:
+    """The run settings of ``sample`` and ``sample-cfm-orca``; ``kappa``
+    comes from ``--kappa``, else from the checkpoint's training config."""
     kappa = args.kappa if args.kappa is not None else \
         float(ckpt.train_config.get("kappa", 0.06))
-    cfg = sampling.SampleConfig(num_agents=args.agents, steps=args.steps,
-                                use_orca=not args.no_orca, seed=args.seed,
-                                kappa=kappa)
-    log = sampling.sample(ckpt, cfg)
+    return sampling.SampleConfig(num_agents=args.agents, steps=args.steps,
+                                 use_orca=use_orca, seed=args.seed,
+                                 kappa=kappa)
+
+
+def _cmd_sample(args) -> int:
+    ckpt = dataio.load_checkpoint(args.checkpoint)
+    log = sampling.sample(ckpt, _sample_config(args, ckpt, not args.no_orca))
     _write_trajectory(log, args.out, args.scale)
     return 0
 
@@ -235,15 +240,11 @@ def _cmd_sample_diffusion(args) -> int:
 
 def _cmd_sample_cfm_orca(args) -> int:
     ckpt = dataio.load_checkpoint(args.checkpoint)
-    kappa = args.kappa if args.kappa is not None else \
-        float(ckpt.train_config.get("kappa", 0.06))
-    cfg = sampling.SampleConfig(num_agents=args.agents, steps=args.steps,
-                                use_orca=False, seed=args.seed, kappa=kappa)
+    # one config for both flights: sample_cfm_plus_orca ignores use_orca
+    cfg = _sample_config(args, ckpt, use_orca=False)
     plain = sampling.sample(ckpt, cfg)
-    nav_cfg = sampling.SampleConfig(num_agents=args.agents, steps=args.steps,
-                                    use_orca=True, seed=args.seed, kappa=kappa)
     log = sampling.sample_cfm_plus_orca(plain.final_cloud(),
-                                        plain.positions[0], nav_cfg)
+                                        plain.positions[0], cfg)
     _write_trajectory(log, args.out, args.scale)
     return 0
 

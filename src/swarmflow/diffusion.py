@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .flowmatch import TrainConfig, _run_training
 from .models import Checkpoint, ModelConfig, ModelSet, kl_divergence
-from .sampling import TrajectoryLog, _euler_rollout
+from .sampling import TrajectoryLog, _draw_latent, _euler_rollout
 
 __all__ = [
     "DiffusionSchedule", "ddpm_forward_sample", "ddpm_train_loss",
@@ -110,17 +110,12 @@ def ddpm_sample(models: ModelSet, sched: DiffusionSchedule, num_agents: int,
     useful for closed-form regression tests.
     """
     n = sched.n_steps
-    dt = 1.0 / n
-    times = 1.0 - dt * np.arange(n + 1)
-    w = rng.standard_normal(models.config.latent_dim)
-    z_node, _ = models.bijector.forward(w)
-    z = ad.wrap(z_node.value)
+    z = _draw_latent(models, rng)
     x_start = rng.standard_normal((num_agents, 3))
     betas = sched.betas
     alpha_bars = sched.alpha_bars
-    step_dt = float(times[0] - times[1])
 
-    def velocity_fn(x, _t, k):
+    def velocity_fn(x, _t, k, dt):
         t = n - k  # ancestral step, counting down from n
         beta = betas[t - 1]
         eps_hat = models.field_net(x, t / n, z).value
@@ -128,12 +123,7 @@ def ddpm_sample(models: ModelSet, sched: DiffusionSchedule, num_agents: int,
             / np.sqrt(1.0 - beta)
         if stochastic and t > 1:
             x_next = x_next + np.sqrt(beta) * rng.standard_normal(x.shape)
-        return (x_next - x) / step_dt
+        return (x_next - x) / dt
 
-    positions, applied, preferred = _euler_rollout(
-        x_start, times, velocity_fn, lambda v, _x: v)
-    return TrajectoryLog(
-        times=times, positions=positions, applied_velocities=applied,
-        preferred_velocities=preferred,
-        meta={"algorithm": "diffusion", "steps": n, "scale": "training",
-              "num_agents": num_agents, "kappa": 0.0, "horizon": 1.0})
+    return _euler_rollout(x_start, 1.0, n, velocity_fn,
+                          algorithm="diffusion", kappa=0.0)

@@ -79,6 +79,11 @@ def time_embedding(t: float, horizon: float = 1.0) -> np.ndarray:
     return np.array([u, math.sin(2.0 * math.pi * u), math.cos(2.0 * math.pi * u)])
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value > 0
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters shared by training and checkpoints."""
@@ -91,10 +96,17 @@ class ModelConfig:
     coupling_hidden: int = 64
 
     def __post_init__(self):
+        for name in ("latent_dim", "field_hidden", "field_blocks",
+                     "coupling_layers", "coupling_hidden"):
+            if not _positive_int(getattr(self, name)):
+                raise ValueError(f"{name} must be a positive int, got "
+                                 f"{getattr(self, name)!r}")
+        if not (isinstance(self.encoder_widths, tuple) and self.encoder_widths
+                and all(map(_positive_int, self.encoder_widths))):
+            raise ValueError("encoder_widths must be a non-empty tuple of "
+                             f"positive ints, got {self.encoder_widths!r}")
         if self.latent_dim < 2:
             raise ValueError("latent_dim must be >= 2")
-        if self.field_blocks < 1 or self.coupling_layers < 1:
-            raise ValueError("need at least one block/layer")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -64,6 +64,10 @@ class NavConfig:
     neighbor_radius: float | None = None
 
     def __post_init__(self):
+        for name in ("kappa", "dt", "tau", "v_max", "neighbor_radius"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
         if not self.dt > 0.0:

@@ -6,10 +6,20 @@ velocities actually applied, and the raw (preferred) field velocities.
 Positions are produced *only* by the explicit Euler recursion
 ``x[k+1] = x[k] + dt * v_applied[k]``, so the log satisfies that identity
 bit-for-bit and downstream consumers can rely on it.
+
+Every sampler runs the one loop ``_euler_rollout``, which owns the time
+grid.  A run of S steps over ``horizon`` has the nominal step
+``h = horizon / S`` and the frames ``times = horizon - h * arange(S + 1)``.
+The recursion steps by the frame spacing ``dt = times[0] - times[1]``,
+which is what ``TrajectoryLog.dt`` reads back; collision avoidance is
+configured with ``h``.  The two can differ in the last bit (0.01 against
+0.010000000000000009 at 100 steps), and each is kept where it is used so
+that trajectories stay byte-identical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,40 +99,66 @@ class SampleConfig:
     use_orca: bool = True
     seed: int = 0
     kappa: float = 0.06
-    nav: NavConfig | None = None  # overrides the derived NavConfig
 
     def __post_init__(self):
         if self.num_agents < 1:
             raise ValueError("num_agents must be >= 1")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
+            raise ValueError(
+                f"kappa must be finite and positive, got {self.kappa!r}")
 
-    def nav_config(self, dt: float) -> NavConfig:
-        return self.nav if self.nav is not None else NavConfig(
-            kappa=self.kappa, dt=dt)
 
+def _euler_rollout(x0, horizon, steps, velocity_fn, kappa=None, /,
+                   **meta) -> TrajectoryLog:
+    """The Euler loop every sampler runs, over the grid the module
+    docstring describes.
 
-def _euler_rollout(x0, times, velocity_fn, adjust_fn):
-    """Shared Euler loop.  ``velocity_fn(x, t, k)`` gives the preferred
-    velocity; ``adjust_fn(v, x)`` turns it into the applied one.  A
-    preferred velocity holding NaN or inf raises at the step it appears."""
-    x = np.array(x0, dtype=np.float64)
+    ``velocity_fn(x, t, k, dt)`` gives the preferred velocity of step k,
+    which starts at time t.  With ``kappa`` given (positionally) every
+    preferred velocity goes through ``orca_adjust`` with
+    ``NavConfig(kappa, h)``; otherwise it is applied as is.  A preferred
+    velocity holding NaN or inf raises at the step it appears.  ``meta``
+    holds the sampler's own log keys (``algorithm``, ``kappa``, ``seed``);
+    the rollout adds ``steps``, ``num_agents``, ``horizon`` and ``scale``.
+    """
+    h = horizon / steps
+    times = horizon - h * np.arange(steps + 1)
     dt = float(times[0] - times[1])
+    nav = None if kappa is None else NavConfig(kappa=kappa, dt=h)
+    x = np.array(x0, dtype=np.float64)
     positions = [x.copy()]
     preferred = []
     applied = []
-    for k in range(len(times) - 1):
+    for k in range(steps):
         t = float(times[k])
-        v_pref = velocity_fn(x, t, k)
+        v_pref = velocity_fn(x, t, k, dt)
         if not np.all(np.isfinite(v_pref)):
             raise ValueError(
                 f"velocity field is not finite at step {k} (t={t:.17g})")
-        v_app = adjust_fn(v_pref, x)
+        # looked up at call time, so a wrapped ``sampling.orca_adjust``
+        # sees every call
+        v_app = v_pref if nav is None else orca_adjust(v_pref, x, nav)
         x = x + dt * v_app
         preferred.append(v_pref)
         applied.append(v_app)
         positions.append(x.copy())
-    return (np.asarray(positions), np.asarray(applied), np.asarray(preferred))
+    meta.update(steps=steps, num_agents=x.shape[0], horizon=horizon,
+                scale="training")
+    return TrajectoryLog(times=times, positions=np.asarray(positions),
+                         applied_velocities=np.asarray(applied),
+                         preferred_velocities=np.asarray(preferred),
+                         meta=meta)
+
+
+def _draw_latent(models, rng):
+    """The shape latent of one run: prior noise mapped through the
+    bijector, held as a constant because sampling needs no gradients.
+    Callers draw their start cloud from ``rng`` after it."""
+    z_node, _ = models.bijector.forward(
+        rng.standard_normal(models.config.latent_dim))
+    return ad.wrap(z_node.value)
 
 
 def sample(checkpoint: Checkpoint, cfg: SampleConfig,
@@ -139,12 +175,9 @@ def sample(checkpoint: Checkpoint, cfg: SampleConfig,
         raise ValueError(
             f"expected a flow checkpoint, got {checkpoint.algorithm!r}")
     models = models_from_checkpoint(checkpoint)
-    tc = checkpoint.train_config
-    horizon = float(tc.get("horizon", 1.0))
+    horizon = float(checkpoint.train_config.get("horizon", 1.0))
     rng = np.random.default_rng(cfg.seed)
-    w = rng.standard_normal(models.config.latent_dim)
-    z_node, _ = models.bijector.forward(w)
-    z = ad.wrap(z_node.value)  # constant: sampling needs no gradients
+    z = _draw_latent(models, rng)
     if initial_cloud is None:
         x_start = rng.standard_normal((cfg.num_agents, 3))
     else:
@@ -153,29 +186,15 @@ def sample(checkpoint: Checkpoint, cfg: SampleConfig,
             raise ValueError(
                 f"initial cloud has shape {x_start.shape}, expected "
                 f"({cfg.num_agents}, 3)")
-    dt = horizon / cfg.steps
-    times = horizon - dt * np.arange(cfg.steps + 1)
-    nav = cfg.nav_config(dt)
 
-    def velocity_fn(x, t, _k):
+    def velocity_fn(x, t, _k, _dt):
         return models.field_net(x, t, z, horizon=horizon).value
 
-    if cfg.use_orca:
-        def adjust_fn(v, x):
-            return orca_adjust(v, x, nav)
-    else:
-        def adjust_fn(v, _x):
-            return v
-
-    positions, applied, preferred = _euler_rollout(
-        x_start, times, velocity_fn, adjust_fn)
-    return TrajectoryLog(
-        times=times, positions=positions, applied_velocities=applied,
-        preferred_velocities=preferred,
-        meta={"algorithm": "flow+orca" if cfg.use_orca else "flow",
-              "seed": cfg.seed, "steps": cfg.steps, "kappa": nav.kappa,
-              "scale": "training", "num_agents": cfg.num_agents,
-              "horizon": horizon})
+    return _euler_rollout(
+        x_start, horizon, cfg.steps, velocity_fn,
+        cfg.kappa if cfg.use_orca else None,
+        algorithm="flow+orca" if cfg.use_orca else "flow", seed=cfg.seed,
+        kappa=cfg.kappa)
 
 
 def sample_cfm_plus_orca(goal_cloud, initial_cloud,
@@ -185,7 +204,9 @@ def sample_cfm_plus_orca(goal_cloud, initial_cloud,
 
     Goals are assigned by index (both clouds are unordered draws, so no
     matching step is attempted).  The preferred velocity of agent i at
-    time t is the one reaching its goal exactly at t = 0.
+    time t is the one reaching its goal exactly at t = 0.  Of ``cfg`` it
+    reads ``num_agents``, ``steps``, ``kappa`` and ``seed`` (logged only);
+    avoidance is always on, whatever ``use_orca`` says.
     """
     goal = np.asarray(goal_cloud, dtype=np.float64)
     x_start = np.asarray(initial_cloud, dtype=np.float64)
@@ -196,25 +217,13 @@ def sample_cfm_plus_orca(goal_cloud, initial_cloud,
     if goal.shape[0] != cfg.num_agents:
         raise ValueError(
             f"clouds have {goal.shape[0]} agents, config says {cfg.num_agents}")
-    horizon = 1.0
-    dt = horizon / cfg.steps
-    times = horizon - dt * np.arange(cfg.steps + 1)
-    nav = cfg.nav_config(dt)
 
-    def velocity_fn(x, t, _k):
+    def velocity_fn(x, t, _k, _dt):
         return (goal - x) / t  # t > 0 for every integration step
 
-    def adjust_fn(v, x):
-        return orca_adjust(v, x, nav)
-
-    positions, applied, preferred = _euler_rollout(
-        x_start, times, velocity_fn, adjust_fn)
-    return TrajectoryLog(
-        times=times, positions=positions, applied_velocities=applied,
-        preferred_velocities=preferred,
-        meta={"algorithm": "orca-to-goal", "seed": cfg.seed,
-              "steps": cfg.steps, "kappa": nav.kappa, "scale": "training",
-              "num_agents": cfg.num_agents, "horizon": horizon})
+    return _euler_rollout(x_start, 1.0, cfg.steps, velocity_fn, cfg.kappa,
+                          algorithm="orca-to-goal", seed=cfg.seed,
+                          kappa=cfg.kappa)
 
 
 def integrate_exact_target(x_noise, x0, sched: FlowSchedule,
@@ -230,17 +239,9 @@ def integrate_exact_target(x_noise, x0, sched: FlowSchedule,
     x0 = np.asarray(x0, dtype=np.float64)
     if x_noise.shape != x0.shape:
         raise ValueError(f"shape mismatch: {x_noise.shape} vs {x0.shape}")
-    dt = sched.horizon / steps
-    times = sched.horizon - dt * np.arange(steps + 1)
 
-    def velocity_fn(x, t, _k):
+    def velocity_fn(x, t, _k, _dt):
         return conditional_field(sched, x, x0, t)
 
-    positions, applied, preferred = _euler_rollout(
-        x_noise, times, velocity_fn, lambda v, _x: v)
-    return TrajectoryLog(
-        times=times, positions=positions, applied_velocities=applied,
-        preferred_velocities=preferred,
-        meta={"algorithm": "exact-target", "steps": steps,
-              "scale": "training", "num_agents": x0.shape[0],
-              "kappa": 0.0, "horizon": sched.horizon})
+    return _euler_rollout(x_noise, sched.horizon, steps, velocity_fn,
+                          algorithm="exact-target", kappa=0.0)

@@ -201,6 +201,23 @@ def test_sample_cfm_orca_subcommand(pipeline):
     assert log.euler_consistent()
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("sample", ["--kappa", "inf"]),
+    ("sample", ["--no-orca", "--kappa", "-1"]),
+    ("sample", ["--kappa", "nan"]),
+    ("sample-cfm-orca", ["--kappa", "0"]),
+])
+def test_bad_kappa_fails_before_any_step(pipeline, capsys, command, extra):
+    out = pipeline["root"] / "bad_kappa"
+    assert main([command, "--checkpoint", str(pipeline["flow"]),
+                 "--agents", "4", "--steps", "5", *extra,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "kappa must be finite and positive" in err
+    assert "step" not in err
+    assert not out.exists()
+
+
 def test_algorithm_checkpoint_mismatch_is_an_error(pipeline, capsys):
     assert main(["sample-diffusion", "--checkpoint", str(pipeline["flow"]),
                  "--agents", "4", "--steps", "5",

@@ -360,6 +360,12 @@ def test_checkpoint_corruption_errors(tmp_path):
         "config_key": (widen, "model_config"),
         "string_tensors": (lambda h: h.update(tensors="w"), "tensors"),
         "negative_shape": (negative, "shape"),
+        "float_latent": (lambda h: h["model_config"].update(latent_dim=4.5),
+                         "latent_dim"),
+        "string_widths": (lambda h: h["model_config"].update(
+            encoder_widths="ab"), "encoder_widths"),
+        "string_hidden": (lambda h: h["model_config"].update(
+            field_hidden="8"), "field_hidden"),
     }
     for name, (mutate, word) in cases.items():
         bad = rewritten(name, mutate)

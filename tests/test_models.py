@@ -413,5 +413,13 @@ def test_model_set_state_roundtrip():
 def test_model_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(latent_dim=1)
+    for name, bad in [("latent_dim", 4.0), ("field_hidden", True),
+                      ("field_blocks", 0), ("coupling_layers", "2"),
+                      ("coupling_hidden", -3), ("encoder_widths", ()),
+                      ("encoder_widths", [8, 16]),
+                      ("encoder_widths", (8, 0)),
+                      ("encoder_widths", (8, False))]:
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(**{name: bad})
     cfg = ModelConfig(latent_dim=8, encoder_widths=(8, 16))
     assert ModelConfig.from_dict(asdict(cfg)) == cfg

@@ -58,6 +58,11 @@ def test_config_validation():
         NavConfig(kappa=KAPPA, dt=DT, tau=0.5 * DT)
     with pytest.raises(ValueError):
         NavConfig(kappa=KAPPA, dt=DT, v_max=-1.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        for name in ("kappa", "dt", "tau", "v_max", "neighbor_radius"):
+            settings = {"kappa": KAPPA, "dt": DT, name: bad}
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                NavConfig(**settings)
 
 
 def test_config_defaults():
@@ -827,3 +832,122 @@ def test_stacked_lp_matches_object_lp_bitwise():
 
     check()
     assert seen["infeasible"] >= 20 and seen["empty"] >= 1
+
+
+def _safe_scenes(st):
+    """Hypothesis strategy: (positions, v_pref) of 2-8 agents at least
+    KAPPA apart with preferred speeds at most KAPPA / (2 DT), so agents
+    beyond the culling radius cannot meet in one step.  Hypothesis picks
+    how each agent is placed (touching, near or loose, beside which agent)
+    and what it wants (rest, full speed, a random velocity, or straight at
+    another agent); the numbers come from a seeded generator, as in
+    ``_lp_cases``."""
+    cap = KAPPA / (2.0 * DT)
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    @st.composite
+    def scenes(draw):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m = draw(st.integers(2, 8))
+        positions = [np.zeros(3)]
+        for _ in range(4 * m):
+            if len(positions) == m:
+                break
+            gap = {"touching": 1.0 + 1e-12, "near": rng.uniform(1.0, 1.5),
+                   "loose": rng.uniform(1.5, 5.0)}[
+                draw(st.sampled_from(["touching", "near", "loose"]))]
+            anchor = positions[draw(st.integers(0, len(positions) - 1))]
+            p = anchor + gap * KAPPA * unit(rng.standard_normal(3))
+            if min(np.linalg.norm(p - q) for q in positions) >= KAPPA:
+                positions.append(p)
+        positions = np.array(positions)
+        v_pref = np.zeros_like(positions)
+        for a in range(len(positions)):
+            kind = draw(st.sampled_from(["rest", "full", "random", "toward"]))
+            if kind == "full":
+                v_pref[a] = cap * unit(rng.standard_normal(3))
+            elif kind == "random":
+                v_pref[a] = cap * rng.uniform() * unit(rng.standard_normal(3))
+            elif kind == "toward":
+                b = (a + 1 + draw(st.integers(0, len(positions) - 2))) \
+                    % len(positions)
+                v_pref[a] = cap * rng.uniform(0.5, 1.0) * unit(
+                    positions[b] - positions[a])
+        return positions, v_pref
+
+    return scenes()
+
+
+def test_feasible_orca_step_keeps_agents_kappa_apart():
+    # The one-step safety contract: when every agent's velocity satisfies
+    # all of its pair half-spaces, agents that start KAPPA apart are still
+    # KAPPA apart after x + dt v.  No tolerance on the separation.
+    hypothesis = pytest.importorskip("hypothesis")
+    cfg = NavConfig(kappa=KAPPA, dt=DT)
+    seen = {"feasible": 0, "corrected": 0}
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(_safe_scenes(hypothesis.strategies))
+    def check(scene):
+        positions, v_pref = scene
+        assert _pairwise_min_distance(positions) >= KAPPA
+        v = orca_adjust(v_pref, positions, cfg)
+        pairs, _ = close_pairs(positions, cfg.culling_radius)
+        for a, b in np.concatenate([pairs, pairs[:, ::-1]]):
+            plane = build_orca_halfspace(positions[a], v_pref[a],
+                                         positions[b], v_pref[b], KAPPA,
+                                         cfg.horizon, DT)
+            if plane.violation(v[a]) > 1e-9:
+                return  # an infeasible program promises no separation
+        seen["feasible"] += 1
+        seen["corrected"] += not np.array_equal(v, v_pref)
+        assert _pairwise_min_distance(positions + DT * v) >= KAPPA
+
+    check()
+    assert seen["feasible"] >= 400 and seen["corrected"] >= 250, seen
+
+
+def test_pair_half_spaces_split_the_correction_equally():
+    # Reciprocity on random pairs: the two agents' half-spaces have
+    # opposite normals, and each moves its reference velocity by half of
+    # the same correction u, in opposite directions.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tau = 10.0 * DT
+    seen = set()
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(0, 2**32 - 1),
+                      st.sampled_from(["overlap", "near", "far"]),
+                      st.sampled_from(["random", "head-on", "same"]))
+    def check(seed, spacing, motion):
+        rng = np.random.default_rng(seed)
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        gap = {"overlap": rng.uniform(0.05, 1.0), "near": rng.uniform(1.0, 2.0),
+               "far": rng.uniform(2.0, 6.0)}[spacing]
+        p_a = rng.standard_normal(3)
+        p_b = p_a + gap * KAPPA * direction
+        v_a = rng.standard_normal(3) * rng.uniform(0.0, 3.0)
+        if motion == "random":
+            v_b = rng.standard_normal(3) * rng.uniform(0.0, 3.0)
+        elif motion == "head-on":
+            v_b = v_a - rng.uniform(0.1, 10.0) * direction
+        else:
+            v_b = v_a.copy()
+        plane_a = build_orca_halfspace(p_a, v_a, p_b, v_b, KAPPA, tau, DT)
+        plane_b = build_orca_halfspace(p_b, v_b, p_a, v_a, KAPPA, tau, DT)
+        half_a, half_b = plane_a.point - v_a, plane_b.point - v_b
+        tol = 1e-12 * (1.0 + np.abs(v_a).max() + np.abs(v_b).max()
+                       + np.linalg.norm(half_a))
+        np.testing.assert_allclose(plane_b.normal, -plane_a.normal, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(half_b, -half_a, rtol=0, atol=tol)
+        seen.add((spacing, motion))
+
+    check()
+    assert len(seen) == 9

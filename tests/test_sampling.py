@@ -1,13 +1,15 @@
 """Tests for trajectory generation and the Euler integration contract."""
 
+import json
+
 import numpy as np
 import pytest
 
 from swarmflow import autodiff as ad
+from swarmflow.diffusion import DiffusionSchedule, ddpm_sample
 from swarmflow.flowmatch import FlowSchedule
 from swarmflow.models import Checkpoint, ModelConfig, build_models, \
     models_from_checkpoint
-from swarmflow.navigation import NavConfig
 from swarmflow.sampling import SampleConfig, TrajectoryLog, _euler_rollout, \
     integrate_exact_target, sample, sample_cfm_plus_orca
 
@@ -81,12 +83,10 @@ def test_sample_config_validation():
         SampleConfig(num_agents=0)
     with pytest.raises(ValueError):
         SampleConfig(num_agents=4, steps=0)
-    derived = SampleConfig(num_agents=4, kappa=0.1).nav_config(0.02)
-    assert derived.kappa == 0.1
-    assert derived.dt == 0.02
-    override = NavConfig(kappa=0.5, dt=0.25)
-    cfg = SampleConfig(num_agents=4, nav=override)
-    assert cfg.nav_config(0.02) is override
+    for kappa in (0.0, -1.0, np.inf, np.nan):
+        for use_orca in (False, True):
+            with pytest.raises(ValueError, match="kappa must be finite"):
+                SampleConfig(num_agents=4, kappa=kappa, use_orca=use_orca)
 
 
 def test_exact_integration_reaches_data_cloud():
@@ -197,13 +197,45 @@ def test_sample_with_nan_field_weights_fails_at_step_0(use_orca):
 
 
 def test_rollout_names_the_step_and_time_of_a_non_finite_velocity():
-    times = 1.0 - 0.25 * np.arange(5)
-
-    def velocity_fn(x, t, k):
+    def velocity_fn(x, t, k, dt):
         return np.full_like(x, np.inf if k == 2 else 1.0)
 
     with pytest.raises(ValueError, match=r"step 2 \(t=0\.5\)"):
-        _euler_rollout(np.zeros((3, 3)), times, velocity_fn, lambda v, x: v)
+        _euler_rollout(np.zeros((3, 3)), 1.0, 4, velocity_fn)
+
+
+def test_every_sampler_logs_the_shared_meta_keys_with_json_types():
+    ckpt = _small_checkpoint()
+    rng = np.random.default_rng(5)
+    cloud = rng.standard_normal((3, 3))
+    cfg = SampleConfig(num_agents=3, steps=4, seed=7, kappa=0.2)
+    plain = SampleConfig(num_agents=3, steps=4, use_orca=False, seed=7,
+                         kappa=0.2)
+    diff = build_models(SMALL, np.random.default_rng(1))
+    logs = {
+        "flow+orca": sample(ckpt, cfg),
+        "flow": sample(ckpt, plain),
+        "orca-to-goal": sample_cfm_plus_orca(cloud + 1.0, cloud, cfg),
+        "exact-target": integrate_exact_target(cloud + 1.0, cloud,
+                                               FlowSchedule(), 4),
+        "diffusion": ddpm_sample(diff, DiffusionSchedule(n_steps=4), 3,
+                                 np.random.default_rng(2)),
+    }
+    shared = {"algorithm": str, "steps": int, "num_agents": int,
+              "horizon": float, "kappa": float, "scale": str}
+    for algorithm, log in logs.items():
+        seeded = algorithm in ("flow+orca", "flow", "orca-to-goal")
+        want = {**shared, "seed": int} if seeded else shared
+        meta = json.loads(json.dumps(log.meta))
+        assert meta == log.meta
+        assert {k: type(v) for k, v in log.meta.items()} == want, algorithm
+        assert meta["algorithm"] == algorithm
+        assert (meta["steps"], meta["num_agents"]) == (4, 3)
+        assert (meta["horizon"], meta["scale"]) == (1.0, "training")
+        assert meta["kappa"] == (0.2 if seeded else 0.0)
+        if seeded:
+            assert meta["seed"] == 7
+        assert log.euler_consistent()
 
 
 def test_sample_initial_cloud_override():
