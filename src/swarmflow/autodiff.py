@@ -11,17 +11,26 @@ Broadcasting is deliberately restricted: for elementwise binary ops one
 operand's shape must be a suffix of the other's (leading batch dimensions
 only).  Anything fancier is a shape error, not a silent numpy broadcast.
 
+Inside ``with no_record():`` the same ops run on the same arrays, so
+values are bitwise equal, but a new node keeps no parents or backward
+rules: each intermediate is freed as soon as the caller drops it, and
+``backward`` sees nothing to walk.  Sampling evaluates the networks this
+way; training never does.  The flag is process-global (not per thread),
+which is sound because the pipeline is single-threaded.
+
 All arithmetic is float64 and single-threaded, so results are bitwise
 reproducible for a fixed sequence of operations.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 from scipy.special import expit
 
 __all__ = [
-    "Node", "ShapeMismatchError", "wrap", "backward",
+    "Node", "ShapeMismatchError", "wrap", "backward", "no_record",
     "add", "sub", "mul", "neg", "matmul", "sigmoid", "tanh",
     "exp", "reduce_sum", "amax", "concat",
 ]
@@ -29,6 +38,22 @@ __all__ = [
 
 class ShapeMismatchError(ValueError):
     """Operand shapes do not conform under leading-dim-only broadcasting."""
+
+
+_recording = True
+
+
+@contextmanager
+def no_record():
+    """Build nodes without parents or backward rules until the block
+    exits; the previous mode comes back on exit, also after an exception
+    and when blocks nest."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Node:
@@ -48,8 +73,11 @@ class Node:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.op = op
-        self._parents = tuple(parents)
-        self._vjps = tuple(vjps)
+        if _recording:
+            self._parents = tuple(parents)
+            self._vjps = tuple(vjps)
+        else:
+            self._parents = self._vjps = ()
 
     @property
     def shape(self):

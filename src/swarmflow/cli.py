@@ -208,8 +208,8 @@ def _write_trajectory(log, out_dir, scale) -> None:
 
 
 def _sample_config(args, ckpt, use_orca: bool) -> sampling.SampleConfig:
-    """The run settings of ``sample`` and ``sample-cfm-orca``; ``kappa``
-    comes from ``--kappa``, else from the checkpoint's training config."""
+    """The run settings of every sampling command; ``kappa`` comes from
+    ``--kappa``, else from the checkpoint's training config."""
     kappa = args.kappa if args.kappa is not None else \
         float(ckpt.train_config.get("kappa", 0.06))
     return sampling.SampleConfig(num_agents=args.agents, steps=args.steps,
@@ -229,11 +229,13 @@ def _cmd_sample_diffusion(args) -> int:
     if ckpt.algorithm != "diffusion":
         raise ValueError(
             f"expected a diffusion checkpoint, got {ckpt.algorithm!r}")
+    # DDPM runs no avoidance; kappa is validated and logged for evaluate
+    cfg = _sample_config(args, ckpt, use_orca=False)
     models = models_from_checkpoint(ckpt)
-    sched = diffusion.DiffusionSchedule(n_steps=args.steps)
-    rng = np.random.default_rng(args.seed)
-    log = diffusion.ddpm_sample(models, sched, args.agents, rng)
-    log.meta["seed"] = args.seed
+    sched = diffusion.DiffusionSchedule(n_steps=cfg.steps)
+    rng = np.random.default_rng(cfg.seed)
+    log = diffusion.ddpm_sample(models, sched, cfg.num_agents, rng)
+    log.meta.update(kappa=cfg.kappa, seed=cfg.seed)
     _write_trajectory(log, args.out, args.scale)
     return 0
 

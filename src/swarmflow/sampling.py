@@ -82,7 +82,8 @@ class TrajectoryLog:
         return self.positions[-1].copy()
 
     def euler_consistent(self) -> bool:
-        """Bit-exact check of x[k+1] == x[k] + dt*(t[k]-t[k+1])-less Euler."""
+        """Check ``x[k+1] == x[k] + dt * v_applied[k]`` bit for bit at
+        every step, with ``dt`` the frame spacing ``times[0] - times[1]``."""
         for k in range(self.num_steps):
             step = self.positions[k] + self.dt * self.applied_velocities[k]
             if not np.array_equal(step, self.positions[k + 1]):
@@ -116,8 +117,9 @@ def _euler_rollout(x0, horizon, steps, velocity_fn, kappa=None, /,
     docstring describes.
 
     ``velocity_fn(x, t, k, dt)`` gives the preferred velocity of step k,
-    which starts at time t.  With ``kappa`` given (positionally) every
-    preferred velocity goes through ``orca_adjust`` with
+    which starts at time t; it runs under ``autodiff.no_record``, so the
+    networks it calls build no tape.  With ``kappa`` given (positionally)
+    every preferred velocity goes through ``orca_adjust`` with
     ``NavConfig(kappa, h)``; otherwise it is applied as is.  A preferred
     velocity holding NaN or inf raises at the step it appears.  ``meta``
     holds the sampler's own log keys (``algorithm``, ``kappa``, ``seed``);
@@ -128,12 +130,14 @@ def _euler_rollout(x0, horizon, steps, velocity_fn, kappa=None, /,
     dt = float(times[0] - times[1])
     nav = None if kappa is None else NavConfig(kappa=kappa, dt=h)
     x = np.array(x0, dtype=np.float64)
-    positions = [x.copy()]
-    preferred = []
-    applied = []
+    positions = np.empty((steps + 1,) + x.shape)
+    preferred = np.empty((steps,) + x.shape)
+    applied = np.empty_like(preferred)
+    positions[0] = x
     for k in range(steps):
         t = float(times[k])
-        v_pref = velocity_fn(x, t, k, dt)
+        with ad.no_record():
+            v_pref = velocity_fn(x, t, k, dt)
         if not np.all(np.isfinite(v_pref)):
             raise ValueError(
                 f"velocity field is not finite at step {k} (t={t:.17g})")
@@ -141,24 +145,24 @@ def _euler_rollout(x0, horizon, steps, velocity_fn, kappa=None, /,
         # sees every call
         v_app = v_pref if nav is None else orca_adjust(v_pref, x, nav)
         x = x + dt * v_app
-        preferred.append(v_pref)
-        applied.append(v_app)
-        positions.append(x.copy())
+        preferred[k] = v_pref
+        applied[k] = v_app
+        positions[k + 1] = x
     meta.update(steps=steps, num_agents=x.shape[0], horizon=horizon,
                 scale="training")
-    return TrajectoryLog(times=times, positions=np.asarray(positions),
-                         applied_velocities=np.asarray(applied),
-                         preferred_velocities=np.asarray(preferred),
-                         meta=meta)
+    return TrajectoryLog(times=times, positions=positions,
+                         applied_velocities=applied,
+                         preferred_velocities=preferred, meta=meta)
 
 
 def _draw_latent(models, rng):
     """The shape latent of one run: prior noise mapped through the
-    bijector, held as a constant because sampling needs no gradients.
+    bijector without a tape, so it enters the field as a constant.
     Callers draw their start cloud from ``rng`` after it."""
-    z_node, _ = models.bijector.forward(
-        rng.standard_normal(models.config.latent_dim))
-    return ad.wrap(z_node.value)
+    with ad.no_record():
+        z, _ = models.bijector.forward(
+            rng.standard_normal(models.config.latent_dim))
+    return z
 
 
 def sample(checkpoint: Checkpoint, cfg: SampleConfig,

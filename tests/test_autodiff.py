@@ -174,3 +174,43 @@ def test_deterministic_bitwise_repeat():
     assert np.array_equal(l1, l2)
     assert np.array_equal(gx1, gx2)
     assert np.array_equal(gw1, gw2)
+
+
+# ---------------------------------------------------------------------------
+# no-record mode
+
+def test_no_record_nodes_keep_no_tape():
+    x = ad.wrap(np.arange(6.0).reshape(2, 3))
+    w = ad.wrap(np.ones((3, 2)))
+    recorded = ad.tanh(ad.matmul(x, w))
+    with ad.no_record():
+        free = ad.tanh(ad.matmul(x, w))
+        loss = ad.reduce_sum(ad.concat([free, -free], axis=1))
+    assert np.array_equal(free.value, recorded.value)
+    assert recorded._parents and recorded._vjps
+    assert free._parents == () and free._vjps == ()
+    assert loss._parents == () and loss._vjps == ()
+    ad.backward(loss)  # nothing to walk: only the loss itself gets a grad
+    assert loss.grad == 1.0 and x.grad is None and w.grad is None
+
+
+def test_no_record_restores_the_mode_after_errors_and_nesting():
+    def records():
+        a = ad.wrap(1.0)
+        return bool((a + a)._parents)
+
+    assert records()
+    with ad.no_record():
+        with ad.no_record():
+            assert not records()
+        assert not records()  # the inner block restores "off", not "on"
+    assert records()
+    with pytest.raises(ad.ShapeMismatchError):
+        with ad.no_record():
+            ad.add(np.zeros(2), np.zeros(3))
+    assert records()
+    with pytest.raises(RuntimeError):
+        with ad.no_record():
+            with ad.no_record():
+                raise RuntimeError("inner")
+    assert records()

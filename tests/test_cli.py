@@ -191,6 +191,27 @@ def test_sample_diffusion_subcommand(pipeline):
     assert log.euler_consistent()
 
 
+def test_evaluate_reads_kappa_of_a_diffusion_run(pipeline, capsys):
+    run = pipeline["root"] / "diffusion_kappa"
+    assert main(["sample-diffusion", "--checkpoint", str(pipeline["diffusion"]),
+                 "--agents", "6", "--steps", "5", "--kappa", "0.25",
+                 "--out", str(run)]) == 0
+    assert load_trajectory_csv(run / "trajectory.csv").meta["kappa"] == 0.25
+    capsys.readouterr()
+    assert main(["evaluate", "--trajectories", str(run)]) == 0
+    logged = capsys.readouterr().out
+    assert main(["evaluate", "--trajectories", str(run),
+                 "--kappa", "0.25"]) == 0
+    assert "TRAJ" in logged and logged == capsys.readouterr().out
+    default = pipeline["root"] / "diffusion_default_kappa"
+    assert main(["sample-diffusion", "--checkpoint", str(pipeline["diffusion"]),
+                 "--agents", "6", "--steps", "5", "--out", str(default)]) == 0
+    meta = load_trajectory_csv(default / "trajectory.csv").meta
+    assert meta["kappa"] == load_checkpoint(
+        pipeline["diffusion"]).train_config["kappa"]
+    assert main(["evaluate", "--trajectories", str(default)]) == 0
+
+
 def test_sample_cfm_orca_subcommand(pipeline):
     out = pipeline["root"] / "goal_run"
     assert main(["sample-cfm-orca", "--checkpoint", str(pipeline["flow"]),
@@ -206,10 +227,12 @@ def test_sample_cfm_orca_subcommand(pipeline):
     ("sample", ["--no-orca", "--kappa", "-1"]),
     ("sample", ["--kappa", "nan"]),
     ("sample-cfm-orca", ["--kappa", "0"]),
+    ("sample-diffusion", ["--kappa", "inf"]),
 ])
 def test_bad_kappa_fails_before_any_step(pipeline, capsys, command, extra):
     out = pipeline["root"] / "bad_kappa"
-    assert main([command, "--checkpoint", str(pipeline["flow"]),
+    ckpt = pipeline["diffusion" if command == "sample-diffusion" else "flow"]
+    assert main([command, "--checkpoint", str(ckpt),
                  "--agents", "4", "--steps", "5", *extra,
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -423,3 +423,41 @@ def test_model_config_validation():
             ModelConfig(**{name: bad})
     cfg = ModelConfig(latent_dim=8, encoder_widths=(8, 16))
     assert ModelConfig.from_dict(asdict(cfg)) == cfg
+
+
+def test_networks_give_equal_bits_without_a_tape():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(2, 6), st.integers(1, 12),
+                      st.integers(1, 4), st.integers(1, 4),
+                      st.integers(1, 6), st.integers(1, 16),
+                      st.floats(0.0, 1.0), st.floats(0.25, 4.0),
+                      st.integers(0, 2**32 - 1))
+    def check(latent, hidden, blocks, layers, coupling_hidden, points,
+              progress, horizon, seed):
+        rng = np.random.default_rng(seed)
+        models = build_models(ModelConfig(
+            latent_dim=latent, field_hidden=hidden, field_blocks=blocks,
+            encoder_widths=(4,), coupling_layers=layers,
+            coupling_hidden=coupling_hidden), rng)
+        # leave the zero-initialised blocks and identity couplings behind
+        models.values += 0.3 * rng.standard_normal(models.values.shape)
+        x = rng.standard_normal((points, 3))
+        w = rng.standard_normal(latent)
+        t = progress * horizon
+
+        def run():
+            z, logdet = models.bijector.forward(w)
+            v = models.field_net(x, t, z, horizon=horizon)
+            return z.value, logdet.value, v.value
+
+        taped = run()
+        with ad.no_record():
+            free = run()
+        for a, b in zip(taped, free):
+            assert np.array_equal(a, b)
+
+    check()

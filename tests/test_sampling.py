@@ -1,13 +1,15 @@
 """Tests for trajectory generation and the Euler integration contract."""
 
+import contextlib
 import json
 
 import numpy as np
 import pytest
 
 from swarmflow import autodiff as ad
+from swarmflow import sampling
 from swarmflow.diffusion import DiffusionSchedule, ddpm_sample
-from swarmflow.flowmatch import FlowSchedule
+from swarmflow.flowmatch import FlowSchedule, cfm_loss
 from swarmflow.models import Checkpoint, ModelConfig, build_models, \
     models_from_checkpoint
 from swarmflow.sampling import SampleConfig, TrajectoryLog, _euler_rollout, \
@@ -23,6 +25,17 @@ def _small_checkpoint(seed=0):
     return Checkpoint(algorithm="flow", model_config=SMALL,
                       train_config={"horizon": 1.0, "sigma_min": 1e-4},
                       params=models.state_dict())
+
+
+def _busy_checkpoint(seed=0):
+    """A small flow checkpoint with every weight moved off its
+    initialisation, so the field is non-zero and the bijector not the
+    identity."""
+    ckpt = _small_checkpoint(seed)
+    rng = np.random.default_rng(seed + 100)
+    ckpt.params = {name: value + 0.3 * rng.standard_normal(value.shape)
+                   for name, value in ckpt.params.items()}
+    return ckpt
 
 
 def _euler_log(x0, velocities, horizon=1.0):
@@ -273,3 +286,64 @@ def test_goal_baseline_validation():
         sample_cfm_plus_orca(np.zeros((2, 3)), np.zeros((3, 3)), cfg)
     with pytest.raises(ValueError):
         sample_cfm_plus_orca(np.zeros((3, 3)), np.zeros((3, 3)), cfg)
+
+
+def _run_every_sampler():
+    ckpt = _busy_checkpoint()
+    models = models_from_checkpoint(ckpt)  # serves as a DDPM network too
+    cloud = np.random.default_rng(8).standard_normal((12, 3))
+    cfg = SampleConfig(num_agents=12, steps=6, seed=4, kappa=0.5)
+    plain = SampleConfig(num_agents=12, steps=6, use_orca=False, seed=4)
+    return {
+        "flow+orca": sample(ckpt, cfg),
+        "flow": sample(ckpt, plain),
+        "orca-to-goal": sample_cfm_plus_orca(-cloud, cloud, cfg),
+        "exact-target": integrate_exact_target(cloud, 0.5 * cloud,
+                                               FlowSchedule(), 9),
+        "diffusion": ddpm_sample(models, DiffusionSchedule(n_steps=5), 12,
+                                 np.random.default_rng(2)),
+        "diffusion-deterministic": ddpm_sample(
+            models, DiffusionSchedule(n_steps=5), 12,
+            np.random.default_rng(2), stochastic=False),
+    }
+
+
+def test_every_sampler_gives_the_same_bits_with_a_tape(monkeypatch):
+    free = _run_every_sampler()
+    monkeypatch.setattr(sampling.ad, "no_record", contextlib.nullcontext)
+    taped = _run_every_sampler()
+    for name, log in free.items():
+        for attr in ("positions", "applied_velocities",
+                     "preferred_velocities"):
+            assert np.array_equal(getattr(log, attr),
+                                  getattr(taped[name], attr)), (name, attr)
+        assert log.euler_consistent()
+    # the field moves the agents and avoidance corrects some of them
+    flow = free["flow+orca"]
+    assert np.any(flow.preferred_velocities != 0.0)
+    assert not np.array_equal(flow.applied_velocities,
+                              flow.preferred_velocities)
+
+
+def test_training_after_sampling_gets_every_gradient():
+    ckpt = _busy_checkpoint()
+    cloud = np.random.default_rng(6).standard_normal((8, 3))
+
+    def gradients():
+        models = models_from_checkpoint(ckpt)
+        loss, _ = cfm_loss(models, FlowSchedule(), cloud,
+                           np.random.default_rng(3))
+        ad.backward(loss)
+        return models.gather_grads().copy()  # raises on a missing gradient
+
+    before = gradients()
+    sample(ckpt, SampleConfig(num_agents=5, steps=3, seed=1))
+    broken = _busy_checkpoint()
+    broken.params = {name: np.full_like(value, np.nan)
+                     if name.startswith("field.") else value
+                     for name, value in broken.params.items()}
+    with pytest.raises(ValueError, match="not finite"):
+        sample(broken, SampleConfig(num_agents=5, steps=3))
+    after = gradients()
+    assert np.all(np.isfinite(after)) and np.any(after != 0.0)
+    assert np.array_equal(before, after)
