@@ -22,9 +22,6 @@ from .models import ModelConfig, models_from_checkpoint
 
 _TRAIN_KEYS = {f.name for f in fields(flowmatch.TrainConfig)}
 _MODEL_KEYS = {f.name for f in fields(ModelConfig)}
-# config key -> DiffusionSchedule field
-_DIFFUSION_KEYS = {"diffusion_steps": "n_steps", "beta_start": "beta_start",
-                   "beta_end": "beta_end"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,6 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-diffusion",
                        help="ancestral sampling from a diffusion checkpoint")
     _sampling_args(p)
+    p.set_defaults(steps=None)  # the chain length the model was trained on
 
     p = sub.add_parser("sample-cfm-orca",
                        help="flow model picks the goal cloud, straight-line "
@@ -146,9 +144,11 @@ def _split_config(raw: dict):
         elif key in _TRAIN_KEYS:
             train_kwargs[key] = value
         elif key in _MODEL_KEYS:
+            if key == "encoder_widths" and isinstance(value, int):
+                value = (value,)  # one width reads as a bare int
             model_kwargs[key] = value
-        elif key in _DIFFUSION_KEYS:
-            diff_kwargs[_DIFFUSION_KEYS[key]] = value
+        elif key in diffusion.CONFIG_KEYS:
+            diff_kwargs[diffusion.CONFIG_KEYS[key]] = value
         else:
             raise ValueError(f"unknown config key {key!r}")
     return train_kwargs, model_kwargs, diff_kwargs, algorithm
@@ -229,10 +229,21 @@ def _cmd_sample_diffusion(args) -> int:
     if ckpt.algorithm != "diffusion":
         raise ValueError(
             f"expected a diffusion checkpoint, got {ckpt.algorithm!r}")
+    try:
+        sched = diffusion.DiffusionSchedule.from_train_config(
+            ckpt.train_config)
+    except (TypeError, ValueError) as err:  # a wrong-typed stored value
+        raise ValueError(
+            f"{args.checkpoint}: bad diffusion schedule: {err}") from None
+    if args.steps is None:
+        args.steps = sched.n_steps
     # DDPM runs no avoidance; kappa is validated and logged for evaluate
     cfg = _sample_config(args, ckpt, use_orca=False)
+    if cfg.steps != sched.n_steps:
+        raise ValueError(
+            f"--steps {cfg.steps} disagrees with the {sched.n_steps}-step "
+            f"chain the checkpoint was trained on")
     models = models_from_checkpoint(ckpt)
-    sched = diffusion.DiffusionSchedule(n_steps=cfg.steps)
     rng = np.random.default_rng(cfg.seed)
     log = diffusion.ddpm_sample(models, sched, cfg.num_agents, rng)
     log.meta.update(kappa=cfg.kappa, seed=cfg.seed)
@@ -283,7 +294,12 @@ def _cmd_evaluate(args) -> int:
             reference = [cloud * scene.factor for cloud in reference]
     kappa = args.kappa
     if kappa is None:
-        kappa = float(logs[0].meta.get("kappa", 0.0))
+        recorded = sorted({float(lg.meta.get("kappa", 0.0)) for lg in logs})
+        if len(recorded) > 1:
+            raise ValueError(
+                f"trajectories record different kappa values "
+                f"{', '.join(map(repr, recorded))}; pass --kappa explicitly")
+        kappa = recorded[0]
         if kappa <= 0.0:
             raise ValueError(
                 "collision radius unavailable; pass --kappa explicitly")

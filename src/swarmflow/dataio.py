@@ -136,28 +136,21 @@ def normalize_cloud(cloud):
 class SceneScale:
     """Mapping between training units and show-space meters.
 
-    The normalized training clouds live in a cube of about
-    ``training_extent`` units; the physical show volume is a cube of
-    ``side`` meters, so lengths multiply by side/training_extent and the
-    real separation requirement ``kappa_real`` maps back to
-    kappa_real/factor in training units (0.06 for the defaults).
+    The normalized training clouds live in a cube of about 6 units; the
+    physical show volume is a cube of ``side`` meters, so lengths
+    multiply by ``factor`` = side/6.  At the default 200 m side a 2 m
+    protected distance is the training-scale default kappa = 0.06.
     """
 
     side: float = 200.0
-    kappa_real: float = 2.0
-    training_extent: float = 6.0
 
     def __post_init__(self):
-        if min(self.side, self.kappa_real, self.training_extent) <= 0.0:
-            raise ValueError("all scene-scale lengths must be positive")
+        if not self.side > 0.0:
+            raise ValueError("scene side must be positive")
 
     @property
     def factor(self) -> float:
-        return self.side / self.training_extent
-
-    @property
-    def kappa_training(self) -> float:
-        return self.kappa_real / self.factor
+        return self.side / 6.0
 
 
 def to_real_scale(log: TrajectoryLog, scene: SceneScale) -> TrajectoryLog:

@@ -18,13 +18,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .flowmatch import TrainConfig, _run_training
-from .models import Checkpoint, ModelConfig, ModelSet, kl_divergence
+from .models import (Checkpoint, ModelConfig, ModelSet, _positive_int,
+                     kl_divergence)
 from .sampling import TrajectoryLog, _draw_latent, _euler_rollout
 
 __all__ = [
     "DiffusionSchedule", "ddpm_forward_sample", "ddpm_train_loss",
     "train", "ddpm_sample",
 ]
+
+# config key -> DiffusionSchedule field, also the checkpoint's record of it
+CONFIG_KEYS = {"diffusion_steps": "n_steps", "beta_start": "beta_start",
+               "beta_end": "beta_end"}
 
 
 @dataclass(frozen=True)
@@ -36,10 +41,19 @@ class DiffusionSchedule:
     beta_end: float = 0.02
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        if not _positive_int(self.n_steps):
+            raise ValueError(
+                f"n_steps must be a positive int, got {self.n_steps!r}")
         if not 0.0 < self.beta_start <= self.beta_end < 1.0:
             raise ValueError("need 0 < beta_start <= beta_end < 1")
+
+    @classmethod
+    def from_train_config(cls, train_config: dict) -> "DiffusionSchedule":
+        """The schedule a checkpoint's ``train_config`` records under the
+        ``CONFIG_KEYS`` names; a key it lacks takes the default."""
+        return cls(**{name: train_config[key]
+                      for key, name in CONFIG_KEYS.items()
+                      if key in train_config})
 
     @cached_property
     def betas(self) -> np.ndarray:
@@ -87,7 +101,8 @@ def ddpm_train_loss(models: ModelSet, sched: DiffusionSchedule, x0, rng):
 def train(dataset, train_config: TrainConfig = None,
           model_config: ModelConfig = None,
           sched: DiffusionSchedule = None, log_path=None) -> Checkpoint:
-    """Fit the diffusion baseline; same loop, checkpoint tagged 'diffusion'."""
+    """Fit the diffusion baseline; same loop, checkpoint tagged 'diffusion',
+    with the schedule recorded in its ``train_config``."""
     train_config = train_config or TrainConfig()
     model_config = model_config or ModelConfig()
     sched = sched or DiffusionSchedule()
@@ -95,8 +110,11 @@ def train(dataset, train_config: TrainConfig = None,
     def loss_fn(models, x0, rng):
         return ddpm_train_loss(models, sched, x0, rng)
 
-    return _run_training(dataset, train_config, model_config, loss_fn,
+    ckpt = _run_training(dataset, train_config, model_config, loss_fn,
                          "diffusion", log_path)
+    ckpt.train_config.update({key: getattr(sched, name)
+                              for key, name in CONFIG_KEYS.items()})
+    return ckpt
 
 
 def ddpm_sample(models: ModelSet, sched: DiffusionSchedule, num_agents: int,

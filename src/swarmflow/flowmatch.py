@@ -115,8 +115,13 @@ def cfm_loss(models: ModelSet, sched: FlowSchedule, x0: np.ndarray, rng):
 # ---------------------------------------------------------------------------
 # optimizer
 
-def adam_step(value, grad, m, v, step, lr,
-              beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+# Adam's moment decay rates and denominator guard
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
+def adam_step(value, grad, m, v, step, lr) -> None:
     """One bias-corrected Adam update, in place on ``value``, ``m`` and ``v``.
 
     ``step`` counts from 1 on the first update.  The update is
@@ -124,17 +129,17 @@ def adam_step(value, grad, m, v, step, lr,
     end to end.  ``grad`` is overwritten with the step taken, so that one
     temporary holds the other intermediate terms.
     """
-    work = np.multiply(grad, 1.0 - beta1, out=np.empty_like(m))
-    np.multiply(m, beta1, out=m)
+    work = np.multiply(grad, 1.0 - _BETA1, out=np.empty_like(m))
+    np.multiply(m, _BETA1, out=m)
     np.add(m, work, out=m)  # m = beta1 * m + (1 - beta1) * grad
-    np.multiply(grad, 1.0 - beta2, out=work)
+    np.multiply(grad, 1.0 - _BETA2, out=work)
     np.multiply(work, grad, out=work)
-    np.multiply(v, beta2, out=v)
+    np.multiply(v, _BETA2, out=v)
     np.add(v, work, out=v)  # v = beta2 * v + (1 - beta2) * grad * grad
-    np.divide(v, 1.0 - beta2 ** step, out=work)
+    np.divide(v, 1.0 - _BETA2 ** step, out=work)
     np.sqrt(work, out=work)
-    np.add(work, eps, out=work)  # sqrt(v_hat) + eps
-    np.divide(m, 1.0 - beta1 ** step, out=grad)
+    np.add(work, _EPS, out=work)  # sqrt(v_hat) + eps
+    np.divide(m, 1.0 - _BETA1 ** step, out=grad)
     np.multiply(grad, lr, out=grad)
     np.divide(grad, work, out=grad)  # lr * m_hat / (sqrt(v_hat) + eps)
     np.subtract(value, grad, out=value)
@@ -151,10 +156,7 @@ class Adam:
     moments for a checkpoint.
     """
 
-    def __init__(self, size: int, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, size: int):
         self.step_count = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -162,8 +164,7 @@ class Adam:
     def step(self, values, grads, lr: float) -> None:
         """Update ``values`` in place from ``grads``, which is overwritten."""
         self.step_count += 1
-        adam_step(values, grads, self.m, self.v, self.step_count, lr,
-                  self.beta1, self.beta2, self.eps)
+        adam_step(values, grads, self.m, self.v, self.step_count, lr)
 
 
 def scheduled_lr(step: int, total_steps: int, base_lr: float,
@@ -193,8 +194,7 @@ class TrainConfig:
     sigma_min: float = 1e-4
     horizon: float = 1.0
     lr_final_frac: float = 0.1
-    kappa: float = 0.06       # collision radius for downstream sampling
-    dt_default: float = 0.01  # default sampling step (100 steps over T = 1)
+    kappa: float = 0.06  # collision radius for downstream sampling
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:

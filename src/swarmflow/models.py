@@ -128,14 +128,12 @@ class GatedContextualNet:
     """
 
     def __init__(self, latent_dim: int, hidden: int = 128, blocks: int = 6,
-                 out_dim: int = 3, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+                 *, rng):
         self.latent_dim = latent_dim
         self.blocks = blocks
         self.ctx_dim = 3 + latent_dim
         self.params = ParamStore()
-        dims = [3] + [hidden] * (blocks - 1) + [out_dim]
+        dims = [3] + [hidden] * (blocks - 1) + [3]
         for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
             last = i == blocks - 1
             self.params.add(f"b{i}.w", np.zeros((din, dout)) if last
@@ -174,9 +172,7 @@ class PointSetEncoder:
     the input rows gives bitwise-identical outputs.
     """
 
-    def __init__(self, latent_dim: int, widths=(64, 128, 256), rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, latent_dim: int, widths=(64, 128, 256), *, rng):
         self.latent_dim = latent_dim
         self.widths = tuple(widths)
         self.params = ParamStore()
@@ -225,9 +221,8 @@ class CouplingBijector:
     zero-initialized coupling nets the whole map starts as the identity.
     """
 
-    def __init__(self, dim: int, n_layers: int = 14, hidden: int = 64, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, dim: int, n_layers: int = 14, hidden: int = 64, *,
+                 rng):
         if dim < 2:
             raise ValueError("coupling bijector needs dim >= 2")
         self.dim = dim
@@ -392,10 +387,8 @@ class ModelSet:
         return self.values.size
 
 
-def build_models(config: ModelConfig, rng=None) -> ModelSet:
+def build_models(config: ModelConfig, rng) -> ModelSet:
     """Fresh ModelSet with deterministic initialization from ``rng``."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     field_net = GatedContextualNet(config.latent_dim, config.field_hidden,
                                    config.field_blocks, rng=rng)
     encoder = PointSetEncoder(config.latent_dim, config.encoder_widths, rng=rng)
@@ -406,8 +399,9 @@ def build_models(config: ModelConfig, rng=None) -> ModelSet:
 
 @dataclass
 class Checkpoint:
-    """Everything needed to resume or sample: weights, optimizer state,
-    and the configuration that produced them."""
+    """Everything needed to sample: weights and the configuration that
+    produced them.  The optimizer moments and step count are stored too,
+    but nothing reads them back to resume training."""
 
     algorithm: str  # "flow" or "diffusion"
     model_config: ModelConfig

@@ -14,10 +14,10 @@ the largest violation instead.
 A step costs O(M k) for M agents with k neighbors each: a k-d tree
 gathers the pairs inside the culling radius, all half-spaces are built
 as stacked arrays in one pass, and only agents whose preferred velocity
-breaks a half-space or the speed cap run the LP.  The LP works on the
-agent's rows of those (K, 3) point and normal arrays: vectorised scans
-find the first violated plane, a line is clipped by all its planes in
-one pass, and back-projection projects all earlier planes at once.  The
+breaks a half-space run the LP.  The LP works on the agent's rows of
+those (K, 3) point and normal arrays: vectorised scans find the first
+violated plane, a line is clipped by all its planes in one pass, and
+back-projection projects all earlier planes at once.  The
 output is bit for bit what a dense all-pairs scan with per-pair
 constraints and a one-plane-at-a-time LP gives.  That holds because
 every dot product goes through ``np.dot`` / ``np.vecdot``, whose BLAS
@@ -51,40 +51,31 @@ class NavConfig:
     """Collision-avoidance parameters.
 
     ``kappa`` is the pairwise separation to enforce (each agent
-    contributes a radius of kappa/2).  ``tau`` defaults to 10 time steps,
-    ``neighbor_radius`` to 4 kappa, and ``v_max`` to twice the largest
-    preferred speed of the batch being adjusted, floored at kappa/dt so
-    overlapping agents can separate even from an all-zero batch.
+    contributes a radius of kappa/2) and ``dt`` the step the velocities
+    are applied for.  The rest is fixed: pairs avoid each other over a
+    horizon of 10 steps, agents farther apart than 4 kappa ignore each
+    other, and the speed cap is twice the largest preferred speed of the
+    batch being adjusted, floored at kappa/dt so overlapping agents can
+    separate even from an all-zero batch.
     """
 
     kappa: float
     dt: float
-    tau: float | None = None
-    v_max: float | None = None
-    neighbor_radius: float | None = None
 
     def __post_init__(self):
-        for name in ("kappa", "dt", "tau", "v_max", "neighbor_radius"):
+        for name in ("kappa", "dt"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if self.tau is not None and self.tau < self.dt:
-            raise ValueError("tau must be at least dt")
-        if self.v_max is not None and self.v_max < 0.0:
-            raise ValueError("v_max must be non-negative")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value!r}")
 
     @property
     def horizon(self) -> float:
-        return self.tau if self.tau is not None else 10.0 * self.dt
+        return 10.0 * self.dt
 
     @property
     def culling_radius(self) -> float:
-        return (self.neighbor_radius if self.neighbor_radius is not None
-                else 4.0 * self.kappa)
+        return 4.0 * self.kappa
 
 
 @dataclass
@@ -454,14 +445,11 @@ def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
     if m == 0:
         return np.zeros((0, 3))
 
-    if cfg.v_max is not None:
-        v_max = cfg.v_max
-    else:
-        # floor at the one-step escape speed so overlapping agents can
-        # always separate even when nobody wants to move
-        v_max = max(
-            2.0 * float(np.max(np.linalg.norm(v_pref, axis=1), initial=0.0)),
-            cfg.kappa / cfg.dt)
+    # floor at the one-step escape speed so overlapping agents can always
+    # separate even when nobody wants to move
+    v_max = max(
+        2.0 * float(np.max(np.linalg.norm(v_pref, axis=1), initial=0.0)),
+        cfg.kappa / cfg.dt)
 
     # Directed neighbor rows (i, j), sorted by i then j, so every agent
     # sees its half-spaces in ascending neighbor order.
@@ -484,14 +472,12 @@ def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
                                        v_pref[j], cfg.kappa, cfg.horizon,
                                        cfg.dt)
 
-    # An agent whose preferred velocity is within the speed cap and
-    # violates none of its half-spaces keeps it: that is the LP optimum.
+    # An agent whose preferred velocity violates none of its half-spaces
+    # keeps it: under a cap of twice its speed, that is the LP optimum.
     violated = np.vecdot(normals, points - v_pref[i]) > 0.0
-    needs_lp = np.vecdot(v_pref, v_pref) > float(v_max) * float(v_max)
-    needs_lp[i[violated]] = True
     bounds = np.searchsorted(i, np.arange(m + 1)).tolist()
     out = v_pref.copy()
-    for agent in np.flatnonzero(needs_lp).tolist():
+    for agent in np.unique(i[violated]).tolist():
         lo, hi = bounds[agent], bounds[agent + 1]
         out[agent] = solve_velocity_lp(
             v_pref[agent], HalfSpaceStack(points[lo:hi], normals[lo:hi]),

@@ -165,15 +165,13 @@ def _draw_latent(models, rng):
     return z
 
 
-def sample(checkpoint: Checkpoint, cfg: SampleConfig,
-           initial_cloud=None) -> TrajectoryLog:
+def sample(checkpoint: Checkpoint, cfg: SampleConfig) -> TrajectoryLog:
     """Generate a swarm trajectory from a trained flow checkpoint.
 
     Draws the prior noise, maps it through the bijector to the shape
-    latent, starts the cloud from N(0, I) (unless ``initial_cloud`` is
-    given) and Euler-integrates the learned field from t = T down to 0.
-    With ``use_orca`` the field velocity of every step is replaced by the
-    collision-free adjustment.
+    latent, starts the cloud from N(0, I) and Euler-integrates the learned
+    field from t = T down to 0.  With ``use_orca`` the field velocity of
+    every step is replaced by the collision-free adjustment.
     """
     if checkpoint.algorithm != "flow":
         raise ValueError(
@@ -182,14 +180,7 @@ def sample(checkpoint: Checkpoint, cfg: SampleConfig,
     horizon = float(checkpoint.train_config.get("horizon", 1.0))
     rng = np.random.default_rng(cfg.seed)
     z = _draw_latent(models, rng)
-    if initial_cloud is None:
-        x_start = rng.standard_normal((cfg.num_agents, 3))
-    else:
-        x_start = np.array(initial_cloud, dtype=np.float64)
-        if x_start.shape != (cfg.num_agents, 3):
-            raise ValueError(
-                f"initial cloud has shape {x_start.shape}, expected "
-                f"({cfg.num_agents}, 3)")
+    x_start = rng.standard_normal((cfg.num_agents, 3))
 
     def velocity_fn(x, t, _k, _dt):
         return models.field_net(x, t, z, horizon=horizon).value

@@ -8,11 +8,11 @@ import pytest
 from swarmflow.cli import _split_config, main
 from swarmflow.dataio import (SceneScale, load_checkpoint, load_pointcloud,
                               load_trajectory_csv, normalize_cloud,
-                              to_real_scale)
-from swarmflow.diffusion import DiffusionSchedule
+                              save_checkpoint, to_real_scale)
+from swarmflow.diffusion import DiffusionSchedule, ddpm_sample
 from swarmflow.flowmatch import TrainConfig
 from swarmflow.metrics import coverage_and_mmd
-from swarmflow.models import ModelConfig
+from swarmflow.models import ModelConfig, models_from_checkpoint
 
 CONFIG_TEXT = (
     "latent_dim = 4\n"
@@ -39,7 +39,10 @@ def pipeline(tmp_path_factory):
     assert main(["train", "--data", str(data), "--config", str(config),
                  "--out", str(flow_dir)]) == 0
     diff_dir = root / "diffusion"
-    assert main(["train", "--data", str(data), "--config", str(config),
+    diff_config = root / "diffusion.cfg"
+    diff_config.write_text(CONFIG_TEXT + "diffusion_steps = 20\n"
+                           "beta_end = 0.2\n")
+    assert main(["train", "--data", str(data), "--config", str(diff_config),
                  "--algorithm", "diffusion", "--epochs", "10",
                  "--out", str(diff_dir)]) == 0
     return {"root": root, "data": data, "config": config,
@@ -194,8 +197,7 @@ def test_sample_diffusion_subcommand(pipeline):
 def test_evaluate_reads_kappa_of_a_diffusion_run(pipeline, capsys):
     run = pipeline["root"] / "diffusion_kappa"
     assert main(["sample-diffusion", "--checkpoint", str(pipeline["diffusion"]),
-                 "--agents", "6", "--steps", "5", "--kappa", "0.25",
-                 "--out", str(run)]) == 0
+                 "--agents", "6", "--kappa", "0.25", "--out", str(run)]) == 0
     assert load_trajectory_csv(run / "trajectory.csv").meta["kappa"] == 0.25
     capsys.readouterr()
     assert main(["evaluate", "--trajectories", str(run)]) == 0
@@ -205,11 +207,63 @@ def test_evaluate_reads_kappa_of_a_diffusion_run(pipeline, capsys):
     assert "TRAJ" in logged and logged == capsys.readouterr().out
     default = pipeline["root"] / "diffusion_default_kappa"
     assert main(["sample-diffusion", "--checkpoint", str(pipeline["diffusion"]),
-                 "--agents", "6", "--steps", "5", "--out", str(default)]) == 0
+                 "--agents", "6", "--out", str(default)]) == 0
     meta = load_trajectory_csv(default / "trajectory.csv").meta
     assert meta["kappa"] == load_checkpoint(
         pipeline["diffusion"]).train_config["kappa"]
     assert main(["evaluate", "--trajectories", str(default)]) == 0
+
+
+def test_sample_diffusion_runs_the_trained_chain(pipeline, tmp_path, capsys):
+    ckpt = load_checkpoint(pipeline["diffusion"])
+    sched = DiffusionSchedule.from_train_config(ckpt.train_config)
+    assert sched == DiffusionSchedule(n_steps=20, beta_end=0.2)
+    out = tmp_path / "chain"
+    assert main(["sample-diffusion", "--checkpoint", str(pipeline["diffusion"]),
+                 "--agents", "5", "--seed", "3", "--out", str(out)]) == 0
+    want = ddpm_sample(models_from_checkpoint(ckpt), sched, 5,
+                       np.random.default_rng(3))
+    got = load_trajectory_csv(out / "trajectory.csv")
+    assert np.array_equal(got.positions, want.positions)
+    capsys.readouterr()
+    assert main(["sample-diffusion", "--checkpoint", str(pipeline["diffusion"]),
+                 "--agents", "5", "--steps", "7",
+                 "--out", str(tmp_path / "short")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--steps 7 disagrees with the 20-step chain" in err
+    assert not (tmp_path / "short").exists()
+
+
+@pytest.mark.parametrize("stored, default_steps", [
+    ({"diffusion_steps": "20"}, None),
+    ({"beta_end": [0.2]}, None),
+    ({"diffusion_steps": None, "beta_start": None, "beta_end": None}, 100),
+])
+def test_sample_diffusion_reads_the_stored_schedule(pipeline, tmp_path, capsys,
+                                                    stored, default_steps):
+    # a wrong-typed key is a one-line error; a checkpoint written without
+    # the keys runs the default chain
+    ckpt = load_checkpoint(pipeline["diffusion"])
+    for key, value in stored.items():
+        if value is None:
+            del ckpt.train_config[key]
+        else:
+            ckpt.train_config[key] = value
+    path = tmp_path / "edited.swf"
+    save_checkpoint(path, ckpt)
+    out = tmp_path / "run"
+    code = main(["sample-diffusion", "--checkpoint", str(path),
+                 "--agents", "3", "--out", str(out)])
+    if default_steps is None:
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{path}: bad diffusion schedule" in err
+    else:
+        assert code == 0
+        assert load_trajectory_csv(out / "trajectory.csv").num_steps == \
+            default_steps
 
 
 def test_sample_cfm_orca_subcommand(pipeline):
@@ -280,6 +334,33 @@ def test_config_keys_are_the_config_dataclass_fields(pipeline, tmp_path,
     assert main(["train", "--data", str(pipeline["data"]), "--config",
                  str(config), "--out", str(tmp_path / "out")]) == 1
     assert "unknown config key 'bogus'" in capsys.readouterr().err
+
+
+def test_evaluate_needs_kappa_when_sidecars_disagree(pipeline, tmp_path,
+                                                    capsys):
+    runs = []
+    for kappa in ("0.06", "5.0"):
+        runs.append(str(tmp_path / kappa))
+        assert main(["sample", "--checkpoint", str(pipeline["flow"]),
+                     "--agents", "6", "--steps", "4", "--kappa", kappa,
+                     "--out", runs[-1]]) == 0
+    capsys.readouterr()
+    for order in (runs, runs[::-1]):
+        for scale in ([], ["--scale"]):
+            assert main(["evaluate", "--trajectories", *order, *scale]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "pass --kappa" in err
+    assert main(["evaluate", "--trajectories", *runs, "--kappa", "0.1"]) == 0
+
+
+def test_one_layer_encoder_from_a_config_file(pipeline, tmp_path):
+    config = tmp_path / "one_layer.cfg"
+    config.write_text(CONFIG_TEXT.replace("encoder_widths = 8, 16",
+                                          "encoder_widths = 8"))
+    assert main(["train", "--data", str(pipeline["data"]), "--config",
+                 str(config), "--epochs", "2", "--out", str(tmp_path)]) == 0
+    ckpt = load_checkpoint(tmp_path / "checkpoint.swf")
+    assert ckpt.model_config.encoder_widths == (8,)
 
 
 def test_missing_kappa_metadata_is_an_error(pipeline, capsys):

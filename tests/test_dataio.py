@@ -191,11 +191,10 @@ def test_normalize_cloud_validation():
 def test_scene_scale_defaults_give_kappa_006():
     scene = SceneScale()
     assert scene.factor == pytest.approx(200.0 / 6.0)
-    assert scene.kappa_training == pytest.approx(0.06, abs=1e-15)
-    with pytest.raises(ValueError):
-        SceneScale(side=0.0)
-    with pytest.raises(ValueError):
-        SceneScale(kappa_real=-1.0)
+    assert 2.0 / scene.factor == pytest.approx(0.06, abs=1e-15)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            SceneScale(side=bad)
 
 
 def test_to_real_scale_keeps_euler_and_collision_rates():
@@ -211,8 +210,8 @@ def test_to_real_scale_keeps_euler_and_collision_rates():
     assert real.meta["scale"] == "real"
     assert real.meta["kappa"] == pytest.approx(2.0, abs=1e-12)
     # the safety verdict is scale-invariant
-    assert collision_rates(real, scene.kappa_real) == \
-        collision_rates(log, scene.kappa_training)
+    assert collision_rates(real, 0.06 * scene.factor) == \
+        collision_rates(log, 0.06)
     with pytest.raises(ValueError):
         to_real_scale(real, scene)
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from swarmflow import autodiff as ad
-from swarmflow.diffusion import (DiffusionSchedule, ddpm_forward_sample,
-                                 ddpm_sample, ddpm_train_loss, train)
+from swarmflow.diffusion import (CONFIG_KEYS, DiffusionSchedule,
+                                 ddpm_forward_sample, ddpm_sample,
+                                 ddpm_train_loss, train)
 from swarmflow.flowmatch import TrainConfig
 from swarmflow.models import ModelConfig, build_models, kl_divergence
 
@@ -46,6 +47,9 @@ def test_schedule_validation():
         DiffusionSchedule(beta_start=0.03, beta_end=0.02)
     with pytest.raises(ValueError):
         DiffusionSchedule(beta_end=1.0)
+    for bad in ("20", 2.5, True):
+        with pytest.raises(ValueError, match="n_steps must be a positive int"):
+            DiffusionSchedule(n_steps=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +189,13 @@ def test_train_checkpoint_tagged_diffusion():
     assert ckpt.algorithm == "diffusion"
     assert ckpt.step_count == 5
     assert np.isfinite(ckpt.final_loss)
+    # the schedule is stored under its config keys, and read back from them
+    sched = DiffusionSchedule(n_steps=20, beta_end=0.2)
+    ckpt = train([cloud], TrainConfig(epochs=2, seed=0), SMALL, sched)
+    assert {key: ckpt.train_config[key] for key in CONFIG_KEYS} == \
+        {"diffusion_steps": 20, "beta_start": 1e-4, "beta_end": 0.2}
+    assert DiffusionSchedule.from_train_config(ckpt.train_config) == sched
+    assert DiffusionSchedule.from_train_config({}) == DiffusionSchedule()
 
 
 def test_train_is_deterministic():

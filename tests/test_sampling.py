@@ -251,17 +251,6 @@ def test_every_sampler_logs_the_shared_meta_keys_with_json_types():
         assert log.euler_consistent()
 
 
-def test_sample_initial_cloud_override():
-    ckpt = _small_checkpoint()
-    cloud = np.full((3, 3), 0.5)
-    log = sample(ckpt, SampleConfig(num_agents=3, steps=4, use_orca=False),
-                 initial_cloud=cloud)
-    assert np.array_equal(log.positions[0], cloud)
-    with pytest.raises(ValueError):
-        sample(ckpt, SampleConfig(num_agents=3, steps=4),
-               initial_cloud=np.zeros((2, 3)))
-
-
 def test_goal_baseline_reaches_goals():
     start = np.array([[-5.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
     goal = start + np.array([0.0, 3.0, 0.0])
