@@ -197,8 +197,21 @@ class TrainConfig:
     kappa: float = 0.06  # collision radius for downstream sampling
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("learning_rate", "sigma_min", "horizon", "lr_final_frac",
+                     "kappa"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be a finite number, got {value!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
 

@@ -7,22 +7,26 @@ a pair pick velocities inside their half-spaces the new relative
 velocity leaves the obstacle and the pair stays at least the combined
 radius apart for the next time horizon.  The agent velocity closest to
 the preferred one subject to all half-spaces and a speed cap is found
-with an incremental low-dimensional solve (ball -> plane -> line); when
-the constraints are jointly infeasible a back-projection pass minimizes
-the largest violation instead.
+with the incremental low-dimensional solve (ball -> plane -> line) of van
+den Berg, Guy, Lin & Manocha, "Reciprocal n-Body Collision Avoidance"
+(ISRR 2011); when the constraints are jointly infeasible a
+back-projection pass minimizes the largest violation instead.
 
 A step costs O(M k) for M agents with k neighbors each: a k-d tree
 gathers the pairs inside the culling radius, all half-spaces are built
 as stacked arrays in one pass, and only agents whose preferred velocity
-breaks a half-space run the LP.  The LP works on the agent's rows of
-those (K, 3) point and normal arrays: vectorised scans find the first
-violated plane, a line is clipped by all its planes in one pass, and
-back-projection projects all earlier planes at once.  The
-output is bit for bit what a dense all-pairs scan with per-pair
-constraints and a one-plane-at-a-time LP gives.  That holds because
-every dot product goes through ``np.dot`` / ``np.vecdot``, whose BLAS
-kernel rounds a 3-vector dot through fused multiply-adds; the plain
-``a0*b0 + a1*b1 + a2*b2`` and ``N @ v`` (matrix-vector BLAS) round
+breaks a half-space run the LP.  Those agents' programs are solved in
+lockstep: their rows are padded into (A, K, 3) point and normal arrays
+with a mask of real rows, and each phase of the incremental solve (first
+violated plane, plane, line, back-projection) is one array operation
+over every program still at that phase.  So the Python cost of a step
+grows with its longest chain of phases, not with the number of agents.
+The output is bit for bit what a dense all-pairs scan with per-pair
+constraints and a one-program, one-plane-at-a-time LP gives.  That holds
+because masked rows take part in no scan and every dot product goes
+through ``np.dot`` / ``np.vecdot``, whose BLAS kernel rounds a 3-vector
+dot through fused multiply-adds, on stacked rows as on a single one; the
+plain ``a0*b0 + a1*b1 + a2*b2`` and ``N @ v`` (matrix-vector BLAS) round
 differently.
 
 All geometry is float64 and constraint order is deterministic, so the
@@ -232,175 +236,252 @@ def build_orca_halfspace(p_self, v_self, p_other, v_other,
 
 
 # ---------------------------------------------------------------------------
-# incremental low-dimensional solve (ball-constrained LP with half-spaces)
+# lockstep incremental solve (ball-constrained LP with half-spaces)
 #
-# The planes of one program are the rows of (K, 3) point and normal arrays,
-# honored in row order.  Dot products stay in ``np.dot`` / ``np.vecdot``
-# (see the module docstring); crosses of single 3-vectors are written out
-# in ``_cross3``, the same arithmetic as ``np.cross`` at a fraction of its
-# call cost.
+# A programs are solved together.  Program a's planes are the rows of
+# points[a] and normals[a], (A, K, 3) arrays padded to the longest program,
+# honored in row order; ``valid`` (A, K) flags the real rows.  A row outside
+# ``valid`` takes part in no scan, which is the same as the row being
+# absent.  Each phase below is one step of the incremental solve (ball ->
+# first violated plane -> plane -> line) for every program still at that
+# step, on that program's rows only, so every program gets exactly the
+# arithmetic of a solve on its own.  Dot products stay in ``np.vecdot``
+# (see the module docstring).
 
-def _cross3(a, b) -> list:
-    """``a x b`` of two 3-sequences of floats, rounded as ``np.cross``."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
-
-
-def _first_violated(points, normals, v, begin: int, end: int,
-                    bound: float = 0.0) -> int:
-    """First row in [begin, end) whose violation by ``v`` exceeds
-    ``bound``, or ``end`` if there is none."""
-    if begin < end:
-        over = np.vecdot(normals[begin:end], points[begin:end] - v) > bound
-        k = int(over.argmax())
-        if over[k]:
-            return begin + k
-    return end
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def _lp_line(points, normals, count, line_point, line_dir, radius, opt,
+def _cross(a, b):
+    """``np.cross`` over the last axis at a fraction of its call cost: each
+    product is rounded before the difference, as in ``np.cross``."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def _first_violated(points, normals, rows, v, bound=0.0):
+    """Per program, the first row flagged in ``rows`` (A, K) whose
+    violation by ``v`` (A, 3) exceeds ``bound``, or K if there is none."""
+    n, k = rows.shape
+    if k == 0:
+        return np.zeros(n, dtype=np.intp)
+    over = rows & (np.vecdot(normals, points - v[:, None]) > bound)
+    first = over.argmax(axis=1)
+    return np.where(over[np.arange(n), first], first, k)
+
+
+def _fold(start, values, pick):
+    """``start`` folded with the columns of ``values`` in order by Python's
+    ``max`` (``pick`` = np.argmax) or ``min`` (np.argmin): the first
+    extreme value wins, which keeps the sign of a tied zero."""
+    both = np.concatenate([start[:, None], values], axis=1)
+    return both[np.arange(len(both)), pick(both, axis=1)]
+
+
+def _lp_line(points, normals, rows, line_point, line_dir, radius, opt,
              direction_opt):
-    """Optimum on a line clipped by the speed ball and rows [0, count)."""
-    dot = float(np.dot(line_point, line_dir))
-    disc = dot * dot + radius * radius - float(np.dot(line_point, line_point))
-    if disc < 0.0:
-        return None  # line misses the ball
-    sqrt_disc = math.sqrt(disc)
-    t_left = -dot - sqrt_disc
-    t_right = -dot + sqrt_disc
+    """Optimum on each program's line clipped by its speed ball and the
+    rows flagged in ``rows``; returns (result, ok), with ``ok`` false where
+    the clipped line is empty."""
+    dot = np.vecdot(line_point, line_dir)
+    disc = dot * dot + radius * radius - np.vecdot(line_point, line_point)
+    ok = ~(disc < 0.0)  # else the line misses the ball
+    sqrt_disc = np.sqrt(np.where(ok, disc, 0.0))
 
-    numerators = np.vecdot(points[:count] - line_point, normals[:count])
-    denominators = np.vecdot(line_dir, normals[:count])
-    for numerator, denominator in zip(numerators.tolist(),
-                                      denominators.tolist()):
-        if denominator * denominator <= _EPS:
-            if numerator > 0.0:
-                return None  # parallel to the plane, on its forbidden side
-            continue
-        t = numerator / denominator
-        if denominator >= 0.0:
-            t_left = max(t_left, t)
-        else:
-            t_right = min(t_right, t)
-        if t_left > t_right:
-            return None
+    numerators = np.vecdot(points - line_point[:, None], normals)
+    denominators = np.vecdot(line_dir[:, None], normals)
+    parallel = denominators * denominators <= _EPS
+    # a row parallel to the line and forbidding it empties the line
+    ok &= ~np.any(rows & parallel & (numerators > 0.0), axis=1)
+    bounding = rows & ~parallel
+    t = np.divide(numerators, denominators, out=np.zeros_like(numerators),
+                  where=bounding)
+    left = denominators >= 0.0
+    t_left = _fold(-dot - sqrt_disc, np.where(bounding & left, t, -np.inf),
+                   np.argmax)
+    t_right = _fold(-dot + sqrt_disc, np.where(bounding & ~left, t, np.inf),
+                    np.argmin)
+    # both bounds are monotone in the row order, so the segment is empty
+    # at the end iff it was empty after some row
+    ok &= ~(t_left > t_right)
 
     if direction_opt:
-        t = t_right if float(np.dot(opt, line_dir)) > 0.0 else t_left
+        t = np.where(np.vecdot(opt, line_dir) > 0.0, t_right, t_left)
     else:
-        t = float(np.dot(line_dir, opt - line_point))
-        t = min(max(t, t_left), t_right)
-    return line_point + t * line_dir
+        t = np.vecdot(line_dir, opt - line_point)
+        t = np.where(t_left > t, t_left, t)
+        t = np.where(t_right < t, t_right, t)
+    return line_point + t[:, None] * line_dir, ok
 
 
-def _lp_plane(points, normals, plane_no, radius, opt, direction_opt):
-    """Optimum on plane ``plane_no`` within the ball, honoring earlier rows."""
-    point, normal = points[plane_no], normals[plane_no]
-    plane_dist = float(np.dot(point, normal))
+def _lp_plane(points, normals, valid, plane, radius, opt, direction_opt):
+    """Optimum of each program on its row ``plane`` (A,) within the ball,
+    honoring its valid rows before that one; returns (result, ok)."""
+    n, k = valid.shape
+    point = points[np.arange(n), plane]
+    normal = normals[np.arange(n), plane]
+    plane_dist = np.vecdot(point, normal)
     radius_sq = radius * radius
-    if plane_dist * plane_dist > radius_sq:
-        return None  # plane does not intersect the ball
+    ok = ~(plane_dist * plane_dist > radius_sq)  # else it misses the ball
     disc_radius_sq = radius_sq - plane_dist * plane_dist
-    plane_center = plane_dist * normal
+    plane_center = plane_dist[:, None] * normal
 
     if direction_opt:
         # maximize travel along `opt` within the plane's disc
-        in_plane = opt - float(np.dot(opt, normal)) * normal
-        in_plane_sq = float(np.dot(in_plane, in_plane))
-        if in_plane_sq <= _EPS:
-            result = plane_center
-        else:
-            result = plane_center + np.sqrt(disc_radius_sq / in_plane_sq) * in_plane
+        offset = opt - np.vecdot(opt, normal)[:, None] * normal
+        offset_sq = np.vecdot(offset, offset)
+        result = plane_center.copy()
+        move = ok & ~(offset_sq <= _EPS)
     else:
-        result = opt + float(np.dot(point - opt, normal)) * normal
-        if float(np.dot(result, result)) > radius_sq:
-            offset = result - plane_center
-            offset_sq = float(np.dot(offset, offset))
-            result = plane_center + np.sqrt(disc_radius_sq / offset_sq) * offset
+        result = opt + np.vecdot(point - opt, normal)[:, None] * normal
+        move = ok & (np.vecdot(result, result) > radius_sq)
+        offset = result - plane_center
+        offset_sq = np.vecdot(offset, offset)
+    result[move] = plane_center[move] + np.sqrt(
+        disc_radius_sq[move] / offset_sq[move])[:, None] * offset[move]
 
-    normal_f = normal.tolist()
-    i = _first_violated(points, normals, result, 0, plane_no)
-    while i < plane_no:
-        cross_f = _cross3(normals[i].tolist(), normal_f)
-        cross = np.array(cross_f)
-        cross_sq = float(np.dot(cross, cross))
-        if cross_sq <= _EPS:
-            return None  # parallel and still violating
-        norm = math.sqrt(cross_sq)
-        line_dir_f = [c / norm for c in cross_f]
-        line_normal = np.array(_cross3(line_dir_f, normal_f))
-        scale = (float(np.dot(points[i] - point, normals[i]))
-                 / float(np.dot(line_normal, normals[i])))
-        result = _lp_line(points, normals, i, point + scale * line_normal,
-                          np.array(line_dir_f), radius, opt, direction_opt)
-        if result is None:
-            return None
-        i = _first_violated(points, normals, result, i + 1, plane_no)
-    return result
+    column = np.arange(k)
+    earlier = valid & (column < plane[:, None])
+    line = _first_violated(points, normals, earlier & ok[:, None], result)
+
+    # Each earlier row meets the plane in a line fixed by the two planes
+    # alone, so the lines of every program that needs one are built up
+    # front.  A row parallel to the plane has none: the solve fails if the
+    # scan reaches it.
+    scanned = earlier & (line < k)[:, None]
+    owner = np.nonzero(scanned)[0]
+    cross = _cross(normals[scanned], normal[owner])
+    cross_sq = np.vecdot(cross, cross)
+    skew = ~(cross_sq <= _EPS)
+    meets = np.zeros_like(scanned)
+    meets[scanned] = skew
+    owner = owner[skew]
+    line_dir = np.zeros_like(points)
+    line_dir[meets] = cross[skew] / np.sqrt(cross_sq[skew])[:, None]
+    line_normal = _cross(line_dir[meets], normal[owner])
+    scale = (np.vecdot(points[meets] - point[owner], normals[meets])
+             / np.vecdot(line_normal, normals[meets]))
+    line_point = np.zeros_like(points)
+    line_point[meets] = point[owner] + scale[:, None] * line_normal
+
+    a = np.flatnonzero(line < k)
+    while a.size:
+        j = line[a]
+        sub_points, sub_normals = points[a], normals[a]
+        attempt, line_ok = _lp_line(
+            sub_points, sub_normals, valid[a] & (column < j[:, None]),
+            line_point[a, j], line_dir[a, j], radius, opt[a], direction_opt)
+        line_ok &= meets[a, j]
+        result[a] = attempt
+        ok[a] = line_ok
+        line[a] = _first_violated(
+            sub_points, sub_normals,
+            earlier[a] & (column > j[:, None]) & line_ok[:, None], attempt)
+        a = np.flatnonzero(line < k)
+    return result, ok
 
 
-def _lp_full(points, normals, radius, opt, direction_opt):
-    """Incremental solve; returns (first_failing_row_or_K, result)."""
+def _lp_full(points, normals, valid, radius, opt, direction_opt):
+    """Incremental solve of every program.  Returns (fail, result): fail is
+    the first row a program cannot honor, or K where it is feasible, and
+    result the optimum over the rows before that one."""
     if direction_opt:
         result = opt * radius  # opt is a unit direction
     else:
-        opt_sq = float(np.dot(opt, opt))
-        if opt_sq > radius * radius:
-            norm = math.sqrt(opt_sq)
-            result = opt * (radius / norm) if norm > 0.0 else np.zeros(3)
-        else:
-            result = np.array(opt, dtype=np.float64)
+        opt_sq = np.vecdot(opt, opt)
+        clip = opt_sq > radius * radius
+        result = opt.copy()
+        result[clip] = opt[clip] * (radius / np.sqrt(opt_sq[clip]))[:, None]
 
-    k = len(points)
-    i = _first_violated(points, normals, result, 0, k)
-    while i < k:
-        attempt = _lp_plane(points, normals, i, radius, opt, direction_opt)
-        if attempt is None:
-            return i, result
-        result = attempt
-        i = _first_violated(points, normals, result, i + 1, k)
-    return k, result
+    n, k = valid.shape
+    column = np.arange(k)
+    fail = np.full(n, k)
+    plane = _first_violated(points, normals, valid, result)
+    a = np.flatnonzero(plane < k)
+    while a.size:
+        i = plane[a]
+        sub_points, sub_normals, sub_valid = points[a], normals[a], valid[a]
+        attempt, ok = _lp_plane(sub_points, sub_normals, sub_valid, i, radius,
+                                opt[a], direction_opt)
+        fail[a[~ok]] = i[~ok]
+        result[a[ok]] = attempt[ok]
+        plane[a] = _first_violated(
+            sub_points, sub_normals,
+            sub_valid & (column > i[:, None]) & ok[:, None], attempt)
+        a = np.flatnonzero(plane < k)
+    return fail, result
 
 
-def _projected_planes(points, normals, i):
-    """Planes of rows j < i projected onto plane i, in row order, for the
-    back-projection program; rows parallel to plane i and facing the same
-    way are subsumed by it and left out."""
-    point, normal = points[i], normals[i]
-    cross = np.cross(normals[:i], normal)
+def _projected_planes(points, normals, valid, plane):
+    """Each program's valid rows before row ``plane`` (A,) projected onto
+    that plane, for the back-projection program.  Rows parallel to the
+    plane and facing the same way are subsumed by it and masked out;
+    returns the projected points and normals and the mask of kept rows."""
+    n, k = valid.shape
+    point = np.broadcast_to(points[np.arange(n), plane][:, None], points.shape)
+    normal = np.broadcast_to(normals[np.arange(n), plane][:, None],
+                             normals.shape)
+    cross = _cross(normals, normal)
     parallel = np.vecdot(cross, cross) <= _EPS
-    same_way = parallel & (np.vecdot(normal, normals[:i]) > 0.0)
-    keep = np.flatnonzero(~same_way)
-    opposite = parallel[keep]
-    proj_points = np.empty((len(keep), 3))
-    # opposite parallel planes meet plane i halfway between their points
-    proj_points[opposite] = 0.5 * (point + points[keep[opposite]])
-    rows = keep[~opposite]
-    line_normal = np.cross(cross[rows], normal)
-    scale = (np.vecdot(points[rows] - point, normals[rows])
-             / np.vecdot(line_normal, normals[rows]))
-    proj_points[~opposite] = point + scale[:, None] * line_normal
-    diff = normals[keep] - normal
-    return proj_points, diff / np.sqrt(np.vecdot(diff, diff))[:, None]
+    same_way = parallel & (np.vecdot(normal, normals) > 0.0)
+    keep = valid & (np.arange(k) < plane[:, None]) & ~same_way
+    opposite, skew = keep & parallel, keep & ~parallel
+
+    proj_points = np.zeros_like(points)
+    # opposite parallel planes meet the plane halfway between their points
+    proj_points[opposite] = 0.5 * (point[opposite] + points[opposite])
+    line_normal = _cross(cross[skew], normal[skew])
+    scale = (np.vecdot(points[skew] - point[skew], normals[skew])
+             / np.vecdot(line_normal, normals[skew]))
+    proj_points[skew] = point[skew] + scale[:, None] * line_normal
+    proj_normals = np.zeros_like(normals)
+    diff = normals[keep] - normal[keep]
+    proj_normals[keep] = diff / np.sqrt(np.vecdot(diff, diff))[:, None]
+    return proj_points, proj_normals, keep
 
 
-def _lp_backproject(points, normals, begin, radius, result):
-    """Infeasible fallback: minimize the largest constraint violation."""
-    distance = 0.0
-    k = len(points)
-    i = _first_violated(points, normals, result, begin, k, distance)
-    while i < k:
-        proj_points, proj_normals = _projected_planes(points, normals, i)
-        fail, attempt = _lp_full(proj_points, proj_normals, radius,
-                                 normals[i], direction_opt=True)
-        if fail >= len(proj_points):
-            # By construction the projected program is feasible; keep the
-            # previous result if numerics disagree.
-            result = attempt
-        distance = float(np.dot(normals[i], points[i] - result))
-        i = _first_violated(points, normals, result, i + 1, k, distance)
+def _lp_backproject(points, normals, valid, begin, radius, result):
+    """Infeasible fallback: minimize each program's largest constraint
+    violation, from its first failing row ``begin`` (A,) on."""
+    n, k = valid.shape
+    column = np.arange(k)
+    distance = np.zeros(n)
+    plane = _first_violated(points, normals, valid & (column >= begin[:, None]),
+                            result)
+    a = np.flatnonzero(plane < k)
+    while a.size:
+        i = plane[a]
+        sub_points, sub_normals, sub_valid = points[a], normals[a], valid[a]
+        point = sub_points[np.arange(len(a)), i]
+        normal = sub_normals[np.arange(len(a)), i]
+        fail, attempt = _lp_full(
+            *_projected_planes(sub_points, sub_normals, sub_valid, i),
+            radius, normal, direction_opt=True)
+        # By construction the projected program is feasible; keep the
+        # previous result where numerics disagree.
+        feasible = fail == k
+        result[a[feasible]] = attempt[feasible]
+        distance[a] = np.vecdot(normal, point - result[a])
+        plane[a] = _first_violated(
+            sub_points, sub_normals, sub_valid & (column > i[:, None]),
+            result[a], distance[a][:, None])
+        a = np.flatnonzero(plane < k)
     return result
+
+
+def _solve_lps(v_pref, points, normals, valid, v_max: float):
+    """``solve_velocity_lp`` of A programs at once: ``v_pref`` (A, 3),
+    ``points`` and ``normals`` (A, K, 3) and ``valid`` (A, K).  Returns the
+    velocities (A, 3) and, per program, whether its half-spaces were
+    infeasible."""
+    radius = float(v_max)
+    fail, result = _lp_full(points, normals, valid, radius,
+                            np.asarray(v_pref, dtype=np.float64),
+                            direction_opt=False)
+    infeasible = fail < valid.shape[1]
+    b = np.flatnonzero(infeasible)
+    if b.size:
+        result[b] = _lp_backproject(points[b], normals[b], valid[b], fail[b],
+                                    radius, result[b])
+    return result, infeasible
 
 
 def solve_velocity_lp(v_pref, planes, v_max: float) -> np.ndarray:
@@ -415,13 +496,11 @@ def solve_velocity_lp(v_pref, planes, v_max: float) -> np.ndarray:
         planes = HalfSpaceStack(
             np.array([c.point for c in planes], np.float64).reshape(-1, 3),
             np.array([c.normal for c in planes], np.float64).reshape(-1, 3))
-    v_pref = np.asarray(v_pref, dtype=np.float64)
-    fail, result = _lp_full(planes.points, planes.normals, float(v_max),
-                            v_pref, direction_opt=False)
-    if fail < len(planes):
-        result = _lp_backproject(planes.points, planes.normals, fail,
-                                 float(v_max), result)
-    return result
+    points = np.asarray(planes.points, dtype=np.float64).reshape(1, -1, 3)
+    normals = np.asarray(planes.normals, dtype=np.float64).reshape(1, -1, 3)
+    result, _ = _solve_lps(np.reshape(v_pref, (1, 3)), points, normals,
+                           np.ones(points.shape[:2], dtype=bool), v_max)
+    return result[0]
 
 
 def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
@@ -473,13 +552,21 @@ def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
                                        cfg.dt)
 
     # An agent whose preferred velocity violates none of its half-spaces
-    # keeps it: under a cap of twice its speed, that is the LP optimum.
+    # keeps it: under a cap of twice its speed, that is the LP optimum.  The
+    # others solve their programs together, each on its own rows padded to
+    # the longest program.
     violated = np.vecdot(normals, points - v_pref[i]) > 0.0
-    bounds = np.searchsorted(i, np.arange(m + 1)).tolist()
+    agents = np.unique(i[violated])
     out = v_pref.copy()
-    for agent in np.unique(i[violated]).tolist():
-        lo, hi = bounds[agent], bounds[agent + 1]
-        out[agent] = solve_velocity_lp(
-            v_pref[agent], HalfSpaceStack(points[lo:hi], normals[lo:hi]),
-            v_max)
+    if agents.size:
+        first = np.searchsorted(i, agents)
+        counts = np.searchsorted(i, agents, side="right") - first
+        valid = np.arange(counts.max()) < counts[:, None]
+        rows = (first[:, None] + np.arange(counts.max()))[valid]
+        agent_points = np.zeros(valid.shape + (3,))
+        agent_points[valid] = points[rows]
+        agent_normals = np.zeros_like(agent_points)
+        agent_normals[valid] = normals[rows]
+        out[agents] = _solve_lps(v_pref[agents], agent_points, agent_normals,
+                                 valid, v_max)[0]
     return out

@@ -336,6 +336,25 @@ def test_config_keys_are_the_config_dataclass_fields(pipeline, tmp_path,
     assert "unknown config key 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("epochs = 2.5", "epochs must be an int, got 2.5"),
+    ("seed = true", "seed must be an int, got True"),
+    ("kappa = 0.06, 0.07", "kappa must be a finite number"),
+    ("learning_rate = fast", "learning_rate must be a finite number"),
+])
+def test_wrong_typed_train_setting_fails_before_training(pipeline, tmp_path,
+                                                         capsys, line,
+                                                         message):
+    config = tmp_path / "typed.cfg"
+    config.write_text(CONFIG_TEXT + line + "\n")
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(pipeline["data"]), "--config",
+                 str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not (out / "train.log").exists()
+
+
 def test_evaluate_needs_kappa_when_sidecars_disagree(pipeline, tmp_path,
                                                     capsys):
     runs = []

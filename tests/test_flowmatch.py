@@ -269,6 +269,21 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("epochs", 2.5), ("epochs", "20"), ("epochs", True), ("batch_size", 1.0),
+    ("seed", None), ("seed", False), ("seed", -1), ("learning_rate", "1e-3"),
+    ("learning_rate", True), ("kappa", float("nan")), ("sigma_min", None),
+    ("horizon", float("inf")), ("lr_final_frac", [0.1]),
+])
+def test_train_config_rejects_wrong_types(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_takes_ints_for_float_settings():
+    assert TrainConfig(learning_rate=1, kappa=2).kappa == 2
+
+
 def test_train_is_bitwise_deterministic(tmp_path):
     cloud = np.random.default_rng(9).standard_normal((16, 3))
     tc = TrainConfig(epochs=25, seed=3)

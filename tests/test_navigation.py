@@ -1,5 +1,6 @@
 """Tests for the reciprocal collision-avoidance layer."""
 
+import functools
 import itertools
 from types import SimpleNamespace
 
@@ -12,7 +13,9 @@ from swarmflow.navigation import (
     HalfSpaceConstraint,
     HalfSpaceStack,
     NavConfig,
+    _fold,
     _perpendiculars,
+    _solve_lps,
     build_orca_halfspace,
     close_pairs,
     orca_adjust,
@@ -514,8 +517,8 @@ def _reference_halfspace(p_self, v_self, p_other, v_other, combined_radius,
     return HalfSpaceConstraint(point=v_self + 0.5 * u, normal=unit_w)
 
 
-# The object-based scalar LP the stacked solver replaced, one
-# ``HalfSpaceConstraint`` at a time; the stacked solver must reproduce it
+# The object-based scalar LP the lockstep solver replaced, one
+# ``HalfSpaceConstraint`` at a time; the lockstep solver must reproduce it
 # bit for bit.
 
 def _reference_lp_line(planes, count, line_point, line_dir, radius, opt,
@@ -644,13 +647,15 @@ def _reference_solve_lp(v_pref, planes, v_max):
     return result, False
 
 
-def _reference_orca_adjust(v_pref, positions, cfg):
+def _reference_programs(v_pref, positions, cfg):
+    """Every agent's half-spaces from the dense all-pairs scan, and the
+    speed cap of the swarm."""
     m = positions.shape[0]
     v_max = max(
         2.0 * float(np.max(np.linalg.norm(v_pref, axis=1), initial=0.0)),
         cfg.kappa / cfg.dt)
     dist = cdist(positions, positions)
-    out = np.empty_like(v_pref)
+    programs = []
     for i in range(m):
         planes = []
         for j in range(m):
@@ -663,6 +668,14 @@ def _reference_orca_adjust(v_pref, positions, cfg):
             planes.append(_reference_halfspace(
                 positions[i], v_pref[i], p_other, v_pref[j], cfg.kappa,
                 cfg.horizon, cfg.dt))
+        programs.append(planes)
+    return programs, v_max
+
+
+def _reference_orca_adjust(v_pref, positions, cfg):
+    programs, v_max = _reference_programs(v_pref, positions, cfg)
+    out = np.empty_like(v_pref)
+    for i, planes in enumerate(programs):
         out[i] = _reference_solve_lp(v_pref[i], planes, v_max)[0]
     return out
 
@@ -743,6 +756,24 @@ def test_adjust_matches_reference_on_overlapping_pairs():
     v_pref[:3] = 0.0
     v_pref[8:11] = 0.0  # three pairs at rest
     _assert_matches_reference(v_pref, positions, NavConfig(kappa=KAPPA, dt=DT))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_adjust_matches_reference_with_concurrent_back_projection(seed):
+    # A 3x3x3 grid of overlapping agents: many programs are infeasible in
+    # the same call, so their back-projections run in lockstep next to
+    # feasible ones.
+    rng = np.random.default_rng(80 + seed)
+    grid = np.stack(np.meshgrid(*[np.arange(3)] * 3), axis=-1).reshape(-1, 3)
+    positions = 0.8 * KAPPA * grid + rng.normal(scale=0.05 * KAPPA,
+                                                size=grid.shape)
+    v_pref = rng.standard_normal(grid.shape) * 0.2
+    cfg = NavConfig(kappa=KAPPA, dt=DT)
+    programs, v_max = _reference_programs(v_pref, positions, cfg)
+    infeasible = [_reference_solve_lp(v, planes, v_max)[1]
+                  for v, planes in zip(v_pref, programs)]
+    assert 2 <= sum(infeasible) < len(infeasible)
+    _assert_matches_reference(v_pref, positions, cfg)
 
 
 def test_pair_at_exactly_the_culling_radius_is_ignored():
@@ -845,6 +876,63 @@ def test_stacked_lp_matches_object_lp_bitwise():
 
     check()
     assert seen["infeasible"] >= 20 and seen["empty"] >= 1
+
+
+def test_line_bound_fold_keeps_the_first_of_tied_values():
+    # Python's max and min keep the first of tied values, so a zero bound
+    # keeps the sign it had first; the lockstep fold must do the same.
+    values = [-0.0, 0.0, -1.0, 1.0, -np.inf, np.inf]
+    rows = np.array(list(itertools.product(values, repeat=3)))
+    for start in (-0.0, 0.0, -1.0, 1.0):
+        for pick, fold in ((np.argmax, max), (np.argmin, min)):
+            got = _fold(np.full(len(rows), start), rows, pick)
+            want = [functools.reduce(fold, row, start) for row in rows.tolist()]
+            assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_lockstep_lp_matches_each_program_alone_bitwise():
+    # Programs of mixed size and feasibility, solved in one lockstep call,
+    # must each come out exactly as the reference solves it alone.  Each
+    # program's rows sit at random sorted columns of the padded arrays, and
+    # the columns outside ``valid`` hold random planes that would bind if
+    # they took part, so a padding or masking fault between programs shows
+    # here though no one-program call can see it.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = {"infeasible": 0, "empty": 0, "mixed": 0}
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.example([(np.array([3.0, 0.0, 0.0]), np.zeros((0, 3)),
+                          np.zeros((0, 3)), 1.0)] * 2, 0)  # K = 0
+    @hypothesis.given(st.lists(_lp_cases(st), min_size=1, max_size=6),
+                      st.integers(0, 2**32 - 1))
+    def check(cases, seed):
+        rng = np.random.default_rng(seed)
+        k = max(len(case[1]) for case in cases) + int(rng.integers(0, 3))
+        points = rng.standard_normal((len(cases), k, 3))
+        normals = rng.standard_normal((len(cases), k, 3))
+        normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+        valid = np.zeros((len(cases), k), dtype=bool)
+        for a, (_, p, n, _) in enumerate(cases):
+            columns = np.sort(rng.choice(k, size=len(p), replace=False))
+            points[a, columns], normals[a, columns] = p, n
+            valid[a, columns] = True
+        v_pref = np.array([case[0] for case in cases])
+        v_max = cases[0][3]  # one speed cap per call, as in orca_adjust
+        got, infeasible = _solve_lps(v_pref, points, normals, valid, v_max)
+        for a, (v, p, n, _) in enumerate(cases):
+            want, want_infeasible = _reference_solve_lp(
+                v, [HalfSpaceConstraint(*row) for row in zip(p, n)], v_max)
+            assert np.array_equal(got[a], want)
+            assert infeasible[a] == want_infeasible
+            seen["empty"] += not len(p)
+        seen["infeasible"] += int(infeasible.sum())
+        seen["mixed"] += bool(0 < infeasible.sum() < len(cases))
+
+    check()
+    assert seen["infeasible"] >= 300 and seen["mixed"] >= 60, seen
+    assert seen["empty"] >= 30, seen
 
 
 def _safe_scenes(st):
