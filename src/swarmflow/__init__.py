@@ -21,8 +21,7 @@ from .metrics import (MetricsReport, chamfer, collision_rates,
 from .models import (Checkpoint, CouplingBijector, GatedContextualNet,
                      ModelConfig, ModelSet, ParamStore, PointSetEncoder,
                      build_models, kl_divergence, models_from_checkpoint)
-from .navigation import (HalfSpaceConstraint, NavConfig,
-                         build_orca_halfspace, orca_adjust,
+from .navigation import (NavConfig, build_orca_halfspace, orca_adjust,
                          solve_velocity_lp)
 from .sampling import (SampleConfig, TrajectoryLog, integrate_exact_target,
                        sample, sample_cfm_plus_orca)

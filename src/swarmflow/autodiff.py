@@ -173,37 +173,24 @@ def neg(a) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# matrix product (1-D and 2-D operands; no batched matmul)
+# matrix product: a matrix or a vector times a matrix, (M, n) @ (n, h) or
+# (n,) @ (n, h), the only forms the networks use
 
 def matmul(a, b) -> Node:
     a, b = wrap(a), wrap(b)
     av, bv = a.value, b.value
-    if av.ndim not in (1, 2) or bv.ndim not in (1, 2):
+    if av.ndim not in (1, 2) or bv.ndim != 2:
         raise ShapeMismatchError(
-            f"matmul: expected 1-D/2-D operands, got {av.shape} @ {bv.shape}")
+            f"matmul: expected a 1-D/2-D operand times a 2-D one, got "
+            f"{av.shape} @ {bv.shape}")
     if av.shape[-1] != bv.shape[0]:
         raise ShapeMismatchError(
             f"matmul: inner dimensions disagree, {av.shape} @ {bv.shape}")
-
-    def vjp_a(g):
-        if av.ndim == 1 and bv.ndim == 2:
-            return bv @ g
-        if av.ndim == 2 and bv.ndim == 1:
-            return np.outer(g, bv)
-        if av.ndim == 1 and bv.ndim == 1:
-            return g * bv
-        return g @ bv.T
-
-    def vjp_b(g):
-        if av.ndim == 1 and bv.ndim == 2:
-            return np.outer(av, g)
-        if av.ndim == 2 and bv.ndim == 1:
-            return av.T @ g
-        if av.ndim == 1 and bv.ndim == 1:
-            return g * av
-        return av.T @ g
-
-    return Node(av @ bv, (a, b), (vjp_a, vjp_b), "matmul")
+    if av.ndim == 1:
+        vjps = (lambda g: bv @ g, lambda g: np.outer(av, g))
+    else:
+        vjps = (lambda g: g @ bv.T, lambda g: av.T @ g)
+    return Node(av @ bv, (a, b), vjps, "matmul")
 
 
 # ---------------------------------------------------------------------------

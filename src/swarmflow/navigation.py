@@ -42,8 +42,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 __all__ = [
-    "NavConfig", "HalfSpaceConstraint", "HalfSpaceStack",
-    "build_orca_halfspace", "solve_velocity_lp", "orca_adjust",
+    "NavConfig", "build_orca_halfspace", "solve_velocity_lp", "orca_adjust",
 ]
 
 # Parallelism threshold for squared cross products of unit vectors.
@@ -80,34 +79,6 @@ class NavConfig:
     @property
     def culling_radius(self) -> float:
         return 4.0 * self.kappa
-
-
-@dataclass
-class HalfSpaceConstraint:
-    """Permitted velocities satisfy (v - point) . normal >= 0."""
-
-    point: np.ndarray
-    normal: np.ndarray  # unit length
-
-    def violation(self, v) -> float:
-        """Signed violation depth; positive when ``v`` is forbidden."""
-        return float(np.dot(self.normal, self.point - v))
-
-
-@dataclass(eq=False)
-class HalfSpaceStack:
-    """Half-spaces stacked as (K, 3) arrays: row k permits velocities with
-    (v - points[k]) . normals[k] >= 0.  Iterating yields the rows as
-    ``HalfSpaceConstraint`` objects."""
-
-    points: np.ndarray
-    normals: np.ndarray  # unit rows
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return map(HalfSpaceConstraint, self.points, self.normals)
 
 
 def close_pairs(points, radius: float):
@@ -147,14 +118,20 @@ def _perpendiculars(v: np.ndarray) -> np.ndarray:
 # the same BLAS kernel (with fused multiply-adds) as ``np.dot`` on one
 # 3-vector; ``(a * b).sum(-1)`` and ``einsum`` round differently.  So each
 # stacked row equals the pair computed on its own, and the violation test
-# in ``orca_adjust`` agrees with ``HalfSpaceConstraint.violation``.
+# in ``orca_adjust`` agrees with ``np.dot(normal, point - v)`` on one row.
 
-def _orca_halfspaces(p_self, v_self, p_other, v_other,
-                     combined_radius: float, tau: float, dt: float):
-    """Stacked half-spaces, one per row of the (K, 3) inputs.
+def build_orca_halfspace(p_self, v_self, p_other, v_other,
+                         combined_radius: float, tau: float, dt: float):
+    """Half-spaces of velocities for self agents against their neighbors,
+    one per row of the (K, 3) float64 inputs.
 
-    Returns ``(points, normals)``; row k is what ``build_orca_halfspace``
-    documents for the k-th (self, other) pair.
+    Returns ``(points, normals)``, (K, 3) each: row k permits the self
+    agent's velocities v with ``(v - points[k]) . normals[k] >= 0``, and
+    ``normals[k]`` has unit length.  ``v_self``/``v_other`` are the
+    reference velocities the correction is split around; ``tau`` is the
+    avoidance horizon for non-colliding pairs, while already-overlapping
+    pairs are pushed apart within one ``dt``.  Coincident positions are a
+    degenerate input and raise.
     """
     rel_pos = p_other - p_self
     rel_vel = v_self - v_other
@@ -217,22 +194,6 @@ def _orca_halfspaces(p_self, v_self, p_other, v_other,
            combined_radius * inv_dt)
 
     return v_self + 0.5 * (shift[:, None] * normals), normals
-
-
-def build_orca_halfspace(p_self, v_self, p_other, v_other,
-                         combined_radius: float, tau: float,
-                         dt: float) -> HalfSpaceConstraint:
-    """Half-space of velocities for the self agent against one neighbor.
-
-    ``v_self``/``v_other`` are the reference velocities the correction is
-    split around; ``tau`` is the avoidance horizon for non-colliding
-    pairs, while already-overlapping pairs are pushed apart within one
-    ``dt``.  Coincident positions are a degenerate input and raise.
-    """
-    rows = [np.asarray(x, dtype=np.float64).reshape(1, 3)
-            for x in (p_self, v_self, p_other, v_other)]
-    points, normals = _orca_halfspaces(*rows, combined_radius, tau, dt)
-    return HalfSpaceConstraint(point=points[0], normal=normals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -484,20 +445,16 @@ def _solve_lps(v_pref, points, normals, valid, v_max: float):
     return result, infeasible
 
 
-def solve_velocity_lp(v_pref, planes, v_max: float) -> np.ndarray:
+def solve_velocity_lp(v_pref, points, normals, v_max: float) -> np.ndarray:
     """Velocity closest to ``v_pref`` with speed <= v_max satisfying all
     half-spaces; on an empty intersection, the minimax-violation point.
 
-    ``planes`` is a ``HalfSpaceStack`` or a sequence of
-    ``HalfSpaceConstraint``; earlier rows are honored first.
+    Row k of ``points`` and ``normals`` (K, 3) permits velocities with
+    ``(v - points[k]) . normals[k] >= 0``; earlier rows are honored first.
+    This is the one-program case of the lockstep solve ``orca_adjust`` runs.
     """
-    if not isinstance(planes, HalfSpaceStack):
-        planes = list(planes)
-        planes = HalfSpaceStack(
-            np.array([c.point for c in planes], np.float64).reshape(-1, 3),
-            np.array([c.normal for c in planes], np.float64).reshape(-1, 3))
-    points = np.asarray(planes.points, dtype=np.float64).reshape(1, -1, 3)
-    normals = np.asarray(planes.normals, dtype=np.float64).reshape(1, -1, 3)
+    points = np.asarray(points, dtype=np.float64).reshape(1, -1, 3)
+    normals = np.asarray(normals, dtype=np.float64).reshape(1, -1, 3)
     result, _ = _solve_lps(np.reshape(v_pref, (1, 3)), points, normals,
                            np.ones(points.shape[:2], dtype=bool), v_max)
     return result[0]
@@ -547,9 +504,9 @@ def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
         nudge[:, 0] = 1e-9 * cfg.kappa * np.where(
             j[coincident] > i[coincident], 1.0, -1.0)
         p_other[coincident] = p_other[coincident] + nudge
-    points, normals = _orca_halfspaces(positions[i], v_pref[i], p_other,
-                                       v_pref[j], cfg.kappa, cfg.horizon,
-                                       cfg.dt)
+    points, normals = build_orca_halfspace(positions[i], v_pref[i], p_other,
+                                           v_pref[j], cfg.kappa, cfg.horizon,
+                                           cfg.dt)
 
     # An agent whose preferred velocity violates none of its half-spaces
     # keeps it: under a cap of twice its speed, that is the LP optimum.  The

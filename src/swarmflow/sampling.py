@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .flowmatch import FlowSchedule, conditional_field
-from .models import Checkpoint, models_from_checkpoint
+from .models import Checkpoint, _positive_int, models_from_checkpoint
 from .navigation import NavConfig, orca_adjust
 
 __all__ = [
@@ -102,10 +102,14 @@ class SampleConfig:
     kappa: float = 0.06
 
     def __post_init__(self):
-        if self.num_agents < 1:
-            raise ValueError("num_agents must be >= 1")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        for name in ("num_agents", "steps"):
+            if not _positive_int(getattr(self, name)):
+                raise ValueError(f"{name} must be a positive int, got "
+                                 f"{getattr(self, name)!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
+                or self.seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative int, got {self.seed!r}")
         if not (math.isfinite(self.kappa) and self.kappa > 0.0):
             raise ValueError(
                 f"kappa must be finite and positive, got {self.kappa!r}")

@@ -375,19 +375,24 @@ def test_checkpoint_corruption_errors(tmp_path):
     # a NaN or inf tensor value is rejected naming the tensor; a NaN
     # final_loss still loads
     for value in (np.nan, -np.inf):
+        path.unlink()
         save_checkpoint(path, _small_checkpoint(s=value))
         with pytest.raises(ValueError, match="params/'s' holds NaN") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
+    path.unlink()
     save_checkpoint(path, _small_checkpoint(final_loss=float("nan")))
     assert math.isnan(load_checkpoint(path).final_loss)
 
     # every proper prefix of a small checkpoint is rejected with a
-    # ValueError, wherever the cut falls
+    # ValueError, wherever the cut falls; each prefix is a new file, as in
+    # the mutated-bytes test
+    path.unlink()
     save_checkpoint(path, _small_checkpoint())
     raw = path.read_bytes()
     prefix = tmp_path / "prefix.ckpt"
     for cut in range(len(raw)):
+        prefix.unlink(missing_ok=True)
         prefix.write_bytes(raw[:cut])
         with pytest.raises(ValueError):
             load_checkpoint(prefix)
@@ -617,6 +622,9 @@ def test_readers_raise_only_value_error_on_mutated_bytes(tmp_path, kind):
                          database=None)
     @hypothesis.given(_edits(hypothesis.strategies, len(raw)))
     def check(edits):
+        # a new file each time: rewriting one in place makes some file
+        # systems flush the old blocks on close, tens of milliseconds a write
+        path.unlink()
         path.write_bytes(_apply_edits(raw, edits))
         try:
             result = reader(path)
@@ -646,6 +654,9 @@ def test_real_scale_csv_round_trip_keeps_euler_and_bytes(tmp_path):
                          spread=spread)
         real = to_real_scale(log, SceneScale(side=side))
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        for name in ("first.csv", "second.csv", "first.csv.meta.json",
+                     "second.csv.meta.json"):  # new files, as above
+            (tmp_path / name).unlink(missing_ok=True)
         save_trajectory_csv(first, real)
         loaded = load_trajectory_csv(first)
         assert loaded.euler_consistent()

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +10,8 @@ import pytest
 from scipy.optimize import minimize, minimize_scalar
 from scipy.spatial.distance import cdist
 
+from swarmflow import navigation
 from swarmflow.navigation import (
-    HalfSpaceConstraint,
-    HalfSpaceStack,
     NavConfig,
     _fold,
     _perpendiculars,
@@ -24,6 +24,34 @@ from swarmflow.navigation import (
 
 KAPPA = 0.06
 DT = 0.01
+
+
+@dataclass
+class _Plane:
+    """One half-space row: permitted velocities satisfy
+    (v - point) . normal >= 0."""
+
+    point: np.ndarray
+    normal: np.ndarray
+
+    def violation(self, v) -> float:
+        """Signed violation depth; positive when ``v`` is forbidden."""
+        return float(np.dot(self.normal, self.point - v))
+
+
+def _halfspace(p_self, v_self, p_other, v_other, combined_radius, tau, dt):
+    """``build_orca_halfspace`` on one pair, as a ``_Plane``."""
+    points, normals = build_orca_halfspace(
+        *(np.reshape(x, (1, 3)).astype(np.float64)
+          for x in (p_self, v_self, p_other, v_other)),
+        combined_radius, tau, dt)
+    return _Plane(points[0], normals[0])
+
+
+def _solve(v_pref, planes, v_max):
+    """``solve_velocity_lp`` on a list of ``_Plane`` rows."""
+    return solve_velocity_lp(v_pref, [p.point for p in planes],
+                             [p.normal for p in planes], v_max)
 
 
 def _pairwise_min_distance(positions):
@@ -86,14 +114,6 @@ def test_perpendicular_unit_orthogonal_antisymmetric():
     np.testing.assert_allclose(_perpendiculars(-vectors), -perps, atol=1e-15)
 
 
-def test_halfspace_violation_sign():
-    plane = HalfSpaceConstraint(point=np.array([0.0, 0.0, 1.0]),
-                                normal=np.array([0.0, 0.0, 1.0]))
-    assert plane.violation(np.array([0.0, 0.0, 0.0])) == pytest.approx(1.0)
-    assert plane.violation(np.array([0.0, 0.0, 2.0])) == pytest.approx(-1.0)
-    assert plane.violation(np.array([5.0, -3.0, 1.0])) == pytest.approx(0.0)
-
-
 def test_separated_pair_at_rest_stays_at_rest():
     # Two hovering agents outside the protected distance need no correction.
     positions = np.array([[0.0, 0.0, 0.0], [3.0 * KAPPA, 0.0, 0.0]])
@@ -119,8 +139,8 @@ def test_pair_constraints_are_reciprocal():
         p_b = p_a + direction * rng.uniform(0.3 * KAPPA, 5.0 * KAPPA)
         v_a = rng.standard_normal(3) * 0.8
         v_b = rng.standard_normal(3) * 0.8
-        plane_a = build_orca_halfspace(p_a, v_a, p_b, v_b, KAPPA, tau, DT)
-        plane_b = build_orca_halfspace(p_b, v_b, p_a, v_a, KAPPA, tau, DT)
+        plane_a = _halfspace(p_a, v_a, p_b, v_b, KAPPA, tau, DT)
+        plane_b = _halfspace(p_b, v_b, p_a, v_a, KAPPA, tau, DT)
         np.testing.assert_allclose(plane_b.normal, -plane_a.normal, atol=1e-12)
         np.testing.assert_allclose(plane_b.point - v_b,
                                    -(plane_a.point - v_a), atol=1e-12)
@@ -143,8 +163,8 @@ def test_pair_correction_lands_on_obstacle_boundary():
         sine = np.linalg.norm(np.cross(rel_pos, rel_vel))
         if sine < 1e-3 * np.linalg.norm(rel_pos) * np.linalg.norm(rel_vel):
             continue  # exact head-on handled by its own test
-        plane = build_orca_halfspace(np.zeros(3), v_self, rel_pos, v_other,
-                                     KAPPA, tau, DT)
+        plane = _halfspace(np.zeros(3), v_self, rel_pos, v_other,
+                           KAPPA, tau, DT)
         u = 2.0 * (plane.point - v_self)
         gap = _obstacle_gap(rel_pos, rel_vel + u, KAPPA, tau)
         assert abs(gap) < 5e-7
@@ -162,8 +182,8 @@ def test_overlapping_pair_correction_lands_on_escape_sphere():
         rel_pos = direction * rng.uniform(0.05 * KAPPA, 0.95 * KAPPA)
         v_self = rng.standard_normal(3)
         v_other = rng.standard_normal(3)
-        plane = build_orca_halfspace(np.zeros(3), v_self, rel_pos, v_other,
-                                     KAPPA, 10.0 * DT, DT)
+        plane = _halfspace(np.zeros(3), v_self, rel_pos, v_other,
+                           KAPPA, 10.0 * DT, DT)
         u = 2.0 * (plane.point - v_self)
         w = (v_self - v_other) + u
         radius = np.linalg.norm(w - rel_pos / DT)
@@ -173,8 +193,7 @@ def test_overlapping_pair_correction_lands_on_escape_sphere():
 def test_coincident_positions_raise():
     p = np.array([0.1, -0.2, 0.3])
     with pytest.raises(ValueError):
-        build_orca_halfspace(p, np.zeros(3), p, np.zeros(3), KAPPA,
-                             10.0 * DT, DT)
+        _halfspace(p, np.zeros(3), p, np.zeros(3), KAPPA, 10.0 * DT, DT)
 
 
 def test_exact_head_on_gets_lateral_escape():
@@ -188,29 +207,28 @@ def test_exact_head_on_gets_lateral_escape():
     rel_pos = np.array([4.0 * KAPPA, 0.0, 0.0])
     v_self = np.array([1.5, 0.0, 0.0])
     v_other = np.array([-1.5, 0.0, 0.0])
-    plane = build_orca_halfspace(np.zeros(3), v_self, rel_pos, v_other,
-                                 KAPPA, 10.0 * DT, DT)
+    plane = _halfspace(np.zeros(3), v_self, rel_pos, v_other,
+                       KAPPA, 10.0 * DT, DT)
     assert abs(np.dot(plane.normal, rel_pos) + KAPPA) < 1e-12
     assert abs(np.linalg.norm(plane.normal) - 1.0) < 1e-12
     u = 2.0 * (plane.point - v_self)
     assert abs(_obstacle_gap(rel_pos, v_self - v_other + u, KAPPA,
                              10.0 * DT)) < 5e-7
-    mirrored = build_orca_halfspace(rel_pos, v_other, np.zeros(3), v_self,
-                                    KAPPA, 10.0 * DT, DT)
+    mirrored = _halfspace(rel_pos, v_other, np.zeros(3), v_self,
+                          KAPPA, 10.0 * DT, DT)
     np.testing.assert_allclose(mirrored.normal, -plane.normal, atol=1e-15)
 
 
 def test_solve_clips_preferred_velocity_to_speed_cap():
-    out = solve_velocity_lp(np.array([3.0, 0.0, 0.0]), [], 1.0)
+    out = _solve(np.array([3.0, 0.0, 0.0]), [], 1.0)
     np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-15)
-    inside = solve_velocity_lp(np.array([0.2, -0.1, 0.05]), [], 1.0)
+    inside = _solve(np.array([0.2, -0.1, 0.05]), [], 1.0)
     np.testing.assert_allclose(inside, [0.2, -0.1, 0.05], atol=1e-15)
 
 
 def test_solve_single_plane_projection_hand_case():
-    plane = HalfSpaceConstraint(point=np.array([0.0, 0.0, 1.0]),
-                                normal=np.array([0.0, 0.0, 1.0]))
-    out = solve_velocity_lp(np.zeros(3), [plane], 2.0)
+    out = solve_velocity_lp(np.zeros(3), [[0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0]],
+                            2.0)
     np.testing.assert_allclose(out, [0.0, 0.0, 1.0], atol=1e-15)
 
 
@@ -230,10 +248,10 @@ def test_solve_matches_quadratic_programming_oracle():
             tangent -= np.dot(tangent, normal) * normal
             point = (v_feasible - rng.uniform(0.0, 0.5) * normal
                      + 0.5 * tangent)
-            planes.append(HalfSpaceConstraint(point, normal))
+            planes.append(_Plane(point, normal))
         v_pref = rng.standard_normal(3) * 1.5
 
-        out = solve_velocity_lp(v_pref, planes, v_max)
+        out = _solve(v_pref, planes, v_max)
         assert np.linalg.norm(out) <= v_max + 1e-9
         assert max(p.violation(out) for p in planes) <= 1e-9
 
@@ -264,12 +282,10 @@ def test_solve_infeasible_hand_case_minimizes_largest_violation():
     # Requirements v_x >= 2 and v_x <= -2 cannot both hold inside a unit
     # speed ball; the minimax-violation point has v_x = 0 with violation 2.
     planes = [
-        HalfSpaceConstraint(np.array([2.0, 0.0, 0.0]),
-                            np.array([1.0, 0.0, 0.0])),
-        HalfSpaceConstraint(np.array([-2.0, 0.0, 0.0]),
-                            np.array([-1.0, 0.0, 0.0])),
+        _Plane(np.array([2.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])),
+        _Plane(np.array([-2.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])),
     ]
-    out = solve_velocity_lp(np.array([0.3, 0.1, 0.0]), planes, 1.0)
+    out = _solve(np.array([0.3, 0.1, 0.0]), planes, 1.0)
     worst = max(p.violation(out) for p in planes)
     assert worst == pytest.approx(2.0, abs=1e-9)
     assert abs(out[0]) < 1e-9
@@ -330,10 +346,10 @@ def test_solve_infeasible_matches_minimax_oracle():
             tangent = rng.standard_normal(3)
             tangent -= np.dot(tangent, normal) * normal
             point = normal * (v_max + rng.uniform(0.5, 2.0)) + 0.3 * tangent
-            planes.append(HalfSpaceConstraint(point, normal))
+            planes.append(_Plane(point, normal))
         v_pref = rng.standard_normal(3)
 
-        out = solve_velocity_lp(v_pref, planes, v_max)
+        out = _solve(v_pref, planes, v_max)
         worst = max(p.violation(out) for p in planes)
         assert np.linalg.norm(out) <= v_max + 1e-9
 
@@ -426,14 +442,40 @@ def test_head_on_pairs_off_the_axes_escape_sideways():
         half = 0.5 * rng.uniform(1.05 * KAPPA, 3.5 * KAPPA) * direction
         positions = np.array([center - half, center + half])
         v_pref = np.array([1.5 * direction, -1.5 * direction])
-        plane = build_orca_halfspace(positions[0], v_pref[0], positions[1],
-                                     v_pref[1], KAPPA, cfg.horizon, DT)
+        plane = _halfspace(positions[0], v_pref[0], positions[1],
+                           v_pref[1], KAPPA, cfg.horizon, DT)
         assert np.all(np.isfinite(plane.point))
         assert np.all(np.isfinite(plane.normal))
         gap = np.linalg.norm(positions[1] - positions[0])
         assert abs(np.dot(plane.normal, direction) + KAPPA / gap) < 1e-9
         moved = positions + DT * orca_adjust(v_pref, positions, cfg)
         assert np.linalg.norm(moved[0] - moved[1]) >= KAPPA * (1.0 - 1e-9)
+
+
+def test_adjust_builds_every_half_space_in_one_call(monkeypatch):
+    # orca_adjust builds a step's half-spaces with one call of the module's
+    # builder, two rows per close pair, so a wrapper put on
+    # ``navigation.build_orca_halfspace`` sees all of them; wrapping it
+    # changes no velocity.
+    cfg = NavConfig(kappa=KAPPA, dt=DT)
+    rng = np.random.default_rng(31)
+    positions = rng.uniform(-0.15, 0.15, size=(40, 3))
+    v_pref = rng.standard_normal((40, 3))
+    want = orca_adjust(v_pref, positions, cfg)
+    pairs = len(close_pairs(positions, cfg.culling_radius)[0])
+    assert pairs > 0
+    builder = navigation.build_orca_halfspace
+    rows = []
+
+    def counting(*args):
+        points, normals = builder(*args)
+        rows.append(len(points))
+        return points, normals
+
+    monkeypatch.setattr(navigation, "build_orca_halfspace", counting)
+    for _ in range(3):
+        assert np.array_equal(orca_adjust(v_pref, positions, cfg), want)
+    assert rows == [2 * pairs] * 3
 
 
 def test_overlapping_pair_separates_in_one_step():
@@ -514,12 +556,11 @@ def _reference_halfspace(p_self, v_self, p_other, v_other, combined_radius,
         else:
             unit_w = w / w_len
         u = (combined_radius * inv_dt - w_len) * unit_w
-    return HalfSpaceConstraint(point=v_self + 0.5 * u, normal=unit_w)
+    return _Plane(point=v_self + 0.5 * u, normal=unit_w)
 
 
-# The object-based scalar LP the lockstep solver replaced, one
-# ``HalfSpaceConstraint`` at a time; the lockstep solver must reproduce it
-# bit for bit.
+# The scalar LP the lockstep solver replaced, one ``_Plane`` at a time;
+# the lockstep solver must reproduce it bit for bit.
 
 def _reference_lp_line(planes, count, line_point, line_dir, radius, opt,
                        direction_opt):
@@ -626,7 +667,7 @@ def _reference_lp_backproject(planes, begin, radius, result):
                     point = planes[i].point + scale * line_normal
                 diff = planes[j].normal - planes[i].normal
                 normal = diff / np.linalg.norm(diff)
-                proj_planes.append(HalfSpaceConstraint(point, normal))
+                proj_planes.append(_Plane(point, normal))
             fail, attempt = _reference_lp_full(proj_planes, radius,
                                                planes[i].normal,
                                                direction_opt=True)
@@ -703,15 +744,17 @@ def _halfspace_cases(rng, count):
 
 
 def test_halfspace_matches_scalar_reference_bitwise():
+    # Every pair in one stacked call: each row must equal the pair
+    # computed on its own by the scalar reference.
     rng = np.random.default_rng(41)
-    for p_self, v_self, p_other, v_other in _halfspace_cases(rng, 400):
-        for tau in (10.0 * DT, 3.0 * DT):
-            got = build_orca_halfspace(p_self, v_self, p_other, v_other,
-                                       KAPPA, tau, DT)
-            want = _reference_halfspace(p_self, v_self, p_other, v_other,
-                                        KAPPA, tau, DT)
-            assert np.array_equal(got.point, want.point)
-            assert np.array_equal(got.normal, want.normal)
+    cases = list(_halfspace_cases(rng, 400))
+    rows = [np.array(column) for column in zip(*cases)]
+    for tau in (10.0 * DT, 3.0 * DT):
+        points, normals = build_orca_halfspace(*rows, KAPPA, tau, DT)
+        for k, case in enumerate(cases):
+            want = _reference_halfspace(*case, KAPPA, tau, DT)
+            assert np.array_equal(points[k], want.point)
+            assert np.array_equal(normals[k], want.normal)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -862,15 +905,10 @@ def test_stacked_lp_matches_object_lp_bitwise():
     @hypothesis.given(_lp_cases(hypothesis.strategies))
     def check(case):
         v_pref, points, normals, v_max = case
-        planes = [HalfSpaceConstraint(p, n) for p, n in zip(points, normals)]
+        planes = [_Plane(p, n) for p, n in zip(points, normals)]
         want, infeasible = _reference_solve_lp(v_pref, planes, v_max)
-        stack = HalfSpaceStack(points, normals)
-        got = solve_velocity_lp(v_pref, stack, v_max)
+        got = solve_velocity_lp(v_pref, points, normals, v_max)
         assert np.array_equal(got, want)
-        assert np.array_equal(solve_velocity_lp(v_pref, planes, v_max), want)
-        # a stack iterates as its constraints, in row order
-        assert [c.violation(got) for c in stack] == [
-            c.violation(got) for c in planes]
         seen["infeasible"] += infeasible
         seen["empty"] += not planes
 
@@ -923,7 +961,7 @@ def test_lockstep_lp_matches_each_program_alone_bitwise():
         got, infeasible = _solve_lps(v_pref, points, normals, valid, v_max)
         for a, (v, p, n, _) in enumerate(cases):
             want, want_infeasible = _reference_solve_lp(
-                v, [HalfSpaceConstraint(*row) for row in zip(p, n)], v_max)
+                v, [_Plane(*row) for row in zip(p, n)], v_max)
             assert np.array_equal(got[a], want)
             assert infeasible[a] == want_infeasible
             seen["empty"] += not len(p)
@@ -998,9 +1036,8 @@ def test_feasible_orca_step_keeps_agents_kappa_apart():
         v = orca_adjust(v_pref, positions, cfg)
         pairs, _ = close_pairs(positions, cfg.culling_radius)
         for a, b in np.concatenate([pairs, pairs[:, ::-1]]):
-            plane = build_orca_halfspace(positions[a], v_pref[a],
-                                         positions[b], v_pref[b], KAPPA,
-                                         cfg.horizon, DT)
+            plane = _halfspace(positions[a], v_pref[a], positions[b],
+                               v_pref[b], KAPPA, cfg.horizon, DT)
             if plane.violation(v[a]) > 1e-9:
                 return  # an infeasible program promises no separation
         seen["feasible"] += 1
@@ -1040,8 +1077,8 @@ def test_pair_half_spaces_split_the_correction_equally():
             v_b = v_a - rng.uniform(0.1, 10.0) * direction
         else:
             v_b = v_a.copy()
-        plane_a = build_orca_halfspace(p_a, v_a, p_b, v_b, KAPPA, tau, DT)
-        plane_b = build_orca_halfspace(p_b, v_b, p_a, v_a, KAPPA, tau, DT)
+        plane_a = _halfspace(p_a, v_a, p_b, v_b, KAPPA, tau, DT)
+        plane_b = _halfspace(p_b, v_b, p_a, v_a, KAPPA, tau, DT)
         half_a, half_b = plane_a.point - v_a, plane_b.point - v_b
         tol = 1e-12 * (1.0 + np.abs(v_a).max() + np.abs(v_b).max()
                        + np.linalg.norm(half_a))

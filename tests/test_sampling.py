@@ -100,6 +100,17 @@ def test_sample_config_validation():
         for use_orca in (False, True):
             with pytest.raises(ValueError, match="kappa must be finite"):
                 SampleConfig(num_agents=4, kappa=kappa, use_orca=use_orca)
+    # integers only: a float or bool count or seed would be logged as given
+    # or fail later with a TypeError
+    bad = {"num_agents": (True, 4.0, "4", -1), "steps": (2.0, False, None),
+           "seed": (1.5, True, -1, "0", np.int64(3))}
+    for name, values in bad.items():
+        for value in values:
+            settings = {"num_agents": 4, name: value}
+            with pytest.raises(ValueError, match=f"^{name} must be") as info:
+                SampleConfig(**settings)
+            assert "\n" not in str(info.value)
+    assert SampleConfig(num_agents=1, steps=1, seed=0).seed == 0
 
 
 def test_exact_integration_reaches_data_cloud():
