@@ -1,0 +1,157 @@
+"""Print SHA-256 digests of the artefacts a behaviour-preserving change
+must leave byte-identical, as one JSON line of name -> hex digest.
+
+With one BLAS thread it rebuilds:
+
+- the fixture CLI run in a temporary directory: ``make-data`` (512-point
+  sphere, seed 20), ``train`` for flow and for diffusion (``latent_dim``
+  16, 2000 epochs, seed 0), then ``sample`` with ``--scale``,
+  ``sample --no-orca``, ``sample-cfm-orca`` and ``sample-diffusion``
+  (512 agents, seed 1) and ``evaluate``.  Every file the run writes is
+  digested under its path in that directory, so checkpoints, train logs,
+  trajectories, their sidecars and the metrics reports are all covered;
+- the trained parameters of both checkpoints (``params/...``), which
+  stay equal when only a checkpoint's header changes;
+- an exact-target integration (``integrate_exact_target``, 512 points,
+  100 steps);
+- ``goal-2048`` flights (``sample_cfm_plus_orca``, 2048 agents x 8
+  steps, as perfbench sets them up) at seeds 0, 3 and 5;
+- ``orca_adjust`` on converged normalised spheres of 512 to 4096 agents
+  with zero preferred velocities.
+
+The digests depend on the BLAS kernel and the CPU, so compare a parent
+and a change on the same machine, never against a stored line.
+
+Usage:  python3 scripts/digests.py [SRC]
+
+SRC is the directory the ``swarmflow`` package is imported from (default:
+this checkout's ``src``); point it at another checkout's ``src`` to get
+that commit's line, then diff the two.  A run takes about 45 s on two
+cores, most of it the two 2000-step trainings.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+KAPPA = 0.06
+
+
+def sha256(*parts) -> str:
+    import numpy as np
+
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p if isinstance(p, bytes)
+                 else np.ascontiguousarray(p).tobytes())
+    return h.hexdigest()
+
+
+def cli(*argv) -> None:
+    """Run one CLI command in process, keeping its messages off stdout."""
+    from swarmflow.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    if code != 0:
+        raise SystemExit(f"swarmflow {' '.join(argv)} exited {code}")
+
+
+def cli_run(sf, root: Path) -> dict:
+    (root / "fixture.cfg").write_text("latent_dim = 16\n")
+    cli("make-data", "--kind", "sphere", "--points", "512",
+        "--seed", "20", "--out", str(root / "data"))
+    for algorithm in ("flow", "diffusion"):
+        cli("train", "--data", str(root / "data"),
+            "--config", str(root / "fixture.cfg"), "--epochs", "2000",
+            "--seed", "0", "--algorithm", algorithm,
+            "--out", str(root / algorithm))
+    flow = str(root / "flow" / "checkpoint.swf")
+    run = ("--agents", "512", "--seed", "1")
+    cli("sample", "--checkpoint", flow, *run, "--scale",
+        "--out", str(root / "sample"))
+    cli("sample", "--checkpoint", flow, *run, "--no-orca",
+        "--out", str(root / "no-orca"))
+    cli("sample-cfm-orca", "--checkpoint", flow, *run,
+        "--out", str(root / "cfm-orca"))
+    cli("sample-diffusion", "--checkpoint",
+        str(root / "diffusion" / "checkpoint.swf"), *run,
+        "--out", str(root / "ddpm"))
+    cli("evaluate", "--trajectories",
+        str(root / "sample" / "trajectory.csv"),
+        "--reference", str(root / "data"), "--out", str(root / "evaluate"))
+
+    out = {path.relative_to(root).as_posix(): sha256(path.read_bytes())
+           for path in sorted(root.rglob("*")) if path.is_file()}
+    for algorithm in ("flow", "diffusion"):
+        ckpt = sf.load_checkpoint(root / algorithm / "checkpoint.swf")
+        out[f"params/{algorithm}"] = sha256(*(
+            part for name, value in ckpt.params.items()
+            for part in (name.encode(), value)))
+    return out
+
+
+def sphere(sf, n: int, seed: int):
+    cloud = sf.make_synthetic_dataset("sphere", n, 1, seed)[0]
+    return sf.normalize_cloud(cloud)[0]
+
+
+def log_digest(log) -> str:
+    return sha256(log.times, log.positions, log.applied_velocities,
+                  log.preferred_velocities)
+
+
+def library_runs(sf) -> dict:
+    import numpy as np
+
+    out = {}
+    x0 = sphere(sf, 512, 20)
+    noise = np.random.default_rng(1).standard_normal(x0.shape)
+    out["exact-target"] = log_digest(
+        sf.integrate_exact_target(noise, x0, sf.FlowSchedule(), 100))
+    for seed in (0, 3, 5):
+        goal = sphere(sf, 2048, 20 + seed)
+        start = np.random.default_rng(1 + seed).standard_normal(goal.shape)
+        cfg = sf.SampleConfig(num_agents=2048, steps=8, use_orca=True,
+                              seed=1 + seed, kappa=KAPPA)
+        out[f"goal-2048/seed{seed}"] = log_digest(
+            sf.sample_cfm_plus_orca(goal, start, cfg))
+    nav = sf.NavConfig(kappa=KAPPA, dt=1.0 / 8)
+    for m in (512, 1024, 2048, 4096):
+        positions = sphere(sf, m, 20)
+        out[f"orca-sweep/m{m}"] = sha256(
+            sf.orca_adjust(np.zeros_like(positions), positions, nav))
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "src", nargs="?", type=Path,
+        default=Path(__file__).resolve().parent.parent / "src",
+        help="directory holding the swarmflow package (default: ./src)")
+    src = parser.parse_args().src.resolve()
+    if not (src / "swarmflow" / "__init__.py").is_file():
+        raise SystemExit(f"{src}: no swarmflow package here")
+    # set before numpy loads its BLAS, which reads them once
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path.insert(0, str(src))
+    import swarmflow as sf
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = cli_run(sf, Path(tmp))
+    out.update(library_runs(sf))
+    print(json.dumps(out, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

@@ -197,11 +197,11 @@ def _cmd_train(args) -> int:
 
 
 def _write_trajectory(log, out_dir, scale) -> None:
+    scene = None if scale is None else dataio.SceneScale(side=scale)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataio.save_trajectory_csv(out / "trajectory.csv", log)
-    if scale is not None:
-        scene = dataio.SceneScale(side=scale)
+    if scene is not None:
         real = dataio.to_real_scale(log, scene)
         dataio.save_trajectory_csv(out / "trajectory_real.csv", real)
     print(f"trajectory: {out / 'trajectory.csv'}")
@@ -232,7 +232,7 @@ def _cmd_sample_diffusion(args) -> int:
     try:
         sched = diffusion.DiffusionSchedule.from_train_config(
             ckpt.train_config)
-    except (TypeError, ValueError) as err:  # a wrong-typed stored value
+    except ValueError as err:  # a wrong-typed or out-of-range stored value
         raise ValueError(
             f"{args.checkpoint}: bad diffusion schedule: {err}") from None
     if args.steps is None:

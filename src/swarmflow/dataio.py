@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .models import Checkpoint, ModelConfig
+from .models import Checkpoint, ModelConfig, _finite_number
 from .sampling import TrajectoryLog
 
 __all__ = [
@@ -145,8 +145,9 @@ class SceneScale:
     side: float = 200.0
 
     def __post_init__(self):
-        if not self.side > 0.0:
-            raise ValueError("scene side must be positive")
+        if not (_finite_number(self.side) and self.side > 0.0):
+            raise ValueError(
+                f"scene side must be finite and positive, got {self.side!r}")
 
     @property
     def factor(self) -> float:

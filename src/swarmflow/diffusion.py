@@ -2,8 +2,8 @@
 
 The forward process follows the standard variance-preserving chain with a
 linear beta schedule; the field network is reused as a noise predictor
-(time fed as t/T so the embedding covers the same range as the flow
-model).  Ancestral sampling logs every intermediate cloud as a trajectory
+(the ancestral step t of n fed as time t/n, on the flow model's [0, 1]
+axis).  Ancestral sampling logs every intermediate cloud as a trajectory
 frame, which is what makes this a *choreography* baseline rather than
 just a generator: the per-step noise injection shows up directly in the
 kinematic metrics.
@@ -18,8 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .flowmatch import TrainConfig, _run_training
-from .models import (Checkpoint, ModelConfig, ModelSet, _positive_int,
-                     kl_divergence)
+from .models import (Checkpoint, ModelConfig, ModelSet, _finite_number,
+                     _positive_int, kl_divergence)
 from .sampling import TrajectoryLog, _draw_latent, _euler_rollout
 
 __all__ = [
@@ -44,6 +44,10 @@ class DiffusionSchedule:
         if not _positive_int(self.n_steps):
             raise ValueError(
                 f"n_steps must be a positive int, got {self.n_steps!r}")
+        for name in ("beta_start", "beta_end"):
+            if not _finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got "
+                                 f"{getattr(self, name)!r}")
         if not 0.0 < self.beta_start <= self.beta_end < 1.0:
             raise ValueError("need 0 < beta_start <= beta_end < 1")
 
@@ -143,5 +147,5 @@ def ddpm_sample(models: ModelSet, sched: DiffusionSchedule, num_agents: int,
             x_next = x_next + np.sqrt(beta) * rng.standard_normal(x.shape)
         return (x_next - x) / dt
 
-    return _euler_rollout(x_start, 1.0, n, velocity_fn,
+    return _euler_rollout(x_start, n, velocity_fn,
                           algorithm="diffusion", kappa=0.0)

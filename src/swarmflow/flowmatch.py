@@ -1,13 +1,13 @@
 """Conditional flow matching on point clouds, plus the optimizer and the
 training loop shared with the diffusion baseline.
 
-Time runs backward from the noise end: at t = T the path is pure noise,
-at t = 0 it reaches the data cloud.  With u = (T - t)/T the conditional
-path is
+Time runs backward over [0, 1] from the noise end: at t = 1 the path is
+pure noise, at t = 0 it reaches the data cloud.  With the progress
+u = 1 - t the conditional path is
 
     X_t = (1 - (1 - sigma_min) u) * eps + u * X0
 
-which interpolates N(0, I) at t = T down to a sigma_min-width Gaussian
+which interpolates N(0, I) at t = 1 down to a sigma_min-width Gaussian
 around X0 at t = 0.  The regression target for the velocity network is
 the constant displacement X0 - (1 - sigma_min) * eps; evaluated on-path
 it equals the closed-form conditional field used by the exact-target
@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .models import (Checkpoint, ModelConfig, ModelSet, build_models,
-                     kl_divergence)
+from .models import (Checkpoint, ModelConfig, ModelSet, _finite_number,
+                     build_models, kl_divergence)
 
 __all__ = [
     "FlowSchedule", "TrainConfig", "TrainingDiverged",
@@ -35,35 +35,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlowSchedule:
-    """Optimal-transport conditional path parameters."""
+    """Optimal-transport conditional path parameters on t in [0, 1]."""
 
-    horizon: float = 1.0
     sigma_min: float = 1e-4
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
         if not 0.0 < self.sigma_min < 1.0:
-            raise ValueError("sigma_min must lie in (0, 1)")
+            raise ValueError(
+                f"sigma_min must be in (0, 1), got {self.sigma_min!r}")
 
     def progress(self, t: float) -> float:
-        """u = (T - t)/T: 0 at the noise end, 1 at the data end."""
-        return (self.horizon - t) / self.horizon
+        """u = 1 - t: 0 at the noise end, 1 at the data end."""
+        return 1.0 - t
 
     def sigma(self, t: float) -> float:
-        """Conditional path width: 1 at t = T, sigma_min at t = 0."""
+        """Conditional path width: 1 at t = 1, sigma_min at t = 0."""
         return 1.0 - (1.0 - self.sigma_min) * self.progress(t)
 
 
-def _check_time(sched: FlowSchedule, t: float) -> None:
-    if not 0.0 <= t <= sched.horizon:
-        raise ValueError(f"time {t} outside [0, {sched.horizon}]")
+def _check_time(t: float) -> None:
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"time {t} outside [0, 1]")
 
 
 def sample_path_point(sched: FlowSchedule, x0: np.ndarray, t: float,
                       eps: np.ndarray) -> np.ndarray:
     """Point on the conditional path at time ``t`` for noise draw ``eps``."""
-    _check_time(sched, t)
+    _check_time(t)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
@@ -85,7 +83,7 @@ def target_field(sched: FlowSchedule, x0: np.ndarray,
 def conditional_field(sched: FlowSchedule, x: np.ndarray, x0: np.ndarray,
                       t: float) -> np.ndarray:
     """Closed-form conditional velocity (x0 - (1 - sigma_min) x) / sigma(t)."""
-    _check_time(sched, t)
+    _check_time(t)
     x = np.asarray(x, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
     return (x0 - (1.0 - sched.sigma_min) * x) / sched.sigma(t)
@@ -100,11 +98,11 @@ def cfm_loss(models: ModelSet, sched: FlowSchedule, x0: np.ndarray, rng):
     """
     x0 = np.asarray(x0, dtype=np.float64)
     z, mu, logvar = models.encoder.encode(x0, rng)
-    t = rng.uniform(0.0, sched.horizon)
+    t = rng.uniform(0.0, 1.0)
     eps = rng.standard_normal(x0.shape)
     xt = sample_path_point(sched, x0, t, eps)
     vstar = target_field(sched, x0, eps)
-    v = models.field_net(xt, t, z, horizon=sched.horizon)
+    v = models.field_net(xt, t, z)
     delta = v - vstar
     field_term = ad.mul(ad.reduce_sum(ad.mul(delta, delta)), 1.0 / x0.shape[0])
     kl_term = kl_divergence(mu, logvar, z, models.bijector)
@@ -192,7 +190,6 @@ class TrainConfig:
     batch_size: int = 1
     seed: int = 0
     sigma_min: float = 1e-4
-    horizon: float = 1.0
     lr_final_frac: float = 0.1
     kappa: float = 0.06  # collision radius for downstream sampling
 
@@ -201,19 +198,22 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        for name in ("learning_rate", "sigma_min", "horizon", "lr_final_frac",
-                     "kappa"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ValueError(
-                    f"{name} must be a finite number, got {value!r}")
+        for name in ("learning_rate", "sigma_min", "lr_final_frac", "kappa"):
+            if not _finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got "
+                                 f"{getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
+        if not self.kappa > 0.0:
+            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
+        if not 0.0 <= self.lr_final_frac <= 1.0:
+            raise ValueError(
+                f"lr_final_frac must be in [0, 1], got {self.lr_final_frac!r}")
+        FlowSchedule(self.sigma_min)  # checks the range of sigma_min
 
 
 class TrainingDiverged(RuntimeError):
@@ -288,7 +288,7 @@ def train(dataset, train_config: TrainConfig = None,
     """Fit the flow-matching model to a list of normalized (N, 3) clouds."""
     train_config = train_config or TrainConfig()
     model_config = model_config or ModelConfig()
-    sched = FlowSchedule(train_config.horizon, train_config.sigma_min)
+    sched = FlowSchedule(train_config.sigma_min)
 
     def loss_fn(models, x0, rng):
         return cfm_loss(models, sched, x0, rng)

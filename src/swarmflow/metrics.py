@@ -67,8 +67,8 @@ def collision_rates(log: TrajectoryLog, kappa: float):
     per-frame percentage over *all* frames (initial random frames
     included), the latter looks at the final frame only.
     """
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    if not (np.isfinite(kappa) and kappa > 0.0):
+        raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
     per_frame = []
     for frame in log.positions:
         m = frame.shape[0]

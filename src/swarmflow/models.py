@@ -73,15 +73,19 @@ def _init_context_matrix(rng, latent_dim, fan_out, latent_scale=0.1):
     return w
 
 
-def time_embedding(t: float, horizon: float = 1.0) -> np.ndarray:
-    """3-vector (u, sin 2pi u, cos 2pi u) with u = t / horizon."""
-    u = t / horizon
-    return np.array([u, math.sin(2.0 * math.pi * u), math.cos(2.0 * math.pi * u)])
+def time_embedding(t: float) -> np.ndarray:
+    """3-vector (t, sin 2pi t, cos 2pi t) of a time t in [0, 1]."""
+    return np.array([t, math.sin(2.0 * math.pi * t), math.cos(2.0 * math.pi * t)])
 
 
 def _positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) \
         and value > 0
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ class GatedContextualNet:
                             else _init_context_matrix(rng, latent_dim, dout))
             self.params.add(f"b{i}.bias", np.zeros(dout))
 
-    def __call__(self, points, t: float, z, horizon: float = 1.0) -> Node:
+    def __call__(self, points, t: float, z) -> Node:
         """Velocity for every point of an (M, 3) cloud; returns (M, 3)."""
         z = ad.wrap(z)
         if z.shape != (self.latent_dim,):
@@ -153,7 +157,7 @@ class GatedContextualNet:
         h = ad.wrap(points)
         if h.ndim != 2 or h.shape[1] != 3:
             raise ad.ShapeMismatchError(f"points must be (M, 3), got {h.shape}")
-        ctx = ad.concat([ad.wrap(time_embedding(t, horizon)), z])
+        ctx = ad.concat([ad.wrap(time_embedding(t)), z])
         p = self.params
         for i in range(self.blocks):
             gate = ad.sigmoid(ad.matmul(ctx, p[f"b{i}.gate_w"]))

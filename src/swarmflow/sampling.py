@@ -8,9 +8,9 @@ Positions are produced *only* by the explicit Euler recursion
 bit-for-bit and downstream consumers can rely on it.
 
 Every sampler runs the one loop ``_euler_rollout``, which owns the time
-grid.  A run of S steps over ``horizon`` has the nominal step
-``h = horizon / S`` and the frames ``times = horizon - h * arange(S + 1)``.
-The recursion steps by the frame spacing ``dt = times[0] - times[1]``,
+grid on [0, 1]: a run of S steps has the nominal step ``h = 1 / S`` and
+the frames ``times = 1 - h * arange(S + 1)``, from noise to shape.  The
+recursion steps by the frame spacing ``dt = times[0] - times[1]``,
 which is what ``TrajectoryLog.dt`` reads back; collision avoidance is
 configured with ``h``.  The two can differ in the last bit (0.01 against
 0.010000000000000009 at 100 steps), and each is kept where it is used so
@@ -115,7 +115,7 @@ class SampleConfig:
                 f"kappa must be finite and positive, got {self.kappa!r}")
 
 
-def _euler_rollout(x0, horizon, steps, velocity_fn, kappa=None, /,
+def _euler_rollout(x0, steps, velocity_fn, kappa=None, /,
                    **meta) -> TrajectoryLog:
     """The Euler loop every sampler runs, over the grid the module
     docstring describes.
@@ -127,10 +127,10 @@ def _euler_rollout(x0, horizon, steps, velocity_fn, kappa=None, /,
     ``NavConfig(kappa, h)``; otherwise it is applied as is.  A preferred
     velocity holding NaN or inf raises at the step it appears.  ``meta``
     holds the sampler's own log keys (``algorithm``, ``kappa``, ``seed``);
-    the rollout adds ``steps``, ``num_agents``, ``horizon`` and ``scale``.
+    the rollout adds ``steps``, ``num_agents`` and ``scale``.
     """
-    h = horizon / steps
-    times = horizon - h * np.arange(steps + 1)
+    h = 1.0 / steps
+    times = 1.0 - h * np.arange(steps + 1)
     dt = float(times[0] - times[1])
     nav = None if kappa is None else NavConfig(kappa=kappa, dt=h)
     x = np.array(x0, dtype=np.float64)
@@ -152,8 +152,7 @@ def _euler_rollout(x0, horizon, steps, velocity_fn, kappa=None, /,
         preferred[k] = v_pref
         applied[k] = v_app
         positions[k + 1] = x
-    meta.update(steps=steps, num_agents=x.shape[0], horizon=horizon,
-                scale="training")
+    meta.update(steps=steps, num_agents=x.shape[0], scale="training")
     return TrajectoryLog(times=times, positions=positions,
                          applied_velocities=applied,
                          preferred_velocities=preferred, meta=meta)
@@ -174,23 +173,26 @@ def sample(checkpoint: Checkpoint, cfg: SampleConfig) -> TrajectoryLog:
 
     Draws the prior noise, maps it through the bijector to the shape
     latent, starts the cloud from N(0, I) and Euler-integrates the learned
-    field from t = T down to 0.  With ``use_orca`` the field velocity of
+    field from t = 1 down to 0.  With ``use_orca`` the field velocity of
     every step is replaced by the collision-free adjustment.
     """
     if checkpoint.algorithm != "flow":
         raise ValueError(
             f"expected a flow checkpoint, got {checkpoint.algorithm!r}")
+    horizon = checkpoint.train_config.get("horizon", 1.0)
+    if horizon != 1.0:  # an older checkpoint, its field trained on t/horizon
+        raise ValueError(f"checkpoint was trained with horizon {horizon!r}; "
+                         f"only 1.0 can be sampled")
     models = models_from_checkpoint(checkpoint)
-    horizon = float(checkpoint.train_config.get("horizon", 1.0))
     rng = np.random.default_rng(cfg.seed)
     z = _draw_latent(models, rng)
     x_start = rng.standard_normal((cfg.num_agents, 3))
 
     def velocity_fn(x, t, _k, _dt):
-        return models.field_net(x, t, z, horizon=horizon).value
+        return models.field_net(x, t, z).value
 
     return _euler_rollout(
-        x_start, horizon, cfg.steps, velocity_fn,
+        x_start, cfg.steps, velocity_fn,
         cfg.kappa if cfg.use_orca else None,
         algorithm="flow+orca" if cfg.use_orca else "flow", seed=cfg.seed,
         kappa=cfg.kappa)
@@ -220,7 +222,7 @@ def sample_cfm_plus_orca(goal_cloud, initial_cloud,
     def velocity_fn(x, t, _k, _dt):
         return (goal - x) / t  # t > 0 for every integration step
 
-    return _euler_rollout(x_start, 1.0, cfg.steps, velocity_fn, cfg.kappa,
+    return _euler_rollout(x_start, cfg.steps, velocity_fn, cfg.kappa,
                           algorithm="orca-to-goal", seed=cfg.seed,
                           kappa=cfg.kappa)
 
@@ -242,5 +244,5 @@ def integrate_exact_target(x_noise, x0, sched: FlowSchedule,
     def velocity_fn(x, t, _k, _dt):
         return conditional_field(sched, x, x0, t)
 
-    return _euler_rollout(x_noise, sched.horizon, steps, velocity_fn,
+    return _euler_rollout(x_noise, steps, velocity_fn,
                           algorithm="exact-target", kappa=0.0)

@@ -341,6 +341,13 @@ def test_config_keys_are_the_config_dataclass_fields(pipeline, tmp_path,
     ("seed = true", "seed must be an int, got True"),
     ("kappa = 0.06, 0.07", "kappa must be a finite number"),
     ("learning_rate = fast", "learning_rate must be a finite number"),
+    ("kappa = -1", "kappa must be positive, got -1"),
+    ("lr_final_frac = -1", "lr_final_frac must be in [0, 1], got -1"),
+    ("algorithm = diffusion\nsigma_min = 5",
+     "sigma_min must be in (0, 1), got 5"),
+    ("algorithm = diffusion\nbeta_start = abc",
+     "beta_start must be a finite number, got 'abc'"),
+    ("horizon = 2", "unknown config key 'horizon'"),
 ])
 def test_wrong_typed_train_setting_fails_before_training(pipeline, tmp_path,
                                                          capsys, line,
@@ -353,6 +360,49 @@ def test_wrong_typed_train_setting_fails_before_training(pipeline, tmp_path,
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
     assert not (out / "train.log").exists()
+
+
+def test_sample_refuses_a_checkpoint_trained_on_another_time_span(
+        pipeline, tmp_path, capsys):
+    ckpt = load_checkpoint(pipeline["flow"])
+    ckpt.train_config["horizon"] = 2.0
+    path = tmp_path / "horizon2.swf"
+    save_checkpoint(path, ckpt)
+    out = tmp_path / "run"
+    assert main(["sample", "--checkpoint", str(path), "--agents", "4",
+                 "--steps", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "checkpoint was trained with horizon 2.0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("evaluate", ["--scale", "inf"], "scene side must be finite"),
+    ("evaluate", ["--scale", "nan"], "scene side must be finite"),
+    ("evaluate", ["--kappa", "inf"], "kappa must be finite and positive"),
+    ("evaluate", ["--kappa", "-1"], "kappa must be finite and positive"),
+    ("export", ["--scale", "inf"], "scene side must be finite"),
+    ("sample", ["--scale", "inf"], "scene side must be finite"),
+])
+def test_non_finite_scale_or_kappa_is_an_error(pipeline, tmp_path, capsys,
+                                               command, extra, message):
+    run = pipeline["root"] / "finite_run"
+    if not run.exists():
+        assert main(["sample", "--checkpoint", str(pipeline["flow"]),
+                     "--agents", "4", "--steps", "5", "--out", str(run)]) == 0
+    out = tmp_path / "out"
+    argv = {"evaluate": ["--trajectories", str(run)],
+            "export": ["--trajectory", str(run / "trajectory.csv"),
+                       "--out", str(out)],
+            "sample": ["--checkpoint", str(pipeline["flow"]), "--agents", "4",
+                       "--steps", "5", "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main([command, *argv, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and message in captured.err
+    assert "%" not in captured.out
+    assert not out.exists()
 
 
 def test_evaluate_needs_kappa_when_sidecars_disagree(pipeline, tmp_path,

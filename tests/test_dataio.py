@@ -192,8 +192,8 @@ def test_scene_scale_defaults_give_kappa_006():
     scene = SceneScale()
     assert scene.factor == pytest.approx(200.0 / 6.0)
     assert 2.0 / scene.factor == pytest.approx(0.06, abs=1e-15)
-    for bad in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -1.0, np.nan, np.inf, "200", True):
+        with pytest.raises(ValueError, match="side must be finite and pos"):
             SceneScale(side=bad)
 
 

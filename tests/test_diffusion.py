@@ -50,6 +50,11 @@ def test_schedule_validation():
     for bad in ("20", 2.5, True):
         with pytest.raises(ValueError, match="n_steps must be a positive int"):
             DiffusionSchedule(n_steps=bad)
+    for key in ("beta_start", "beta_end"):
+        for bad in ("abc", None, True, float("nan"), float("inf")):
+            with pytest.raises(ValueError,
+                               match=f"^{key} must be a finite number"):
+                DiffusionSchedule(**{key: bad})
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ SMALL = ModelConfig(latent_dim=4, field_hidden=8, field_blocks=2,
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        FlowSchedule(horizon=0.0)
-    with pytest.raises(ValueError):
         FlowSchedule(sigma_min=0.0)
     with pytest.raises(ValueError):
         FlowSchedule(sigma_min=1.0)
@@ -219,13 +217,13 @@ def test_cfm_loss_draw_order_replay():
     replay = np.random.default_rng(seed)
     replay.bit_generator.state = state
     z_eps = replay.standard_normal(SMALL.latent_dim)
-    t = replay.uniform(0.0, sched.horizon)
+    t = replay.uniform(0.0, 1.0)
     eps = replay.standard_normal(x0.shape)
     mu, logvar = models.encoder(x0)
     z = mu + ad.mul(ad.exp(ad.mul(logvar, 0.5)), z_eps)
     xt = sample_path_point(sched, x0, t, eps)
     vstar = target_field(sched, x0, eps)
-    v = models.field_net(xt, t, z, horizon=sched.horizon)
+    v = models.field_net(xt, t, z)
     delta = v - ad.wrap(vstar)
     from swarmflow.models import kl_divergence
     manual = ad.mul(ad.reduce_sum(ad.mul(delta, delta)), 1.0 / x0.shape[0]) \
@@ -246,7 +244,7 @@ def test_cfm_loss_permutation_consistent():
 
     def field_term(x0_, eps_):
         xt = sample_path_point(sched, x0_, t, eps_)
-        v = models.field_net(xt, t, z, horizon=sched.horizon)
+        v = models.field_net(xt, t, z)
         delta = v - ad.wrap(target_field(sched, x0_, eps_))
         return float(ad.mul(ad.reduce_sum(ad.mul(delta, delta)),
                             1.0 / x0_.shape[0]).value)
@@ -273,7 +271,9 @@ def test_train_config_validation():
     ("epochs", 2.5), ("epochs", "20"), ("epochs", True), ("batch_size", 1.0),
     ("seed", None), ("seed", False), ("seed", -1), ("learning_rate", "1e-3"),
     ("learning_rate", True), ("kappa", float("nan")), ("sigma_min", None),
-    ("horizon", float("inf")), ("lr_final_frac", [0.1]),
+    ("lr_final_frac", float("inf")), ("lr_final_frac", [0.1]),
+    ("kappa", -1.0), ("kappa", 0), ("lr_final_frac", -1.0),
+    ("lr_final_frac", 1.5), ("sigma_min", 5.0), ("sigma_min", 0.0),
 ])
 def test_train_config_rejects_wrong_types(key, value):
     with pytest.raises(ValueError, match=f"^{key} must be"):
@@ -282,6 +282,9 @@ def test_train_config_rejects_wrong_types(key, value):
 
 def test_train_config_takes_ints_for_float_settings():
     assert TrainConfig(learning_rate=1, kappa=2).kappa == 2
+    # both ends of the decay range are allowed
+    assert TrainConfig(lr_final_frac=0).lr_final_frac == 0
+    assert TrainConfig(lr_final_frac=1).lr_final_frac == 1
 
 
 def test_train_is_bitwise_deterministic(tmp_path):

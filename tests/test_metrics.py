@@ -172,8 +172,9 @@ def test_collision_rates_single_agent_and_validation():
     log = _log_from_positions(np.zeros((3, 1, 3)) +
                               np.arange(3)[:, None, None])
     assert collision_rates(log, 0.06) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        collision_rates(log, 0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            collision_rates(log, bad)
 
 
 def test_collision_rates_brute_force_oracle():

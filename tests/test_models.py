@@ -58,9 +58,6 @@ def test_time_embedding_values():
     assert emb[0] == 0.25
     assert emb[1] == pytest.approx(1.0, abs=1e-15)
     assert emb[2] == pytest.approx(0.0, abs=1e-15)
-    # horizon rescales the argument
-    assert np.array_equal(time_embedding(1.0, horizon=4.0),
-                          time_embedding(0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +431,9 @@ def test_networks_give_equal_bits_without_a_tape():
     @hypothesis.given(st.integers(2, 6), st.integers(1, 12),
                       st.integers(1, 4), st.integers(1, 4),
                       st.integers(1, 6), st.integers(1, 16),
-                      st.floats(0.0, 1.0), st.floats(0.25, 4.0),
-                      st.integers(0, 2**32 - 1))
-    def check(latent, hidden, blocks, layers, coupling_hidden, points,
-              progress, horizon, seed):
+                      st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def check(latent, hidden, blocks, layers, coupling_hidden, points, t,
+              seed):
         rng = np.random.default_rng(seed)
         models = build_models(ModelConfig(
             latent_dim=latent, field_hidden=hidden, field_blocks=blocks,
@@ -447,11 +443,10 @@ def test_networks_give_equal_bits_without_a_tape():
         models.values += 0.3 * rng.standard_normal(models.values.shape)
         x = rng.standard_normal((points, 3))
         w = rng.standard_normal(latent)
-        t = progress * horizon
 
         def run():
             z, logdet = models.bijector.forward(w)
-            v = models.field_net(x, t, z, horizon=horizon)
+            v = models.field_net(x, t, z)
             return z.value, logdet.value, v.value
 
         taped = run()

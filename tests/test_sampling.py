@@ -23,7 +23,7 @@ SMALL = ModelConfig(latent_dim=4, field_hidden=8, field_blocks=2,
 def _small_checkpoint(seed=0):
     models = build_models(SMALL, np.random.default_rng(seed))
     return Checkpoint(algorithm="flow", model_config=SMALL,
-                      train_config={"horizon": 1.0, "sigma_min": 1e-4},
+                      train_config={"sigma_min": 1e-4},
                       params=models.state_dict())
 
 
@@ -38,9 +38,9 @@ def _busy_checkpoint(seed=0):
     return ckpt
 
 
-def _euler_log(x0, velocities, horizon=1.0):
+def _euler_log(x0, velocities):
     steps = velocities.shape[0]
-    times = horizon - (horizon / steps) * np.arange(steps + 1)
+    times = 1.0 - (1.0 / steps) * np.arange(steps + 1)
     dt = float(times[0] - times[1])  # the recursion uses the frame spacing
     positions = [np.asarray(x0, dtype=np.float64)]
     for k in range(steps):
@@ -170,7 +170,7 @@ def test_sample_replicates_documented_draw_order():
     times = 1.0 - dt * np.arange(8)
     assert np.array_equal(log.positions[0], x)
     for k in range(7):
-        v = models.field_net(x, float(times[k]), z, horizon=1.0).value
+        v = models.field_net(x, float(times[k]), z).value
         assert np.array_equal(log.applied_velocities[k], v)
         x = x + dt * v
     assert np.array_equal(log.positions[-1], x)
@@ -209,6 +209,22 @@ def test_sample_rejects_non_flow_checkpoint():
         sample(ckpt, SampleConfig(num_agents=2, steps=2))
 
 
+def test_sample_reads_a_recorded_horizon_of_one_and_refuses_others():
+    # checkpoints written before the time axis was fixed at [0, 1] record
+    # the span their field was trained on
+    cfg = SampleConfig(num_agents=4, steps=5, seed=1)
+    want = sample(_busy_checkpoint(), cfg)
+    old = _busy_checkpoint()
+    old.train_config["horizon"] = 1.0
+    got = sample(old, cfg)
+    assert np.array_equal(got.positions, want.positions)
+    assert got.meta == want.meta
+    old.train_config["horizon"] = 2.0
+    with pytest.raises(ValueError, match="^checkpoint was trained with "
+                                         "horizon 2.0; only 1.0"):
+        sample(old, cfg)
+
+
 @pytest.mark.parametrize("use_orca", [False, True])
 def test_sample_with_nan_field_weights_fails_at_step_0(use_orca):
     # the bijector checks its own numerics, so only the field goes bad
@@ -225,7 +241,7 @@ def test_rollout_names_the_step_and_time_of_a_non_finite_velocity():
         return np.full_like(x, np.inf if k == 2 else 1.0)
 
     with pytest.raises(ValueError, match=r"step 2 \(t=0\.5\)"):
-        _euler_rollout(np.zeros((3, 3)), 1.0, 4, velocity_fn)
+        _euler_rollout(np.zeros((3, 3)), 4, velocity_fn)
 
 
 def test_every_sampler_logs_the_shared_meta_keys_with_json_types():
@@ -246,7 +262,7 @@ def test_every_sampler_logs_the_shared_meta_keys_with_json_types():
                                  np.random.default_rng(2)),
     }
     shared = {"algorithm": str, "steps": int, "num_agents": int,
-              "horizon": float, "kappa": float, "scale": str}
+              "kappa": float, "scale": str}
     for algorithm, log in logs.items():
         seeded = algorithm in ("flow+orca", "flow", "orca-to-goal")
         want = {**shared, "seed": int} if seeded else shared
@@ -255,7 +271,7 @@ def test_every_sampler_logs_the_shared_meta_keys_with_json_types():
         assert {k: type(v) for k, v in log.meta.items()} == want, algorithm
         assert meta["algorithm"] == algorithm
         assert (meta["steps"], meta["num_agents"]) == (4, 3)
-        assert (meta["horizon"], meta["scale"]) == (1.0, "training")
+        assert meta["scale"] == "training"
         assert meta["kappa"] == (0.2 if seeded else 0.0)
         if seeded:
             assert meta["seed"] == 7
