@@ -11,6 +11,13 @@ Broadcasting is deliberately restricted: for elementwise binary ops one
 operand's shape must be a suffix of the other's (leading batch dimensions
 only).  Anything fancier is a shape error, not a silent numpy broadcast.
 
+``dense`` is a whole network layer, ``x @ w (+ inject) + b`` with an
+optional ``tanh``, as one node with one hand-written backward rule.  It
+runs the arithmetic of the unfused ``matmul``/``add``/``tanh`` chain in
+the same order, so its value and gradients are bitwise equal to that
+chain's.  It is one node where the chain has up to four, and its forward
+pass works in place on its one output array.
+
 Inside ``with no_record():`` the same ops run on the same arrays, so
 values are bitwise equal, but a new node keeps no parents or backward
 rules: each intermediate is freed as soon as the caller drops it, and
@@ -31,7 +38,7 @@ from scipy.special import expit
 
 __all__ = [
     "Node", "ShapeMismatchError", "wrap", "backward", "no_record",
-    "add", "sub", "mul", "neg", "matmul", "sigmoid", "tanh",
+    "add", "sub", "mul", "neg", "matmul", "dense", "sigmoid", "tanh",
     "exp", "reduce_sum", "amax", "concat",
 ]
 
@@ -59,6 +66,11 @@ def no_record():
 class Node:
     """One tape entry: a float64 array plus backward bookkeeping.
 
+    ``vjps`` is either one function per parent, each mapping the node's
+    gradient to that parent's contribution, or a single function that
+    returns every parent's contribution at once, in parent order (for a
+    fused node whose parents share intermediate terms).
+
     Treat ``value`` as immutable once the node exists; downstream nodes
     capture it by reference.  (The optimizer writes parameter values in
     place, but only once ``backward`` is done with the tape.)  Treat
@@ -75,7 +87,7 @@ class Node:
         self.op = op
         if _recording:
             self._parents = tuple(parents)
-            self._vjps = tuple(vjps)
+            self._vjps = vjps if callable(vjps) else tuple(vjps)
         else:
             self._parents = self._vjps = ()
 
@@ -176,21 +188,74 @@ def neg(a) -> Node:
 # matrix product: a matrix or a vector times a matrix, (M, n) @ (n, h) or
 # (n,) @ (n, h), the only forms the networks use
 
+def _check_matmul(sa, sb, op):
+    if len(sa) not in (1, 2) or len(sb) != 2:
+        raise ShapeMismatchError(
+            f"{op}: expected a 1-D/2-D operand times a 2-D one, got "
+            f"{sa} @ {sb}")
+    if sa[-1] != sb[0]:
+        raise ShapeMismatchError(
+            f"{op}: inner dimensions disagree, {sa} @ {sb}")
+
+
 def matmul(a, b) -> Node:
     a, b = wrap(a), wrap(b)
     av, bv = a.value, b.value
-    if av.ndim not in (1, 2) or bv.ndim != 2:
-        raise ShapeMismatchError(
-            f"matmul: expected a 1-D/2-D operand times a 2-D one, got "
-            f"{av.shape} @ {bv.shape}")
-    if av.shape[-1] != bv.shape[0]:
-        raise ShapeMismatchError(
-            f"matmul: inner dimensions disagree, {av.shape} @ {bv.shape}")
+    _check_matmul(av.shape, bv.shape, "matmul")
     if av.ndim == 1:
         vjps = (lambda g: bv @ g, lambda g: np.outer(av, g))
     else:
         vjps = (lambda g: g @ bv.T, lambda g: av.T @ g)
     return Node(av @ bv, (a, b), vjps, "matmul")
+
+
+def dense(x, w, b, inject=None, act=False) -> Node:
+    """One layer as one node: ``x @ w (+ inject) + b``, then ``tanh`` if
+    ``act``.
+
+    ``x @ w`` takes the forms of ``matmul``; ``b`` and ``inject`` must
+    have a suffix of the output's shape.  The forward pass adds ``inject``
+    and then ``b`` in place on the product, and the backward pass forms
+    ``g * (1 - tanh**2)`` and its sums over the batch rows once for all
+    parents, so value and gradients are bitwise those of
+    ``tanh(matmul(x, w) + inject + b)``.  The parents are ``(x, w,
+    inject, b)``: ``backward`` then walks the tape in the chain's order,
+    and contributions to shared nodes are summed in the same order.
+    """
+    x, w, b = wrap(x), wrap(w), wrap(b)
+    xv, wv = x.value, w.value
+    _check_matmul(xv.shape, wv.shape, "dense")
+    out = xv @ wv
+    inject = None if inject is None else wrap(inject)
+    addends = (b,) if inject is None else (inject, b)
+    for a in addends:
+        if a.shape != out.shape[out.ndim - a.ndim:]:
+            raise ShapeMismatchError(
+                f"dense: addend shape {a.shape} is not a suffix of the "
+                f"output shape {out.shape}")
+        out += a.value
+    if act:
+        np.tanh(out, out=out)
+
+    def vjp(g):
+        if act:  # gp = g * (1 - out * out), in one buffer
+            gp = np.multiply(out, out)
+            np.subtract(1.0, gp, out=gp)
+            gp *= g
+        else:
+            gp = g
+        if xv.ndim == 1:
+            grads = [wv @ gp, np.outer(xv, gp)]
+        else:
+            grads = [gp @ wv.T, xv.T @ gp]
+        gb = _unbroadcast(gp, b.shape)
+        if inject is not None:
+            grads.append(gb if inject.shape == b.shape
+                         else _unbroadcast(gp, inject.shape))
+        grads.append(gb)
+        return grads
+
+    return Node(out, (x, w) + addends, vjp, "dense")
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +363,9 @@ def backward(loss: Node) -> None:
 
     loss.grad = np.float64(1.0) if loss.grad is None else loss.grad + 1.0
     for node in reversed(topo):
-        g = node.grad
-        for parent, vjp in zip(node._parents, node._vjps):
-            contribution = vjp(g)
+        g, vjps = node.grad, node._vjps
+        contributions = (vjps(g) if callable(vjps)
+                         else (vjp(g) for vjp in vjps))
+        for parent, contribution in zip(node._parents, contributions):
             parent.grad = (contribution if parent.grad is None
                            else parent.grad + contribution)

@@ -263,11 +263,18 @@ def _cmd_sample_cfm_orca(args) -> int:
 
 
 def _collect_trajectories(entries) -> list:
+    """Logs of the named files and of every ``*.csv`` in the named
+    directories.  In a directory, ``X_real.csv`` is skipped when ``X.csv``
+    is there too: it is the same run, written by ``--scale``."""
     paths = []
     for entry in entries:
         p = Path(entry)
         if p.is_dir():
-            paths.extend(sorted(p.glob("*.csv")))
+            found = sorted(p.glob("*.csv"))
+            names = {f.name for f in found}
+            paths.extend(f for f in found if not (
+                f.name.endswith("_real.csv")
+                and f.name[:-len("_real.csv")] + ".csv" in names))
         else:
             paths.append(p)
     logs = [dataio.load_trajectory_csv(p) for p in paths]

@@ -2,13 +2,18 @@
 an invertible coupling-layer prior over the shape latent.
 
 All three are built on the local autodiff tape (`swarmflow.autodiff`) and
-declare their weights in a ``ParamStore``.  ``ModelSet`` joins the three
-stores under prefixed names and alone knows the parameter layout: it
-keeps every weight in one flat float64 buffer, ``values``, and points
-each parameter node's ``value`` at a shaped view of it.  Those values are
-buffer views, to be written through (``node.value[...] = x``) and never
-rebound.  The optimizer works on the flat buffers only; the checkpoint
-code reads named tensors from ``state_dict`` and ``split``.
+declare their weights in a ``ParamStore``.  Every layer is one
+``autodiff.dense`` node, product, inject, bias and ``tanh`` in one
+forward and one backward rule: a field block with its gated context
+term, an encoder layer or head, and each layer of a coupling MLP.
+
+``ModelSet`` joins the three stores under prefixed names and alone knows
+the parameter layout: it keeps every weight in one flat float64 buffer,
+``values``, and points each parameter node's ``value`` at a shaped view
+of it.  Those values are buffer views, to be written through
+(``node.value[...] = x``) and never rebound.  The optimizer works on the
+flat buffers only; the checkpoint code reads named tensors from
+``state_dict`` and ``split``.
 """
 
 from __future__ import annotations
@@ -162,9 +167,8 @@ class GatedContextualNet:
         for i in range(self.blocks):
             gate = ad.sigmoid(ad.matmul(ctx, p[f"b{i}.gate_w"]))
             inject = ad.mul(gate, ad.matmul(ctx, p[f"b{i}.ctx_w"]))
-            h = ad.matmul(h, p[f"b{i}.w"]) + inject + p[f"b{i}.bias"]
-            if i < self.blocks - 1:
-                h = ad.tanh(h)
+            h = ad.dense(h, p[f"b{i}.w"], p[f"b{i}.bias"], inject,
+                         act=i < self.blocks - 1)
         return h
 
 
@@ -198,10 +202,10 @@ class PointSetEncoder:
                 f"points must be (M, 3) with M >= 1, got {h.shape}")
         p = self.params
         for i in range(len(self.widths)):
-            h = ad.tanh(ad.matmul(h, p[f"l{i}.w"]) + p[f"l{i}.bias"])
+            h = ad.dense(h, p[f"l{i}.w"], p[f"l{i}.bias"], act=True)
         pooled = ad.amax(h, axis=0)
-        mu = ad.matmul(pooled, p["mu.w"]) + p["mu.bias"]
-        logvar = ad.matmul(pooled, p["logvar.w"]) + p["logvar.bias"]
+        mu = ad.dense(pooled, p["mu.w"], p["mu.bias"])
+        logvar = ad.dense(pooled, p["logvar.w"], p["logvar.bias"])
         return mu, logvar
 
     def encode(self, points, rng):
@@ -248,12 +252,14 @@ class CouplingBijector:
         """Scale/shift nodes for layer ``i`` given the pass-through half."""
         p = self.params
 
-        def mlp(net):
-            h = ad.tanh(ad.matmul(passthrough, p[f"c{i}.{net}.w0"]) + p[f"c{i}.{net}.b0"])
-            return ad.matmul(h, p[f"c{i}.{net}.w1"]) + p[f"c{i}.{net}.b1"]
+        def mlp(net, act):
+            h = ad.dense(passthrough, p[f"c{i}.{net}.w0"], p[f"c{i}.{net}.b0"],
+                         act=True)
+            return ad.dense(h, p[f"c{i}.{net}.w1"], p[f"c{i}.{net}.b1"],
+                            act=act)
 
-        s = ad.mul(p[f"c{i}.s_factor"], ad.tanh(mlp("scale")))
-        return s, mlp("shift")
+        s = ad.mul(p[f"c{i}.s_factor"], mlp("scale", act=True))
+        return s, mlp("shift", act=False)
 
     @staticmethod
     def _check_finite(vec: Node, i: int) -> None:

@@ -35,11 +35,12 @@ output is bitwise reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .models import _finite_number
 
 __all__ = [
     "NavConfig", "build_orca_halfspace", "solve_velocity_lp", "orca_adjust",
@@ -68,7 +69,7 @@ class NavConfig:
     def __post_init__(self):
         for name in ("kappa", "dt"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not (_finite_number(value) and value > 0.0):
                 raise ValueError(
                     f"{name} must be finite and positive, got {value!r}")
 

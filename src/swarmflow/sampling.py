@@ -19,14 +19,14 @@ that trajectories stay byte-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .flowmatch import FlowSchedule, conditional_field
-from .models import Checkpoint, _positive_int, models_from_checkpoint
+from .models import (Checkpoint, _finite_number, _positive_int,
+                     models_from_checkpoint)
 from .navigation import NavConfig, orca_adjust
 
 __all__ = [
@@ -110,7 +110,7 @@ class SampleConfig:
                 or self.seed < 0:
             raise ValueError(
                 f"seed must be a non-negative int, got {self.seed!r}")
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
+        if not (_finite_number(self.kappa) and self.kappa > 0.0):
             raise ValueError(
                 f"kappa must be finite and positive, got {self.kappa!r}")
 

@@ -71,6 +71,16 @@ def test_matmul_gradients():
     check_op(ad.matmul, (5,), (5, 3), seed=2)   # vector @ matrix
 
 
+def test_dense_gradients():
+    check_op(lambda x, w, b: ad.dense(x, w, b), (4, 5), (5, 3), (3,), seed=3)
+    check_op(lambda x, w, b: ad.dense(x, w, b, act=True),
+             (5,), (5, 3), (3,), seed=4)
+    check_op(lambda x, w, b, i: ad.dense(x, w, b, i, act=True),
+             (4, 5), (5, 3), (3,), (3,), seed=5)
+    check_op(lambda x, w, b, i: ad.dense(x, w, b, i),
+             (4, 5), (5, 3), (4, 3), (3,), seed=6)   # per-row bias
+
+
 def test_unary_gradients():
     for seed, op in enumerate([ad.sigmoid, ad.tanh, ad.exp, ad.neg]):
         check_op(op, (6, 2), seed=40 + seed)
@@ -142,6 +152,22 @@ def test_shape_mismatch_raises():
         ad.matmul(ad.wrap(np.ones((2, 3))), ad.wrap(np.ones(3)))
     with pytest.raises(ad.ShapeMismatchError):
         ad.matmul(ad.wrap(np.ones(3)), ad.wrap(np.ones(3)))
+
+
+def test_dense_shape_mismatch_raises():
+    x, w, b = np.ones((4, 5)), np.ones((5, 3)), np.ones(3)
+    bad_calls = [
+        (np.ones((2, 4, 5)), w, b, None),    # x must be 1-D or 2-D
+        (x, np.ones(5), b, None),            # w must be 2-D
+        (x, np.ones((4, 3)), b, None),       # inner dimensions
+        (x, w, np.ones(4), None),            # bias not a suffix
+        (np.ones(5), w, np.ones((4, 3)), None),  # bias wider than output
+        (x, w, b, np.ones(2)),               # inject not a suffix
+        (x, w, b, np.ones((1, 3))),          # no middle/size-1 broadcast
+    ]
+    for args in bad_calls:
+        with pytest.raises(ad.ShapeMismatchError, match="^dense: "):
+            ad.dense(*args[:3], inject=args[3])
 
 
 def test_max_ties_route_to_lowest_index():
@@ -217,3 +243,72 @@ def test_no_record_restores_the_mode_after_errors_and_nesting():
             with ad.no_record():
                 raise RuntimeError("inner")
     assert records()
+
+
+# ---------------------------------------------------------------------------
+# the fused layer against the chain it replaces
+
+def _chain(x, w, b, inject=None, act=False):
+    h = ad.matmul(x, w)
+    if inject is not None:
+        h = h + inject
+    h = h + b
+    return ad.tanh(h) if act else h
+
+
+def _layer_run(layer, x_shape, inject, act, seed):
+    """Outputs, loss and every leaf's gradient, through ``layer``, of a
+    loss in which ``x`` feeds two layers and a product and ``ctx`` feeds
+    both layers' inject terms, so both sum several contributions."""
+    rng = np.random.default_rng(seed)
+    n, h = x_shape[-1], 7
+    x = ad.wrap(rng.standard_normal(x_shape))
+    ws = [ad.wrap(rng.standard_normal((n, h))) for _ in range(2)]
+    bs = [ad.wrap(rng.standard_normal(h)) for _ in range(2)]
+    ctx = ad.wrap(rng.standard_normal(5))
+    gate = ad.wrap(rng.standard_normal((5, h)))
+    outs = []
+    for w, b in zip(ws, bs):
+        extra = ad.matmul(ctx, gate) if inject else None
+        outs.append(layer(x, w, b, extra, act))
+    probe = rng.standard_normal(outs[0].shape)
+    loss = (ad.reduce_sum(ad.mul(ad.mul(outs[0], outs[1]), probe))
+            + ad.reduce_sum(ad.mul(outs[1], outs[1]))
+            + ad.reduce_sum(ad.mul(x, 0.25)))
+    ad.backward(loss)
+    leaves = [x, *ws, *bs] + ([ctx, gate] if inject else [])
+    return [o.value for o in outs] + [loss.value] + [n.grad for n in leaves]
+
+
+@pytest.mark.parametrize("x_shape", [(6,), (9, 6)])
+@pytest.mark.parametrize("inject", [False, True])
+@pytest.mark.parametrize("act", [False, True])
+def test_dense_is_bitwise_the_unfused_chain(x_shape, inject, act):
+    fused = _layer_run(ad.dense, x_shape, inject, act, seed=80)
+    chain = _layer_run(_chain, x_shape, inject, act, seed=80)
+    assert len(fused) == len(chain)
+    for a, b in zip(fused, chain):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_dense_is_one_node():
+    rng = np.random.default_rng(81)
+    x, w, b, i = (ad.wrap(rng.standard_normal(s))
+                  for s in [(4, 3), (3, 2), (2,), (2,)])
+    out = ad.dense(x, w, b, i, act=True)
+    assert out.op == "dense"
+    assert out._parents == (x, w, i, b)
+    assert ad.dense(x, w, b)._parents == (x, w, b)
+
+
+def test_dense_under_no_record_keeps_no_parents():
+    rng = np.random.default_rng(82)
+    x, w, b, i = (ad.wrap(rng.standard_normal(s))
+                  for s in [(4, 3), (3, 2), (2,), (2,)])
+    recorded = ad.dense(x, w, b, i, act=True)
+    with ad.no_record():
+        free = ad.dense(x, w, b, i, act=True)
+    assert np.array_equal(free.value, recorded.value)
+    assert free._parents == () and free._vjps == ()
+    ad.backward(ad.reduce_sum(free))
+    assert all(n.grad is None for n in (x, w, b, i))

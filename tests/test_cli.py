@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from swarmflow.cli import _split_config, main
+from swarmflow.cli import _collect_trajectories, _split_config, main
 from swarmflow.dataio import (SceneScale, load_checkpoint, load_pointcloud,
                               load_trajectory_csv, normalize_cloud,
                               save_checkpoint, to_real_scale)
@@ -181,6 +181,28 @@ def test_scale_flag_writes_real_trajectory(pipeline):
     np.testing.assert_allclose(real.positions[0],
                                training.positions[0] * (200.0 / 6.0),
                                atol=1e-12)
+
+
+def test_evaluate_counts_a_scaled_run_once(pipeline, tmp_path, capsys):
+    run = tmp_path / "scaled_run"
+    assert main(["sample", "--checkpoint", str(pipeline["flow"]),
+                 "--agents", "8", "--steps", "5", "--scale",
+                 "--out", str(run)]) == 0
+    assert {p.name for p in run.glob("*.csv")} == {"trajectory.csv",
+                                                   "trajectory_real.csv"}
+    [log] = _collect_trajectories([run])
+    assert log.meta.get("scale") != "real"
+    for scale in ([], ["--scale"]):
+        capsys.readouterr()
+        assert main(["evaluate", "--trajectories", str(run), *scale]) == 0
+        from_dir = capsys.readouterr().out
+        assert main(["evaluate", "--trajectories",
+                     str(run / "trajectory.csv"), *scale]) == 0
+        assert from_dir == capsys.readouterr().out
+    # a real-scale file without its training-scale twin is still read
+    (run / "trajectory.csv").unlink()
+    [log] = _collect_trajectories([run])
+    assert log.meta["scale"] == "real"
 
 
 def test_sample_diffusion_subcommand(pipeline):

@@ -88,11 +88,13 @@ def test_config_validation():
         NavConfig(kappa=0.0, dt=DT)
     with pytest.raises(ValueError):
         NavConfig(kappa=KAPPA, dt=0.0)
-    for bad in (np.inf, -np.inf, np.nan):
+    for bad in (np.inf, -np.inf, np.nan, "0.1", None, False, [0.1]):
         for name in ("kappa", "dt"):
             settings = {"kappa": KAPPA, "dt": DT, name: bad}
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite") \
+                    as info:
                 NavConfig(**settings)
+            assert "\n" not in str(info.value)
 
 
 def test_config_defaults():

@@ -96,10 +96,12 @@ def test_sample_config_validation():
         SampleConfig(num_agents=0)
     with pytest.raises(ValueError):
         SampleConfig(num_agents=4, steps=0)
-    for kappa in (0.0, -1.0, np.inf, np.nan):
+    for kappa in (0.0, -1.0, np.inf, np.nan, "0.1", None, True, [0.1]):
         for use_orca in (False, True):
-            with pytest.raises(ValueError, match="kappa must be finite"):
+            with pytest.raises(ValueError, match="^kappa must be finite") \
+                    as info:
                 SampleConfig(num_agents=4, kappa=kappa, use_orca=use_orca)
+            assert "\n" not in str(info.value)
     # integers only: a float or bool count or seed would be logged as given
     # or fail later with a TypeError
     bad = {"num_agents": (True, 4.0, "4", -1), "steps": (2.0, False, None),
