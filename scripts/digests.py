@@ -7,9 +7,14 @@ With one BLAS thread it rebuilds:
   sphere, seed 20), ``train`` for flow and for diffusion (``latent_dim``
   16, 2000 epochs, seed 0), then ``sample`` with ``--scale``,
   ``sample --no-orca``, ``sample-cfm-orca`` and ``sample-diffusion``
-  (512 agents, seed 1) and ``evaluate``.  Every file the run writes is
-  digested under its path in that directory, so checkpoints, train logs,
-  trajectories, their sidecars and the metrics reports are all covered;
+  (512 agents, seed 1), ``evaluate``, and ``export`` of the ``--scale``
+  run's final cloud and of its every frame (``--frames``).  Every file the
+  run writes is digested under its path in that directory, so
+  checkpoints, train logs, trajectories, their sidecars, the metrics
+  reports and the exported clouds are all covered;
+- the ``--scale`` ``sample`` run again, with the same arguments, into the
+  same ``--out``, so the files a rerun writes over the first run's are
+  digested too (``rerun/sample/...``);
 - the trained parameters of both checkpoints (``params/...``), which
   stay equal when only a checkpoint's header changes;
 - an exact-target integration (``integrate_exact_target``, 512 points,
@@ -85,12 +90,22 @@ def cli_run(sf, root: Path) -> dict:
     cli("sample-diffusion", "--checkpoint",
         str(root / "diffusion" / "checkpoint.swf"), *run,
         "--out", str(root / "ddpm"))
-    cli("evaluate", "--trajectories",
-        str(root / "sample" / "trajectory.csv"),
+    trajectory = str(root / "sample" / "trajectory.csv")
+    cli("evaluate", "--trajectories", trajectory,
         "--reference", str(root / "data"), "--out", str(root / "evaluate"))
+    cli("export", "--trajectory", trajectory, "--out", str(root / "export"))
+    cli("export", "--trajectory", trajectory, "--frames",
+        "--out", str(root / "export-frames"))
 
-    out = {path.relative_to(root).as_posix(): sha256(path.read_bytes())
-           for path in sorted(root.rglob("*")) if path.is_file()}
+    def files(under: Path, prefix: str = "") -> dict:
+        return {prefix + path.relative_to(root).as_posix():
+                sha256(path.read_bytes())
+                for path in sorted(under.rglob("*")) if path.is_file()}
+
+    out = files(root)
+    cli("sample", "--checkpoint", flow, *run, "--scale",
+        "--out", str(root / "sample"))
+    out.update(files(root / "sample", "rerun/"))
     for algorithm in ("flow", "diffusion"):
         ckpt = sf.load_checkpoint(root / algorithm / "checkpoint.swf")
         out[f"params/{algorithm}"] = sha256(*(

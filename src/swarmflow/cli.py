@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, diffusion, flowmatch, metrics, sampling
-from .models import ModelConfig, models_from_checkpoint
+from .models import ModelConfig, _open_new, models_from_checkpoint
 
 _TRAIN_KEYS = {f.name for f in fields(flowmatch.TrainConfig)}
 _MODEL_KEYS = {f.name for f in fields(ModelConfig)}
@@ -316,8 +316,10 @@ def _cmd_evaluate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.txt").write_text(text)
-        (out / "metrics.kv").write_text(metrics.report_keyvalues(report))
+        for name, body in (("metrics.txt", text),
+                           ("metrics.kv", metrics.report_keyvalues(report))):
+            with _open_new(out / name) as fh:
+                fh.write(body)
         print(f"reports: {out / 'metrics.txt'}, {out / 'metrics.kv'}")
     return 0
 

@@ -13,7 +13,10 @@ reject NaN and inf, as do the config reader and checkpoint tensors.  Every
 reader raises a one-line ``ValueError`` naming the file (and the line,
 for text) on bad input, a text file that is not UTF-8 included.  Floats
 are printed with %.17g everywhere, which round-trips float64 exactly, so
-save/load cycles and repeated runs are byte-identical.
+save/load cycles and repeated runs are byte-identical.  Every writer
+creates a new file (``models._open_new`` unlinks an existing target
+first), so a symlink or hard-linked target is replaced, not written
+through.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .models import Checkpoint, ModelConfig, _finite_number
+from .models import Checkpoint, ModelConfig, _finite_number, _open_new
 from .sampling import TrajectoryLog
 
 __all__ = [
@@ -96,7 +99,7 @@ def save_pointcloud(path, cloud) -> None:
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.ndim != 2 or cloud.shape[1] != 3:
         raise ValueError(f"expected an (M, 3) cloud, got {cloud.shape}")
-    with open(path, "w") as fh:
+    with _open_new(path) as fh:
         np.savetxt(fh, cloud, fmt=_FMT, header="x y z", comments="# ")
 
 
@@ -251,16 +254,13 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Binary write: magic, version, JSON header, raw float64 payload."""
     sections = (("params", ckpt.params), ("opt_m", ckpt.opt_m),
                 ("opt_v", ckpt.opt_v))
-    tensors = []
-    payload = bytearray()
-    for section, table in sections:
-        for name in table:  # insertion order is part of the format
-            # asarray, not ascontiguousarray: the latter would silently
-            # promote 0-d tensors to shape (1,)
-            arr = np.asarray(table[name], dtype=np.float64)
-            tensors.append({"section": section, "name": name,
-                            "shape": list(arr.shape)})
-            payload.extend(arr.astype("<f8").tobytes())
+    # insertion order is part of the format; asarray, not
+    # ascontiguousarray: the latter would silently promote 0-d tensors to
+    # shape (1,)
+    arrays = [(section, name, np.asarray(table[name], dtype=np.float64))
+              for section, table in sections for name in table]
+    tensors = [{"section": section, "name": name, "shape": list(arr.shape)}
+               for section, name, arr in arrays]
     header = json.dumps({
         "algorithm": ckpt.algorithm,
         "model_config": asdict(ckpt.model_config),
@@ -270,12 +270,13 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "final_loss": ckpt.final_loss,
         "tensors": tensors,
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _open_new(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        fh.write(bytes(payload))
+        for _, _, arr in arrays:  # the payload, one tensor at a time
+            fh.write(arr.astype("<f8").tobytes())
 
 
 def _read_exact(fh, size: int, path, what: str) -> bytes:
@@ -371,19 +372,25 @@ def save_trajectory_csv(path, log: TrajectoryLog) -> None:
 
     The velocity columns hold the applied velocity of the step *starting*
     at each frame; the final frame, which starts no step, gets zeros.
+    The sidecar is encoded before either file is opened, so metadata that
+    JSON cannot encode raises and writes nothing.  Rows are formatted a
+    frame per ``%``, the bytes ``np.savetxt`` would write, without
+    holding more than one frame as Python objects.
     """
+    sidecar = json.dumps(log.meta, sort_keys=True, indent=2) + "\n"
     s, m = log.num_steps, log.num_agents
     velocities = np.concatenate([log.applied_velocities, np.zeros((1, m, 3))])
     table = np.column_stack([np.repeat(log.times, m),
                              np.tile(np.arange(m), s + 1),
                              log.positions.reshape(-1, 3),
                              velocities.reshape(-1, 3)])
-    with open(path, "w") as fh:
-        np.savetxt(fh, table, fmt=[_FMT, "%d"] + [_FMT] * 6, delimiter=",",
-                   header=_CSV_HEADER, comments="")
-    with open(f"{path}.meta.json", "w") as fh:
-        json.dump(log.meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    frame = (",".join([_FMT, "%d"] + [_FMT] * 6) + "\n") * m
+    with _open_new(path) as fh:
+        fh.write(_CSV_HEADER + "\n")
+        for rows in table.reshape(s + 1, -1):
+            fh.write(frame % tuple(rows.tolist()))
+    with _open_new(f"{path}.meta.json") as fh:
+        fh.write(sidecar)
 
 
 def load_trajectory_csv(path) -> TrajectoryLog:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .models import (Checkpoint, ModelConfig, ModelSet, _finite_number,
-                     build_models, kl_divergence)
+                     _open_new, build_models, kl_divergence)
 
 __all__ = [
     "FlowSchedule", "TrainConfig", "TrainingDiverged",
@@ -241,7 +241,7 @@ def _run_training(dataset, train_config: TrainConfig,
     total = train_config.epochs * steps_per_epoch
     last_loss = float("nan")
     # line-buffered: a run that diverges or is killed keeps its history
-    with (open(log_path, "w", buffering=1) if log_path is not None
+    with (_open_new(log_path, buffering=1) if log_path is not None
           else contextlib.nullcontext()) as log:
         if log is not None:
             log.write("# step loss field kl\n")

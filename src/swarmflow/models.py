@@ -19,6 +19,7 @@ flat buffers only; the checkpoint code reads named tensors from
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,19 @@ def _positive_int(value) -> bool:
 def _finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
         and math.isfinite(value)
+
+
+def _open_new(path, mode="w", **kw):
+    """``open(path, mode, **kw)`` on a new file: an existing ``path`` is
+    unlinked first, never truncated.  On ext4 (``auto_da_alloc``) closing
+    a truncated, rewritten file waits until its new blocks reach the
+    disk; a new file does not.  A symlink or hard-linked target is thus
+    replaced, not written through."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, mode, **kw)
 
 
 @dataclass(frozen=True)

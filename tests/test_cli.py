@@ -159,6 +159,29 @@ def test_train_reruns_are_byte_identical(pipeline):
         (second / "train.log").read_bytes()
 
 
+def test_train_and_evaluate_replace_linked_outputs(pipeline, tmp_path,
+                                                  linked_targets):
+    # train.log, the checkpoint and the evaluate reports are new files:
+    # a linked target is replaced, and the file it linked to keeps its bytes
+    train = ["train", "--data", str(pipeline["data"]), "--config",
+             str(pipeline["config"]), "--epochs", "10", "--out"]
+    evaluate = ["evaluate", "--trajectories", str(tmp_path / "run"),
+                "--kappa", "0.06", "--out"]
+    assert main(["sample", "--checkpoint", str(pipeline["flow"]),
+                 "--agents", "8", "--steps", "4", "--out",
+                 str(tmp_path / "run")]) == 0
+    for argv, names in ((train, ["train.log", "checkpoint.swf"]),
+                        (evaluate, ["metrics.txt", "metrics.kv"])):
+        fresh, linked = tmp_path / f"fresh_{argv[0]}", tmp_path / argv[0]
+        assert main([*argv, str(fresh)]) == 0
+        linked.mkdir()
+        check = linked_targets(*(linked / name for name in names))
+        assert main([*argv, str(linked)]) == 0
+        check()
+        for name in names:
+            assert (linked / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_no_orca_flag_switches_algorithm(pipeline):
     out = pipeline["root"] / "raw_field"
     assert main(["sample", "--checkpoint", str(pipeline["flow"]),

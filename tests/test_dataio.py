@@ -1,5 +1,6 @@
 """Tests for file formats, normalization, scaling, and synthetic shapes."""
 
+import io
 import json
 import math
 import struct
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from swarmflow.dataio import (
+    _FMT,
     NormalizationTransform,
     SceneScale,
     load_checkpoint,
@@ -163,6 +165,77 @@ def test_writers_reproduce_recorded_bytes(tmp_path):
 def test_save_pointcloud_validation(tmp_path):
     with pytest.raises(ValueError):
         save_pointcloud(tmp_path / "x.xyz", np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("writer", ["xyz", "ckpt", "csv"])
+def test_writers_replace_a_linked_target(tmp_path, linked_targets, writer):
+    # every writer creates a new file: a linked target is replaced, and
+    # the file it linked to keeps its bytes
+    log = _euler_log(np.random.default_rng(14), steps=3, agents=5,
+                     meta={"kappa": 0.06})
+    save, names = {
+        "xyz": (lambda p: save_pointcloud(p, log.final_cloud()), ["a.xyz"]),
+        "ckpt": (lambda p: save_checkpoint(p, _small_checkpoint()),
+                 ["a.ckpt"]),
+        "csv": (lambda p: save_trajectory_csv(p, log),
+                ["a.csv", "a.csv.meta.json"]),
+    }[writer]
+    fresh, linked = tmp_path / "fresh", tmp_path / "linked"
+    fresh.mkdir()
+    linked.mkdir()
+    save(fresh / names[0])
+    check = linked_targets(*(linked / name for name in names))
+    save(linked / names[0])
+    check()
+    for name in names:
+        assert (linked / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_trajectory_csv_bad_meta_writes_nothing(tmp_path):
+    log = _euler_log(np.random.default_rng(15), steps=2, agents=2,
+                     meta={"a": 1, "seed": np.int64(3)})
+    path = tmp_path / "run.csv"
+    with pytest.raises(TypeError):
+        save_trajectory_csv(path, log)
+    assert not path.exists()
+    assert not (tmp_path / "run.csv.meta.json").exists()
+
+
+def test_trajectory_csv_is_the_savetxt_bytes(tmp_path):
+    # the frame-at-a-time writer gives exactly what np.savetxt wrote
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    specials = st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e17, 1 / 3])
+    floats = (st.floats(allow_nan=False, allow_infinity=False) | specials
+              | st.sampled_from([1e308, -1e308]))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(1, 40), st.integers(1, 5), st.data())
+    def check(m, s, data):
+        # strictly decreasing, with every gap finite
+        times = np.sort(data.draw(hnp.arrays(
+            np.float64, s + 1, elements=st.floats(-1e300, 1e300) | specials,
+            unique=True)))[::-1]
+        positions = data.draw(hnp.arrays(np.float64, (s + 1, m, 3),
+                                         elements=floats))
+        velocities = data.draw(hnp.arrays(np.float64, (s, m, 3),
+                                          elements=floats))
+        log = TrajectoryLog(times=times, positions=positions,
+                            applied_velocities=velocities, meta={})
+        path = tmp_path / "run.csv"
+        save_trajectory_csv(path, log)
+        table = np.column_stack([
+            np.repeat(times, m), np.tile(np.arange(m), s + 1),
+            positions.reshape(-1, 3),
+            np.concatenate([velocities, np.zeros((1, m, 3))]).reshape(-1, 3)])
+        fh = io.StringIO()
+        np.savetxt(fh, table, fmt=[_FMT, "%d"] + [_FMT] * 6, delimiter=",",
+                   header="t,agent,x,y,z,vx,vy,vz", comments="")
+        assert path.read_bytes() == fh.getvalue().encode()
+
+    check()
 
 
 def test_normalize_cloud_properties():
