@@ -12,6 +12,9 @@ With one BLAS thread it rebuilds:
   run writes is digested under its path in that directory, so
   checkpoints, train logs, trajectories, their sidecars, the metrics
   reports and the exported clouds are all covered;
+- the arrays ``load_trajectory_csv`` reads back from the ``--scale`` run's
+  two trajectories (``read/sample/...``: times, positions and applied
+  velocities);
 - the ``--scale`` ``sample`` run again, with the same arguments, into the
   same ``--out``, so the files a rerun writes over the first run's are
   digested too (``rerun/sample/...``);
@@ -103,6 +106,10 @@ def cli_run(sf, root: Path) -> dict:
                 for path in sorted(under.rglob("*")) if path.is_file()}
 
     out = files(root)
+    for name in ("trajectory.csv", "trajectory_real.csv"):
+        log = sf.load_trajectory_csv(root / "sample" / name)
+        out[f"read/sample/{name}"] = sha256(
+            log.times, log.positions, log.applied_velocities)
     cli("sample", "--checkpoint", flow, *run, "--scale",
         "--out", str(root / "sample"))
     out.update(files(root / "sample", "rerun/"))

@@ -17,6 +17,11 @@ save/load cycles and repeated runs are byte-identical.  Every writer
 creates a new file (``models._open_new`` unlinks an existing target
 first), so a symlink or hard-linked target is replaced, not written
 through.
+
+A trajectory CSV that holds only the bytes the writer emits is parsed by
+``np.loadtxt``'s C reader.  Any other file, and any file that fails a
+check, is read line by line, so the files accepted, the values and the
+error text are those of the line reader alone.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import json
 import math
 import os
 import struct
+import warnings
 from array import array
+from contextlib import closing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -89,7 +96,8 @@ def _read_rows(path, lines, sep, width: int, first_line: int):
 
 def load_pointcloud(path) -> np.ndarray:
     """Read an XYZ text file into an (M, 3) float64 array."""
-    cloud, _ = _read_rows(path, _text_lines(path), None, 3, 1)
+    with closing(_text_lines(path)) as lines:
+        cloud, _ = _read_rows(path, lines, None, 3, 1)
     if not len(cloud):
         raise ValueError(f"{path}: no points found")
     return cloud
@@ -365,6 +373,9 @@ def load_checkpoint(path) -> Checkpoint:
 # trajectories
 
 _CSV_HEADER = "t,agent,x,y,z,vx,vy,vz"
+# every byte save_trajectory_csv writes after the header: %.17g of finite
+# floats, %d agent ids, commas and line feeds
+_WRITER_BYTES = b"0123456789+-.e,\n"
 
 
 def save_trajectory_csv(path, log: TrajectoryLog) -> None:
@@ -393,15 +404,47 @@ def save_trajectory_csv(path, log: TrajectoryLog) -> None:
         fh.write(sidecar)
 
 
-def load_trajectory_csv(path) -> TrajectoryLog:
-    """Rebuild a TrajectoryLog (without preferred velocities) from CSV
-    rows laid out as ``save_trajectory_csv`` writes them; a missing
-    sidecar gives empty metadata."""
-    lines = _text_lines(path)
-    header = next(lines, "").strip()
-    if header != _CSV_HEADER:
-        raise ValueError(f"{path}: unexpected header {header!r}")
-    table, line_of_row = _read_rows(path, lines, ",", 8, 2)
+def _writer_table(path):
+    """The rows of a trajectory CSV laid out as ``save_trajectory_csv``
+    writes it, parsed by ``np.loadtxt``'s C reader into a finite (N, 8)
+    array; None for any other file and for any failure.
+
+    The file must start with the header line and hold nothing after it
+    but the bytes the writer emits: digits, ``+-.e``, commas and line
+    feeds.  On those bytes the line reader and ``np.loadtxt`` split lines
+    and fields alike, skip the same (empty) lines, and parse each field
+    with the same string-to-double routine, so they accept the same rows
+    with the same values.  Any other byte sends the file to the line
+    reader, because there the two can differ: ``np.loadtxt`` ends a line
+    at a lone ``\\r``, strips ``\\x1f`` around a field, and refuses
+    ``1_0`` and non-ASCII digits, which ``float()`` reads.  The scan reads
+    1 MiB blocks, so its memory does not grow with the file.
+    """
+    header = (_CSV_HEADER + "\n").encode()
+    with open(path, "rb") as fh:
+        if fh.read(len(header)) != header:
+            return None
+        while block := fh.read(1 << 20):
+            if block.translate(None, _WRITER_BYTES):
+                return None
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # a table with no rows warns
+            warnings.simplefilter("error", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1,
+                               ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if table.shape[1] != 8 or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _frames(path, table, line_of_row):
+    """Split an (N, 8) trajectory table into (S+1, M, 8) frames, or raise
+    a one-line ``ValueError`` unless its rows are frame-major (agents
+    0..M-1 in order in each of at least two frames, frame times strictly
+    decreasing); ``line_of_row[k]`` is the file line of row k."""
     t = table[:, 0]
     later = np.flatnonzero(t != t[:1])
     if not later.size:
@@ -415,9 +458,39 @@ def load_trajectory_csv(path) -> TrajectoryLog:
     if len(t) % m or np.any(t.reshape(-1, m) != t[::m, None]):
         raise ValueError(f"{path}: frames disagree on agent count")
     frames = table.reshape(-1, m, 8)
-    times = frames[:, 0, 0].copy()
-    if np.any(np.diff(times) >= 0.0):
+    if np.any(np.diff(frames[:, 0, 0]) >= 0.0):
         raise ValueError(f"{path}: frame times must strictly decrease")
+    return frames
+
+
+def load_trajectory_csv(path) -> TrajectoryLog:
+    """Rebuild a TrajectoryLog (without preferred velocities) from CSV
+    rows laid out as ``save_trajectory_csv`` writes them; a missing
+    sidecar gives empty metadata.
+
+    A file that holds only bytes the writer emits (blank lines allowed)
+    is parsed in one ``np.loadtxt`` call, see ``_writer_table``.  Any
+    other file (``#`` lines, CRLF line ends, spaces, ``inf``, ``1_0``,
+    non-ASCII digits, bytes that are not UTF-8), and any file whose rows
+    fail a check, goes to the line reader (``_text_lines`` and
+    ``_read_rows``), the one place that words an error.  So the files
+    accepted, the values read and every error message, with its line,
+    are those of the line reader alone.
+    """
+    table = _writer_table(path)
+    frames = None
+    if table is not None:
+        try:
+            frames = _frames(path, table, range(2, len(table) + 2))
+        except ValueError:
+            pass  # blank lines would shift that line: the line reader words it
+    if frames is None:
+        with closing(_text_lines(path)) as lines:
+            header = next(lines, "").strip()
+            if header != _CSV_HEADER:
+                raise ValueError(f"{path}: unexpected header {header!r}")
+            table, line_of_row = _read_rows(path, lines, ",", 8, 2)
+        frames = _frames(path, table, line_of_row)
     meta_path = f"{path}.meta.json"
     try:
         with open(meta_path) as fh:
@@ -428,7 +501,8 @@ def load_trajectory_csv(path) -> TrajectoryLog:
         raise ValueError(f"{meta_path}: bad metadata sidecar: {err}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: metadata sidecar is not a JSON object")
-    return TrajectoryLog(times=times, positions=frames[:, :, 2:5].copy(),
+    return TrajectoryLog(times=frames[:, 0, 0].copy(),
+                         positions=frames[:, :, 2:5].copy(),
                          applied_velocities=frames[:-1, :, 5:].copy(),
                          preferred_velocities=None, meta=meta)
 

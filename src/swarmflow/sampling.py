@@ -40,10 +40,11 @@ class TrajectoryLog:
     """One sampled run of M agents over S steps.
 
     ``times`` has S+1 strictly decreasing entries, ``positions`` is
-    (S+1, M, 3), the velocity arrays are (S, M, 3).  ``preferred`` may be
-    None for logs reloaded from CSV, which only stores applied
-    velocities.  ``meta`` carries algorithm id, seed, step count, the
-    collision radius, and the scale the coordinates are expressed in.
+    (S+1, M, 3), the velocity arrays are (S, M, 3); other shapes raise a
+    ``ValueError`` on construction.  ``preferred`` may be None for logs
+    reloaded from CSV, which only stores applied velocities.  ``meta``
+    carries algorithm id, seed, step count, the collision radius, and the
+    scale the coordinates are expressed in.
     """
 
     times: np.ndarray
@@ -60,9 +61,20 @@ class TrajectoryLog:
         if self.preferred_velocities is not None:
             self.preferred_velocities = np.asarray(self.preferred_velocities,
                                                    dtype=np.float64)
-        s = self.applied_velocities.shape[0]
-        if self.positions.shape[0] != s + 1 or self.times.shape != (s + 1,):
-            raise ValueError("frame counts disagree")
+        shape = self.positions.shape
+        steps = (shape[0] - 1, *shape[1:]) if len(shape) == 3 else None
+        if (steps is None or shape[2] != 3
+                or self.times.shape != shape[:1]
+                or self.applied_velocities.shape != steps
+                or self.preferred_velocities is not None
+                and self.preferred_velocities.shape != steps):
+            preferred = (None if self.preferred_velocities is None
+                         else self.preferred_velocities.shape)
+            raise ValueError(
+                f"log shapes disagree: times {self.times.shape}, positions "
+                f"{shape}, applied {self.applied_velocities.shape}, "
+                f"preferred {preferred}; expected (S+1,), (S+1, M, 3) and "
+                f"(S, M, 3)")
         if np.any(np.diff(self.times) >= 0.0):
             raise ValueError("times must be strictly decreasing")
 

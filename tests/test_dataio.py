@@ -3,12 +3,14 @@
 import io
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from swarmflow import dataio
 from swarmflow.dataio import (
     _FMT,
     NormalizationTransform,
@@ -622,9 +624,9 @@ _CHUNKS = [b"nan", b"inf", b"-", b".", b"e", b"e9", b"1e999", b"0", b"7",
            b",", b" ", b"\n", b"#", b"=", b"\xff", b"\x00"]
 
 
-def _edits(st, size):
+def _edits(st, size, chunks=_CHUNKS):
     """Hypothesis strategy: one to four cut/replace/insert/delete edits."""
-    chunk = st.sampled_from(_CHUNKS) | st.binary(min_size=1, max_size=3)
+    chunk = st.sampled_from(chunks) | st.binary(min_size=1, max_size=3)
     edit = st.tuples(st.sampled_from(["cut", "replace", "insert", "delete"]),
                      st.integers(0, size), chunk)
     return st.lists(edit, min_size=1, max_size=4)
@@ -744,3 +746,192 @@ def test_real_scale_csv_round_trip_keeps_euler_and_bytes(tmp_path):
             (tmp_path / "first.csv.meta.json").read_bytes()
 
     check()
+
+
+def _read_outcome(path):
+    """What ``load_trajectory_csv`` gives for ``path``: the bytes and
+    shapes of the arrays plus the meta, or the text of its ValueError."""
+    try:
+        log = load_trajectory_csv(path)
+    except ValueError as err:
+        return str(err)
+    return [(arr.shape, arr.tobytes()) for arr in
+            (log.times, log.positions, log.applied_velocities)] + [log.meta]
+
+
+def _line_reader_outcome(path):
+    """The same, with the ``np.loadtxt`` path turned off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_writer_table", lambda path: None)
+        return _read_outcome(path)
+
+
+# chunks plus what the two parsers might read differently: line ends,
+# whitespace that str.strip() and np.loadtxt strip but float() refuses,
+# digit separators, non-ASCII digits and spaces, an upper-case exponent
+_CSV_CHUNKS = _CHUNKS + [b"\r", b"\r\n", b"\t", b"\x0c", b"\x1c", b"\x1f",
+                         b"_", b"+", b"E", "\u0661".encode(), "\xa0".encode()]
+
+
+def test_trajectory_csv_reads_as_the_line_reader_on_mutated_bytes(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rng = np.random.default_rng(16)
+    raws = []
+    for steps, agents in ((1, 1), (2, 3), (3, 7)):
+        path = tmp_path / f"w{steps}.csv"
+        save_trajectory_csv(path, _euler_log(rng, steps, agents,
+                                             meta={"kappa": 0.06}))
+        raws.append(path.read_bytes())
+    path = tmp_path / "input.csv"  # the CSV changes, its sidecar stays
+    save_trajectory_csv(path, _euler_log(rng, 1, 1, meta={"kappa": 0.06}))
+    writer_table = dataio._writer_table
+    seen = {"fast": 0, "loaded": 0, "rejected": 0}
+
+    def counted(path):
+        table = writer_table(path)
+        seen["fast"] += table is not None
+        return table
+
+    cases = st.sampled_from(raws).flatmap(
+        lambda raw: st.tuples(st.just(raw), _edits(st, len(raw),
+                                                   _CSV_CHUNKS)))
+
+    @hypothesis.settings(max_examples=1000, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(cases)
+    def check(case):
+        raw, edits = case
+        path.unlink()  # a new file each time, as above
+        path.write_bytes(_apply_edits(raw, edits))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_writer_table", counted)
+            got = _read_outcome(path)
+        assert got == _line_reader_outcome(path)
+        seen["rejected" if isinstance(got, str) else "loaded"] += 1
+
+    check()
+    assert min(seen.values()) >= 50, seen
+
+
+def test_trajectory_csv_reads_as_the_line_reader_after_one_edit(tmp_path):
+    # every chunk, inserted at or written over every offset of a small
+    # writer file: the cases one random edit among several rarely hits
+    path = tmp_path / "input.csv"
+    save_trajectory_csv(path, _euler_log(np.random.default_rng(20), steps=1,
+                                         agents=2))
+    raw = path.read_bytes()
+    for pos in range(len(raw)):
+        for chunk in _CSV_CHUNKS:
+            for op in ("insert", "replace"):
+                path.unlink()
+                path.write_bytes(_apply_edits(raw, [(op, pos, chunk)]))
+                assert _read_outcome(path) == _line_reader_outcome(path), \
+                    (op, pos, chunk)
+
+
+def test_trajectory_csv_edge_cases_read_as_the_line_reader(tmp_path):
+    log = _euler_log(np.random.default_rng(17), steps=2, agents=2)
+    path = tmp_path / "run.csv"
+    save_trajectory_csv(path, log)
+    lines = path.read_text().splitlines(keepends=True)
+    row = lines[3].split(",")  # line 4: frame 1, agent 0
+
+    def load(*changed, text=None):
+        if text is None:
+            edited = list(lines)
+            for k, line in changed:
+                edited[k - 1] = line
+            text = "".join(edited)
+        path.unlink()
+        path.write_bytes(text.encode())
+        got = _read_outcome(path)
+        assert got == _line_reader_outcome(path)
+        return got
+
+    same = load()
+    assert same[1] == (log.positions.shape, log.positions.tobytes())
+    # a lone CR does not end a line; CRLF does
+    assert "line 3: expected 8 fields, got 15" in load(
+        text="".join(lines[:2]) + lines[2][:-1] + "\r" + "".join(lines[3:]))
+    assert load(text="".join(lines).replace("\n", "\r\n")) == same
+    # comment and blank lines are skipped, and a later error names its
+    # line in the file, not its row in the table
+    for extra in ("\n", "# note\n", "\n\n"):
+        assert load((2, extra + lines[1])) == same
+        duplicate = ",".join(row[:1] + ["1"] + row[2:])
+        line = 4 + extra.count("\n")
+        assert load((2, extra + lines[1]), (4, duplicate)) == (
+            f"{path}: line {line}: duplicate or out-of-order row for "
+            f"t={float(row[0]):.17g}, agent 1")
+        assert load((2, extra + lines[1]),
+                    (4, ",".join(row[:3] + ["inf"] + row[4:]))) == (
+            f"{path}: line {line}: NaN or inf")
+    # fields the writer never writes are read as float() reads them
+    for token, value in (("1_0", 10.0), ("\u0661", 1.0), ("\uff17", 7.0),
+                         (" 2 ", 2.0)):
+        got = load((4, ",".join(row[:2] + [token] + row[3:])))
+        assert np.frombuffer(got[1][1])[6] == value  # frame 1, agent 0, x
+    assert load(text=lines[0]) == f"{path}: need at least two frames"
+    assert load(text=lines[0] + "\n\n") == f"{path}: need at least two frames"
+    # nine fields a row, in 16 rows that np.loadtxt reads and that
+    # regroup into nine 2-agent frames of eight with decreasing times
+    table = np.zeros((16, 9))
+    table[:, 0] = 100.0 - np.arange(16) // 2
+    table[:, 1] = np.arange(16) % 2
+    for (r, c), value in zip([(1, 7), (3, 5), (5, 3), (8, 8), (10, 6),
+                              (12, 4), (14, 2)], [90, 80, 70, .5, .4, .3, .2]):
+        table[r, c] = value
+    text = lines[0] + "".join(",".join(f"{v:g}" for v in r) + "\n"
+                              for r in table)
+    assert load(text=text) == f"{path}: line 2: expected 8 fields, got 9"
+    # an overflow in writer-shaped bytes is parsed, then worded by the
+    # line reader
+    assert load((4, ",".join(row[:3] + ["1e999"] + row[4:]))) == (
+        f"{path}: line 4: NaN or inf")
+
+
+def test_trajectory_csv_takes_the_loadtxt_path_on_writer_output(
+        tmp_path, monkeypatch):
+    # if every file fell back to the line reader, the speed-up would be
+    # gone without any other test failing
+    log = _euler_log(np.random.default_rng(18), steps=4, agents=6)
+    path = tmp_path / "run.csv"
+    save_trajectory_csv(path, log)
+
+    def refuse(*args):
+        raise AssertionError("the line reader ran")
+
+    monkeypatch.setattr(dataio, "_read_rows", refuse)
+    loaded = load_trajectory_csv(path)
+    assert loaded.times.tobytes() == log.times.tobytes()
+    assert loaded.positions.tobytes() == log.positions.tobytes()
+    assert loaded.applied_velocities.tobytes() == \
+        log.applied_velocities.tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count open files")
+def test_readers_close_their_file_on_error(tmp_path):
+    log = _euler_log(np.random.default_rng(19), steps=2, agents=2)
+    save_trajectory_csv(tmp_path / "run.csv", log)
+    good = (tmp_path / "run.csv").read_text()
+    cases = [
+        ("bad_header.csv", "t,agent\n1,0\n", load_trajectory_csv),
+        ("short_row.csv", good + "0,0,1\n", load_trajectory_csv),
+        ("comment.csv", good.replace("\n", "\n# note\n", 1) + "x\n",
+         load_trajectory_csv),
+        ("duplicate.csv", good.replace("\n1,1,", "\n1,0,"),
+         load_trajectory_csv),
+        ("not_utf8.csv", good + "\xff\n", load_trajectory_csv),
+        ("short_row.xyz", "1 2 3\n4 5\n", load_pointcloud),
+        ("not_utf8.xyz", "1 2 3\n\xff\n", load_pointcloud),
+    ]
+    for name, text, reader in cases:
+        path = tmp_path / name
+        path.write_bytes(text.encode("latin-1"))
+        before = len(os.listdir("/proc/self/fd"))
+        # the error stays alive in ``info`` while the files are counted
+        with pytest.raises(ValueError, match=str(path)) as info:
+            reader(path)
+        assert len(os.listdir("/proc/self/fd")) == before, (name, info.value)

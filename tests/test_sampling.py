@@ -59,6 +59,29 @@ def test_log_validation_frame_counts():
                       applied_velocities=np.zeros((4, 2, 3)))
 
 
+def test_log_validation_shapes():
+    # each used to be accepted and fail later as a broadcast or
+    # concatenate error
+    times = np.array([1.0, 0.5])
+    cases = [
+        (np.zeros((2, 4, 3)), np.zeros((1, 5, 3)), None),
+        (np.zeros((2, 3)), np.zeros((1, 3)), None),
+        (np.zeros((2, 4, 2)), np.zeros((1, 4, 2)), None),
+        (np.zeros((2, 4, 3)), np.zeros((1, 4, 3)), np.zeros((1, 4))),
+        (np.zeros((2, 4, 3)), np.zeros((1, 4, 3)), np.zeros((1, 3, 3))),
+    ]
+    for positions, applied, preferred in cases:
+        with pytest.raises(ValueError, match="log shapes disagree") as info:
+            TrajectoryLog(times=times, positions=positions,
+                          applied_velocities=applied,
+                          preferred_velocities=preferred)
+        assert "\n" not in str(info.value)
+    log = TrajectoryLog(times=times, positions=np.zeros((2, 4, 3)),
+                        applied_velocities=np.zeros((1, 4, 3)),
+                        preferred_velocities=np.zeros((1, 4, 3)))
+    assert (log.num_steps, log.num_agents) == (1, 4)
+
+
 def test_log_validation_times_decreasing():
     with pytest.raises(ValueError):
         TrajectoryLog(times=np.array([0.0, 0.5, 1.0]),
