@@ -7,7 +7,7 @@ README for the full pipeline (make-data -> train -> sample -> evaluate).
 
 from .autodiff import Node, ShapeMismatchError, backward
 from .diffusion import DiffusionSchedule, ddpm_forward_sample, ddpm_sample
-from .flowmatch import (Adam, FlowSchedule, TrainConfig, TrainingDiverged,
+from .flowmatch import (SIGMA_MIN, Adam, TrainConfig, TrainingDiverged,
                         cfm_loss, conditional_field, sample_path_point,
                         scheduled_lr, target_field, train)
 from .dataio import (NormalizationTransform, SceneScale, load_checkpoint,

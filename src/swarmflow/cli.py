@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -209,12 +209,17 @@ def _write_trajectory(log, out_dir, scale) -> None:
 
 def _sample_config(args, ckpt, use_orca: bool) -> sampling.SampleConfig:
     """The run settings of every sampling command; ``kappa`` comes from
-    ``--kappa``, else from the checkpoint's training config."""
-    kappa = args.kappa if args.kappa is not None else \
-        float(ckpt.train_config.get("kappa", 0.06))
-    return sampling.SampleConfig(num_agents=args.agents, steps=args.steps,
-                                 use_orca=use_orca, seed=args.seed,
-                                 kappa=kappa)
+    ``--kappa``, else from the checkpoint's training config, else the
+    ``SampleConfig`` default."""
+    cfg = sampling.SampleConfig(num_agents=args.agents, steps=args.steps,
+                                use_orca=use_orca, seed=args.seed)
+    if args.kappa is not None:
+        return replace(cfg, kappa=args.kappa)
+    try:  # the flag settings passed above, so only kappa can fail here
+        return replace(cfg, kappa=ckpt.train_config.get("kappa", cfg.kappa))
+    except ValueError as err:
+        raise ValueError(
+            f"{args.checkpoint}: bad stored kappa: {err}") from None
 
 
 def _cmd_sample(args) -> int:

@@ -501,6 +501,9 @@ def load_trajectory_csv(path) -> TrajectoryLog:
         raise ValueError(f"{meta_path}: bad metadata sidecar: {err}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: metadata sidecar is not a JSON object")
+    if "kappa" in meta and not _finite_number(meta["kappa"]):
+        raise ValueError(f"{meta_path}: kappa must be a finite number, "
+                         f"got {meta['kappa']!r}")
     return TrajectoryLog(times=frames[:, 0, 0].copy(),
                          positions=frames[:, :, 2:5].copy(),
                          applied_velocities=frames[:-1, :, 5:].copy(),

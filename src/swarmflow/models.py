@@ -396,9 +396,13 @@ class ModelSet:
         return self.split(self.values)
 
     def load_state_dict(self, state: dict) -> None:
+        extra = sorted(set(state).difference(
+            name for name, _ in self.named_parameters()))
+        if extra:
+            raise ValueError(f"unknown parameter {extra[0]!r} in state dict")
         for name, node, view in self._views(self.values):
             if name not in state:
-                raise KeyError(f"missing parameter {name!r} in state dict")
+                raise ValueError(f"missing parameter {name!r} in state dict")
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != view.shape:
                 raise ValueError(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .flowmatch import FlowSchedule, conditional_field
+from .flowmatch import conditional_field
 from .models import (Checkpoint, _finite_number, _positive_int,
                      models_from_checkpoint)
 from .navigation import NavConfig, orca_adjust
@@ -239,8 +239,7 @@ def sample_cfm_plus_orca(goal_cloud, initial_cloud,
                           kappa=cfg.kappa)
 
 
-def integrate_exact_target(x_noise, x0, sched: FlowSchedule,
-                           steps: int) -> TrajectoryLog:
+def integrate_exact_target(x_noise, x0, steps: int) -> TrajectoryLog:
     """Euler integration of the closed-form conditional field.
 
     The conditional path is linear in the progress variable, so explicit
@@ -254,7 +253,7 @@ def integrate_exact_target(x_noise, x0, sched: FlowSchedule,
         raise ValueError(f"shape mismatch: {x_noise.shape} vs {x0.shape}")
 
     def velocity_fn(x, t, _k, _dt):
-        return conditional_field(sched, x, x0, t)
+        return conditional_field(x, x0, t)
 
     return _euler_rollout(x_noise, steps, velocity_fn,
                           algorithm="exact-target", kappa=0.0)

@@ -133,13 +133,12 @@ def test_check01_gradients_of_every_network_match_finite_differences():
     assert prefixes == {"field", "encoder", "bijector"}
 
     cloud = np.random.default_rng(7).standard_normal((16, 3))
-    sched = sf.FlowSchedule(sigma_min=1e-4)
     frozen_state = np.random.default_rng(2024).bit_generator.state
 
     def loss_node():
         rng = np.random.default_rng(0)
         rng.bit_generator.state = frozen_state
-        node, _ = sf.cfm_loss(models, sched, cloud, rng)
+        node, _ = sf.cfm_loss(models, cloud, rng)
         return node
 
     node = loss_node()
@@ -177,16 +176,14 @@ def test_check01_gradients_of_every_network_match_finite_differences():
 # check 02 -- path sampler identities
 
 def test_check02_path_sampler_endpoints_and_on_path_field_identity():
-    sched = sf.FlowSchedule(sigma_min=1e-4)
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(10_000):
         t = rng.uniform(0.0, 1.0)
         x0 = rng.standard_normal((4, 3))
         eps = rng.standard_normal((4, 3))
-        xt = sf.sample_path_point(sched, x0, t, eps)
-        diff = sf.target_field(sched, x0, eps) \
-            - sf.conditional_field(sched, xt, x0, t)
+        xt = sf.sample_path_point(x0, t, eps)
+        diff = sf.target_field(x0, eps) - sf.conditional_field(xt, x0, t)
         worst = max(worst, float(np.max(np.abs(diff))))
     assert worst < 1e-10, f"on-path field mismatch {worst:.3e}"
 
@@ -194,10 +191,9 @@ def test_check02_path_sampler_endpoints_and_on_path_field_identity():
     for _ in range(200):
         x0 = rng.standard_normal((4, 3))
         eps = rng.standard_normal((4, 3))
-        assert np.array_equal(
-            sf.sample_path_point(sched, x0, 1.0, eps), eps)
-        start = sf.sample_path_point(sched, x0, 0.0, eps)
-        slack = sched.sigma_min * float(np.max(np.abs(eps))) * (1.0 + 1e-9)
+        assert np.array_equal(sf.sample_path_point(x0, 1.0, eps), eps)
+        start = sf.sample_path_point(x0, 0.0, eps)
+        slack = sf.SIGMA_MIN * float(np.max(np.abs(eps))) * (1.0 + 1e-9)
         assert float(np.max(np.abs(start - x0))) <= slack
     _accept(2, "path sampler endpoints and on-path field identity",
             f"max on-path deviation {worst:.2e} over 10000 draws")
@@ -210,8 +206,7 @@ def test_check03_exact_field_integration_is_straight_and_accurate():
     cloud = sf.normalize_cloud(
         sf.make_synthetic_dataset("sphere", 64, 1, 3)[0])[0]
     eps = np.random.default_rng(4).standard_normal((64, 3))
-    sched = sf.FlowSchedule(sigma_min=1e-4)
-    log = sf.integrate_exact_target(eps, cloud, sched, steps=1000)
+    log = sf.integrate_exact_target(eps, cloud, steps=1000)
 
     terminal = float(np.max(np.abs(log.final_cloud() - cloud)))
     assert terminal < 1e-3, f"terminal error {terminal:.3e}"

@@ -524,11 +524,16 @@ def test_trajectory_csv_sidecar_must_be_a_json_object(tmp_path):
     cases = [(b"[1]", "not a JSON object"), (b'"flow"', "not a JSON object"),
              (b"{", "bad metadata sidecar"), (b"{}\n{}", "bad metadata"),
              (b"\xff", "bad metadata sidecar")]
+    # a stored kappa is a finite real number, never coerced
+    cases += [(b'{"kappa": %s}' % raw, "kappa must be a finite number")
+              for raw in (b'"0.1"', b"true", b"[0.1]", b"NaN", b"null")]
     for raw, words in cases:
         sidecar.write_bytes(raw)
         with pytest.raises(ValueError, match=words) as info:
             load_trajectory_csv(path)
         assert str(sidecar) in str(info.value) and "\n" not in str(info.value)
+    sidecar.write_bytes(b'{"kappa": 1}')
+    assert load_trajectory_csv(path).meta == {"kappa": 1}
 
 
 def test_trajectory_csv_parse_errors(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from swarmflow import autodiff as ad
-from swarmflow.flowmatch import Adam, FlowSchedule, cfm_loss
+from swarmflow.flowmatch import Adam, cfm_loss
 from swarmflow.models import (BijectorNumericsError, CouplingBijector,
                               GatedContextualNet, ModelConfig, ParamStore,
                               PointSetEncoder, build_models, kl_divergence,
@@ -372,7 +372,7 @@ def test_model_set_state_roundtrip():
     state = models.state_dict()
     assert state["bijector.c0.s_factor"].shape == ()  # 0-d tensors stay 0-d
     # a training step writes through the views
-    loss, _ = cfm_loss(models, FlowSchedule(), np.random.default_rng(3)
+    loss, _ = cfm_loss(models, np.random.default_rng(3)
                        .standard_normal((8, 3)), np.random.default_rng(4))
     models.zero_grad()
     ad.backward(loss)
@@ -400,8 +400,11 @@ def test_model_set_state_roundtrip():
         assert not np.shares_memory(node.value, state[name])  # a copy
     missing = dict(state)
     del missing["encoder.mu.bias"]
-    with pytest.raises(KeyError, match="encoder.mu.bias"):
+    with pytest.raises(ValueError,
+                       match="missing parameter 'encoder.mu.bias'"):
         models.load_state_dict(missing)
+    with pytest.raises(ValueError, match="unknown parameter 'bogus'"):
+        models.load_state_dict(dict(state, bogus=np.zeros(2)))
     wrong = dict(state, **{"field.b0.w": np.zeros(4)})
     with pytest.raises(ValueError, match="field.b0.w"):
         models.load_state_dict(wrong)

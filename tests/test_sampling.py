@@ -9,7 +9,7 @@ import pytest
 from swarmflow import autodiff as ad
 from swarmflow import sampling
 from swarmflow.diffusion import DiffusionSchedule, ddpm_sample
-from swarmflow.flowmatch import FlowSchedule, cfm_loss
+from swarmflow.flowmatch import SIGMA_MIN, cfm_loss
 from swarmflow.models import Checkpoint, ModelConfig, build_models, \
     models_from_checkpoint
 from swarmflow.sampling import SampleConfig, TrajectoryLog, _euler_rollout, \
@@ -142,13 +142,12 @@ def test_exact_integration_reaches_data_cloud():
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal((32, 3))
     eps = rng.standard_normal((32, 3))
-    sched = FlowSchedule()
-    log = integrate_exact_target(eps, x0, sched, steps=1000)
+    log = integrate_exact_target(eps, x0, steps=1000)
     assert log.euler_consistent()
     terminal_error = np.max(np.abs(log.positions[-1] - x0))
     assert terminal_error < 1e-3
-    # the analytic endpoint keeps sigma_min of the starting noise
-    np.testing.assert_allclose(log.positions[-1], x0 + sched.sigma_min * eps,
+    # the analytic endpoint keeps SIGMA_MIN of the starting noise
+    np.testing.assert_allclose(log.positions[-1], x0 + SIGMA_MIN * eps,
                                atol=1e-9)
 
 
@@ -156,7 +155,7 @@ def test_exact_integration_paths_are_straight():
     rng = np.random.default_rng(4)
     x0 = rng.standard_normal((16, 3))
     eps = rng.standard_normal((16, 3))
-    log = integrate_exact_target(eps, x0, FlowSchedule(), steps=1000)
+    log = integrate_exact_target(eps, x0, steps=1000)
     start = log.positions[0]
     chord = log.positions[-1] - start
     chord_len = np.linalg.norm(chord, axis=1)
@@ -173,8 +172,7 @@ def test_exact_integration_paths_are_straight():
 
 def test_exact_integration_shape_mismatch_raises():
     with pytest.raises(ValueError):
-        integrate_exact_target(np.zeros((4, 3)), np.zeros((5, 3)),
-                               FlowSchedule(), steps=10)
+        integrate_exact_target(np.zeros((4, 3)), np.zeros((5, 3)), steps=10)
 
 
 def test_sample_replicates_documented_draw_order():
@@ -281,8 +279,7 @@ def test_every_sampler_logs_the_shared_meta_keys_with_json_types():
         "flow+orca": sample(ckpt, cfg),
         "flow": sample(ckpt, plain),
         "orca-to-goal": sample_cfm_plus_orca(cloud + 1.0, cloud, cfg),
-        "exact-target": integrate_exact_target(cloud + 1.0, cloud,
-                                               FlowSchedule(), 4),
+        "exact-target": integrate_exact_target(cloud + 1.0, cloud, 4),
         "diffusion": ddpm_sample(diff, DiffusionSchedule(n_steps=4), 3,
                                  np.random.default_rng(2)),
     }
@@ -339,8 +336,7 @@ def _run_every_sampler():
         "flow+orca": sample(ckpt, cfg),
         "flow": sample(ckpt, plain),
         "orca-to-goal": sample_cfm_plus_orca(-cloud, cloud, cfg),
-        "exact-target": integrate_exact_target(cloud, 0.5 * cloud,
-                                               FlowSchedule(), 9),
+        "exact-target": integrate_exact_target(cloud, 0.5 * cloud, 9),
         "diffusion": ddpm_sample(models, DiffusionSchedule(n_steps=5), 12,
                                  np.random.default_rng(2)),
         "diffusion-deterministic": ddpm_sample(
@@ -372,8 +368,7 @@ def test_training_after_sampling_gets_every_gradient():
 
     def gradients():
         models = models_from_checkpoint(ckpt)
-        loss, _ = cfm_loss(models, FlowSchedule(), cloud,
-                           np.random.default_rng(3))
+        loss, _ = cfm_loss(models, cloud, np.random.default_rng(3))
         ad.backward(loss)
         return models.gather_grads().copy()  # raises on a missing gradient
 
