@@ -12,13 +12,17 @@ With one BLAS thread it rebuilds:
   run writes is digested under its path in that directory, so
   checkpoints, train logs, trajectories, their sidecars, the metrics
   reports and the exported clouds are all covered;
+- the batch path: ``make-data`` of three 128-point tori (seed 7), then
+  ``train`` with ``batch_size = 2`` for flow and for diffusion
+  (``latent_dim`` 16, 50 epochs of two steps, seed 0), digested the same
+  way (``batch-flow/...``, ``batch-diffusion/...``);
 - the arrays ``load_trajectory_csv`` reads back from the ``--scale`` run's
   two trajectories (``read/sample/...``: times, positions and applied
   velocities);
 - the ``--scale`` ``sample`` run again, with the same arguments, into the
   same ``--out``, so the files a rerun writes over the first run's are
   digested too (``rerun/sample/...``);
-- the trained parameters of both checkpoints (``params/...``), which
+- the trained parameters of all four checkpoints (``params/...``), which
   stay equal when only a checkpoint's header changes;
 - an exact-target integration (``integrate_exact_target``, 512 points,
   100 steps);
@@ -82,6 +86,14 @@ def cli_run(sf, root: Path) -> dict:
             "--config", str(root / "fixture.cfg"), "--epochs", "2000",
             "--seed", "0", "--algorithm", algorithm,
             "--out", str(root / algorithm))
+    (root / "batch.cfg").write_text("latent_dim = 16\nbatch_size = 2\n")
+    cli("make-data", "--kind", "torus", "--points", "128", "--count", "3",
+        "--seed", "7", "--out", str(root / "tori"))
+    for algorithm in ("flow", "diffusion"):
+        cli("train", "--data", str(root / "tori"),
+            "--config", str(root / "batch.cfg"), "--epochs", "50",
+            "--seed", "0", "--algorithm", algorithm,
+            "--out", str(root / f"batch-{algorithm}"))
     flow = str(root / "flow" / "checkpoint.swf")
     run = ("--agents", "512", "--seed", "1")
     cli("sample", "--checkpoint", flow, *run, "--scale",
@@ -113,7 +125,7 @@ def cli_run(sf, root: Path) -> dict:
     cli("sample", "--checkpoint", flow, *run, "--scale",
         "--out", str(root / "sample"))
     out.update(files(root / "sample", "rerun/"))
-    for algorithm in ("flow", "diffusion"):
+    for algorithm in ("flow", "diffusion", "batch-flow", "batch-diffusion"):
         ckpt = sf.load_checkpoint(root / algorithm / "checkpoint.swf")
         out[f"params/{algorithm}"] = sha256(*(
             part for name, value in ckpt.params.items()

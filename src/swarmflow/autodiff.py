@@ -7,6 +7,16 @@ once in reverse topological order and *accumulates* vector-Jacobian
 products into ``.grad``, so shared subexpressions receive the sum of all
 downstream contributions.
 
+Only nodes that need a gradient get one.  Each node's ``needs_grad`` is
+fixed when it is built: a parameter or a ``Node(x)`` leaf needs one, a
+``wrap()`` constant does not, and an op node needs one if any of its
+parents does.  A node that needs none keeps no parents or backward
+rules, and ``backward`` neither walks nor feeds it, so no VJP into a
+constant (an input cloud, a mask) is ever computed.  Constants and the
+nodes built from constants alone are closed under parents, so leaving
+them out keeps the order in which every other node is visited, and
+every gradient's bits.
+
 Broadcasting is deliberately restricted: for elementwise binary ops one
 operand's shape must be a suffix of the other's (leading batch dimensions
 only).  Anything fancier is a shape error, not a silent numpy broadcast.
@@ -18,12 +28,18 @@ the same order, so its value and gradients are bitwise equal to that
 chain's.  It is one node where the chain has up to four, and its forward
 pass works in place on its one output array.
 
+``dense_max`` is an encoder's last layer and its max-pool over the
+points as one node.  Its pooled gradient reaches one row per column, so
+it forms the weight and bias gradients from those rows alone, with the
+same values as the full products.
+
 Inside ``with no_record():`` the same ops run on the same arrays, so
-values are bitwise equal, but a new node keeps no parents or backward
-rules: each intermediate is freed as soon as the caller drops it, and
-``backward`` sees nothing to walk.  Sampling evaluates the networks this
-way; training never does.  The flag is process-global (not per thread),
-which is sound because the pipeline is single-threaded.
+values are bitwise equal, but no new node needs a gradient, so none
+keeps parents or backward rules: each intermediate is freed as soon as
+the caller drops it, and ``backward`` sees nothing to walk.  Sampling
+evaluates the networks this way; training never does.  The flag is
+process-global (not per thread), which is sound because the pipeline is
+single-threaded.
 
 All arithmetic is float64 and single-threaded, so results are bitwise
 reproducible for a fixed sequence of operations.
@@ -39,7 +55,7 @@ from scipy.special import expit
 __all__ = [
     "Node", "ShapeMismatchError", "wrap", "backward", "no_record",
     "add", "sub", "mul", "neg", "matmul", "dense", "sigmoid", "tanh",
-    "exp", "reduce_sum", "amax", "concat",
+    "exp", "reduce_sum", "dense_max", "concat",
 ]
 
 
@@ -52,9 +68,9 @@ _recording = True
 
 @contextmanager
 def no_record():
-    """Build nodes without parents or backward rules until the block
-    exits; the previous mode comes back on exit, also after an exception
-    and when blocks nest."""
+    """Build nodes that need no gradient, so keep no parents or backward
+    rules, until the block exits; the previous mode comes back on exit,
+    also after an exception and when blocks nest."""
     global _recording
     previous, _recording = _recording, False
     try:
@@ -71,6 +87,10 @@ class Node:
     returns every parent's contribution at once, in parent order (for a
     fused node whose parents share intermediate terms).
 
+    ``needs_grad`` says whether ``backward`` gives the node a gradient
+    (see the module docstring); a node that needs none drops its parents
+    and ``vjps``.
+
     Treat ``value`` as immutable once the node exists; downstream nodes
     capture it by reference.  (The optimizer writes parameter values in
     place, but only once ``backward`` is done with the tape.)  Treat
@@ -79,14 +99,17 @@ class Node:
     later ones out of place.
     """
 
-    __slots__ = ("value", "grad", "op", "_parents", "_vjps")
+    __slots__ = ("value", "grad", "op", "needs_grad", "_parents", "_vjps")
 
     def __init__(self, value, parents=(), vjps=(), op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.op = op
-        if _recording:
-            self._parents = tuple(parents)
+        parents = tuple(parents)
+        self.needs_grad = _recording and (
+            any(p.needs_grad for p in parents) if parents else op != "const")
+        if self.needs_grad and parents:
+            self._parents = parents
             self._vjps = vjps if callable(vjps) else tuple(vjps)
         else:
             self._parents = self._vjps = ()
@@ -220,7 +243,8 @@ def dense(x, w, b, inject=None, act=False) -> Node:
     parents, so value and gradients are bitwise those of
     ``tanh(matmul(x, w) + inject + b)``.  The parents are ``(x, w,
     inject, b)``: ``backward`` then walks the tape in the chain's order,
-    and contributions to shared nodes are summed in the same order.
+    and contributions to shared nodes are summed in the same order.  A
+    constant ``x`` (an input cloud) costs no ``g @ w.T`` product.
     """
     x, w, b = wrap(x), wrap(w), wrap(b)
     xv, wv = x.value, w.value
@@ -245,9 +269,9 @@ def dense(x, w, b, inject=None, act=False) -> Node:
         else:
             gp = g
         if xv.ndim == 1:
-            grads = [wv @ gp, np.outer(xv, gp)]
+            grads = [wv @ gp if x.needs_grad else None, np.outer(xv, gp)]
         else:
-            grads = [gp @ wv.T, xv.T @ gp]
+            grads = [gp @ wv.T if x.needs_grad else None, xv.T @ gp]
         gb = _unbroadcast(gp, b.shape)
         if inject is not None:
             grads.append(gb if inject.shape == b.shape
@@ -256,6 +280,51 @@ def dense(x, w, b, inject=None, act=False) -> Node:
         return grads
 
     return Node(out, (x, w) + addends, vjp, "dense")
+
+
+def dense_max(x, w, b, act=False) -> Node:
+    """A layer and a max-pool over its rows as one node: the column
+    maxima of ``dense(x, w, b, act=act)`` for an ``(M, n)`` ``x`` and an
+    ``(h,)`` ``b``.  Ties take the first row, as ``np.argmax`` does.
+
+    The forward pass runs ``dense``'s operations and then picks the
+    maxima, so the value is bitwise that of ``dense`` followed by a
+    max-pool.  The upstream gradient ``gp`` of the unpooled layer has
+    one non-zero entry per column, in the argmax row, so each column of
+    ``x.T @ gp`` and of ``gp``'s row sum is one product plus exact
+    zeros: the weight and bias gradients are formed from the argmax rows
+    alone, ``x[idx].T * gv`` and ``gv``, with the same bits (``+ 0.0``
+    gives a zero the sign a sum of zeros has).  The input gradient is
+    still ``gp @ w.T`` on the zero-filled ``gp``, for the same rounding.
+    """
+    x, w, b = wrap(x), wrap(w), wrap(b)
+    xv, wv = x.value, w.value
+    _check_matmul(xv.shape, wv.shape, "dense_max")
+    if xv.ndim != 2 or b.shape != wv.shape[1:]:
+        raise ShapeMismatchError(
+            f"dense_max: expected (M, n) @ (n, h) + (h,), got "
+            f"{xv.shape} @ {wv.shape} + {b.shape}")
+    out = xv @ wv
+    out += b.value
+    if act:
+        np.tanh(out, out=out)
+    shape = out.shape
+    idx = np.argmax(out, axis=0)
+    cols = np.arange(shape[1])
+    pooled = out[idx, cols]
+
+    def vjp(g):
+        gv = g * (1.0 - pooled * pooled) if act else g
+        gx = None
+        if x.needs_grad:
+            gp = np.zeros(shape)
+            gp[idx, cols] = gv
+            gx = gp @ wv.T
+        gw = xv[idx].T * gv
+        gw += 0.0
+        return [gx, gw, gv + 0.0]
+
+    return Node(pooled, (x, w, b), vjp, "dense_max")
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +362,6 @@ def reduce_sum(a, axis=None) -> Node:
     return Node(a.value.sum(axis=axis), (a,), (vjp,), "sum")
 
 
-def amax(a, axis) -> Node:
-    """Max over one axis.  Ties route the subgradient to the lowest index."""
-    a = wrap(a)
-    idx = np.argmax(a.value, axis=axis)  # np.argmax picks the first maximum
-    out = np.take_along_axis(a.value, np.expand_dims(idx, axis), axis)
-    out = np.squeeze(out, axis=axis)
-
-    def vjp(g):
-        z = np.zeros(a.shape)
-        np.put_along_axis(z, np.expand_dims(idx, axis),
-                          np.expand_dims(g, axis), axis)
-        return z
-
-    return Node(out, (a,), (vjp,), "amax")
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -334,17 +387,22 @@ def concat(nodes, axis=0) -> Node:
 # backward pass
 
 def backward(loss: Node) -> None:
-    """Accumulate d(loss)/d(node) into ``.grad`` for every tape ancestor.
+    """Accumulate d(loss)/d(node) into ``.grad`` for every tape ancestor
+    of ``loss`` that needs a gradient, and for ``loss`` itself.
 
-    ``loss`` must be scalar (shape ``()``).  Existing ``.grad`` arrays are
-    added to, torch-style; callers zero parameter grads between steps.
+    Parameters, ``Node(x)`` leaves and the nodes built from them get a
+    gradient; constants and nodes built under ``no_record`` never do, nor
+    is any VJP into them computed.  ``loss`` must be scalar (shape
+    ``()``).  Existing ``.grad`` arrays are added to, torch-style;
+    callers zero parameter grads between steps.
     """
     if loss.value.shape != ():
         raise ShapeMismatchError(
             f"backward requires a scalar loss, got shape {loss.value.shape}")
 
-    # Iterative post-order DFS: parents are appended before consumers, so the
-    # reversed list visits every consumer before the node it feeds.
+    # Iterative post-order DFS over the nodes that need a gradient:
+    # parents are appended before consumers, so the reversed list visits
+    # every consumer before the node it feeds.
     topo = []
     visited = set()
     stack = [(loss, False)]
@@ -358,14 +416,16 @@ def backward(loss: Node) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent.needs_grad and id(parent) not in visited:
                 stack.append((parent, False))
 
     loss.grad = np.float64(1.0) if loss.grad is None else loss.grad + 1.0
     for node in reversed(topo):
-        g, vjps = node.grad, node._vjps
-        contributions = (vjps(g) if callable(vjps)
-                         else (vjp(g) for vjp in vjps))
-        for parent, contribution in zip(node._parents, contributions):
-            parent.grad = (contribution if parent.grad is None
-                           else parent.grad + contribution)
+        g, parents, vjps = node.grad, node._parents, node._vjps
+        contributions = (vjps(g) if callable(vjps) else
+                         [vjp(g) if parent.needs_grad else None
+                          for parent, vjp in zip(parents, vjps)])
+        for parent, contribution in zip(parents, contributions):
+            if parent.needs_grad:
+                parent.grad = (contribution if parent.grad is None
+                               else parent.grad + contribution)

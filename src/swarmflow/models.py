@@ -5,7 +5,11 @@ All three are built on the local autodiff tape (`swarmflow.autodiff`) and
 declare their weights in a ``ParamStore``.  Every layer is one
 ``autodiff.dense`` node, product, inject, bias and ``tanh`` in one
 forward and one backward rule: a field block with its gated context
-term, an encoder layer or head, and each layer of a coupling MLP.
+term, an encoder layer or head, and each layer of a coupling MLP.  The
+encoder's last per-point layer and its max-pool over the points are one
+``autodiff.dense_max`` node, whose weight gradient is taken from the
+argmax rows alone.  A coupling layer's update and its log-det term are
+one node each.
 
 ``ModelSet`` joins the three stores under prefixed names and alone knows
 the parameter layout: it keeps every weight in one flat float64 buffer,
@@ -188,7 +192,8 @@ class GatedContextualNet:
 
 class PointSetEncoder:
     """Permutation-invariant encoder: shared per-point MLP, max-pool, then
-    linear heads for the posterior mean and log-variance.
+    linear heads for the posterior mean and log-variance.  The MLP's last
+    layer and the max-pool are one ``autodiff.dense_max`` node.
 
     Invariance is structural (pooling over the point axis), so reordering
     the input rows gives bitwise-identical outputs.
@@ -215,9 +220,11 @@ class PointSetEncoder:
             raise ad.ShapeMismatchError(
                 f"points must be (M, 3) with M >= 1, got {h.shape}")
         p = self.params
-        for i in range(len(self.widths)):
+        last = len(self.widths) - 1
+        for i in range(last):
             h = ad.dense(h, p[f"l{i}.w"], p[f"l{i}.bias"], act=True)
-        pooled = ad.amax(h, axis=0)
+        pooled = ad.dense_max(h, p[f"l{last}.w"], p[f"l{last}.bias"],
+                              act=True)
         mu = ad.dense(pooled, p["mu.w"], p["mu.bias"])
         logvar = ad.dense(pooled, p["logvar.w"], p["logvar.bias"])
         return mu, logvar
@@ -234,6 +241,53 @@ class BijectorNumericsError(FloatingPointError):
     """Non-finite intermediate inside the coupling bijector."""
 
 
+def _coupling_update(held: Node, vec: Node, s: Node, t: Node,
+                     moved_mask, inverse: bool) -> Node:
+    """A coupling layer's update as one node: ``held + (vec * exp(s) + t)
+    * moved_mask``, or ``held + (vec - t) * exp(-s) * moved_mask`` when
+    ``inverse``.
+
+    It runs the operations of the unfused ``mul``/``exp``/``add`` chain
+    in that chain's order, and its backward rule forms the chain's VJPs,
+    so value and gradients are bitwise the chain's.  The parents are
+    listed so that ``backward`` reaches ``s`` and ``t`` in the chain's
+    order too: ``t`` first going forward, ``s`` first when inverting.
+    """
+    v, sv, tv = vec.value, s.value, t.value
+    if inverse:
+        d = v - tv
+        e = np.exp(-sv)
+        out = held.value + d * e * moved_mask
+
+        def vjp(g):
+            gp = g * moved_mask
+            gd = gp * e
+            return [g, gd, -gd, -(gp * d * e)]
+
+        return Node(out, (held, vec, t, s), vjp, "coupling")
+    e = np.exp(sv)
+    out = held.value + (v * e + tv) * moved_mask
+
+    def vjp(g):
+        gq = g * moved_mask
+        return [g, gq * e, gq * v * e, gq]
+
+    return Node(out, (held, vec, s, t), vjp, "coupling")
+
+
+def _logdet_update(logdet: Node, s: Node, moved_mask, inverse: bool) -> Node:
+    """``logdet + sum(s * moved_mask)`` as one node, with ``-`` when
+    ``inverse``; value and gradients are bitwise those of the
+    ``mul``/``reduce_sum``/``add`` chain, whose parent order it keeps."""
+    term = (s.value * moved_mask).sum()
+    out = logdet.value - term if inverse else logdet.value + term
+
+    def vjp(g):
+        return [g, (-g if inverse else g) * moved_mask]
+
+    return Node(out, (logdet, s), vjp, "coupling_logdet")
+
+
 class CouplingBijector:
     """Stack of affine coupling layers mapping N(0, I) noise to the latent.
 
@@ -241,6 +295,7 @@ class CouplingBijector:
     coordinates; the scale output is tanh-squashed and multiplied by a
     learnable factor, which bounds |log-scale| and keeps exp() tame.  With
     zero-initialized coupling nets the whole map starts as the identity.
+    Each layer's update and its log-det term are one tape node each.
     """
 
     def __init__(self, dim: int, n_layers: int = 14, hidden: int = 64, *,
@@ -250,11 +305,11 @@ class CouplingBijector:
         self.dim = dim
         self.n_layers = n_layers
         self.params = ParamStore()
-        self.masks = []
+        self.masks = []  # (pass-through mask, its complement) per layer
         for i in range(n_layers):
             mask = np.zeros(dim)
             mask[i % 2::2] = 1.0  # 1 = pass-through coordinate
-            self.masks.append(mask)
+            self.masks.append((mask, 1.0 - mask))
             for net in ("scale", "shift"):
                 self.params.add(f"c{i}.{net}.w0", _init_matrix(rng, dim, hidden))
                 self.params.add(f"c{i}.{net}.b0", np.zeros(hidden))
@@ -275,44 +330,38 @@ class CouplingBijector:
         s = ad.mul(p[f"c{i}.s_factor"], mlp("scale", act=True))
         return s, mlp("shift", act=False)
 
-    @staticmethod
-    def _check_finite(vec: Node, i: int) -> None:
+    def _layer(self, i: int, vec: Node, logdet: Node, inverse: bool):
+        """Coupling layer ``i`` applied to ``vec``, or undone if
+        ``inverse``: the new vector, and ``logdet`` plus the layer's
+        log-det term."""
+        mask, moved_mask = self.masks[i]
+        held = ad.mul(vec, mask)
+        s, t = self._coupling(i, held)
+        vec = _coupling_update(held, vec, s, t, moved_mask, inverse)
         if not np.all(np.isfinite(vec.value)):
             raise BijectorNumericsError(
                 f"non-finite intermediate after coupling layer {i}")
+        return vec, _logdet_update(logdet, s, moved_mask, inverse)
 
-    def forward(self, w):
-        """Noise -> latent.  Returns (z, log|det dz/dw|) as nodes."""
-        vec = ad.wrap(w)
+    def _input(self, x) -> Node:
+        vec = ad.wrap(x)
         if vec.shape != (self.dim,):
             raise ad.ShapeMismatchError(
                 f"bijector input has shape {vec.shape}, expected ({self.dim},)")
-        logdet = ad.wrap(0.0)
+        return vec
+
+    def forward(self, w):
+        """Noise -> latent.  Returns (z, log|det dz/dw|) as nodes."""
+        vec, logdet = self._input(w), ad.wrap(0.0)
         for i in range(self.n_layers):
-            mask = self.masks[i]
-            held = ad.mul(vec, mask)
-            s, t = self._coupling(i, held)
-            moved = ad.mul(ad.mul(vec, ad.exp(s)) + t, 1.0 - mask)
-            vec = held + moved
-            self._check_finite(vec, i)
-            logdet = logdet + ad.reduce_sum(ad.mul(s, 1.0 - mask))
+            vec, logdet = self._layer(i, vec, logdet, inverse=False)
         return vec, logdet
 
     def inverse(self, z):
         """Latent -> noise.  Returns (w, log|det dw/dz|) as nodes."""
-        vec = ad.wrap(z)
-        if vec.shape != (self.dim,):
-            raise ad.ShapeMismatchError(
-                f"bijector input has shape {vec.shape}, expected ({self.dim},)")
-        logdet = ad.wrap(0.0)
+        vec, logdet = self._input(z), ad.wrap(0.0)
         for i in reversed(range(self.n_layers)):
-            mask = self.masks[i]
-            held = ad.mul(vec, mask)
-            s, t = self._coupling(i, held)
-            moved = ad.mul(ad.mul(vec - t, ad.exp(ad.neg(s))), 1.0 - mask)
-            vec = held + moved
-            self._check_finite(vec, i)
-            logdet = logdet - ad.reduce_sum(ad.mul(s, 1.0 - mask))
+            vec, logdet = self._layer(i, vec, logdet, inverse=True)
         return vec, logdet
 
 

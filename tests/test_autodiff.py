@@ -1,5 +1,6 @@
 """Gradient-core tests: every primitive against central finite
-differences, DAG accumulation semantics, shape policing, determinism."""
+differences, DAG accumulation semantics, which nodes get a gradient,
+shape policing, determinism."""
 
 import numpy as np
 import pytest
@@ -47,10 +48,11 @@ def check_op(build, *shapes, seed):
         out = build(*[ad.wrap(a) for a in args])
         return float(ad.reduce_sum(ad.mul(out, weights)).value)
 
-    nodes = [ad.wrap(x.copy()) for x in inputs]
+    nodes = [ad.Node(x.copy()) for x in inputs]  # leaves that want a grad
     loss = ad.reduce_sum(ad.mul(build(*nodes), weights))
     ad.backward(loss)
     for k, node in enumerate(nodes):
+        assert node.grad is not None and node.grad.shape == node.shape
         def f(x, k=k):
             args = [a.copy() for a in inputs]
             args[k] = x
@@ -81,6 +83,13 @@ def test_dense_gradients():
              (4, 5), (5, 3), (4, 3), (3,), seed=6)   # per-row bias
 
 
+def test_dense_max_gradients():
+    check_op(ad.dense_max, (6, 5), (5, 3), (3,), seed=65)
+    check_op(lambda x, w, b: ad.dense_max(x, w, b, act=True),
+             (6, 5), (5, 3), (3,), seed=66)
+    check_op(ad.dense_max, (1, 4), (4, 2), (2,), seed=67)  # one row
+
+
 def test_unary_gradients():
     for seed, op in enumerate([ad.sigmoid, ad.tanh, ad.exp, ad.neg]):
         check_op(op, (6, 2), seed=40 + seed)
@@ -90,8 +99,6 @@ def test_reduction_gradients():
     check_op(lambda x: ad.reduce_sum(x), (4, 3), seed=60)
     check_op(lambda x: ad.reduce_sum(x, axis=0), (4, 3), seed=61)
     check_op(lambda x: ad.reduce_sum(x, axis=1), (4, 3), seed=62)
-    check_op(lambda x: ad.amax(x, axis=0), (4, 3), seed=65)
-    check_op(lambda x: ad.amax(x, axis=1), (4, 3), seed=66)
 
 
 def test_shape_op_gradients():
@@ -100,14 +107,14 @@ def test_shape_op_gradients():
 
 
 def test_sum_of_squares_gradient_exact():
-    x = ad.wrap(np.array([1.0, 2.0, 3.0]))
+    x = ad.Node(np.array([1.0, 2.0, 3.0]))
     ad.backward(ad.reduce_sum(ad.mul(x, x)))
     assert np.array_equal(x.grad, np.array([2.0, 4.0, 6.0]))
 
 
 def test_shared_subexpression_accumulates():
     # y = x*x used twice: d/dx sum(y + y) = 4x
-    x = ad.wrap(np.array([1.5, -2.0, 0.5]))
+    x = ad.Node(np.array([1.5, -2.0, 0.5]))
     y = ad.mul(x, x)
     ad.backward(ad.reduce_sum(y + y))
     assert np.allclose(x.grad, 4.0 * x.value, rtol=0, atol=0)
@@ -115,14 +122,14 @@ def test_shared_subexpression_accumulates():
 
 def test_diamond_dag_accumulates():
     # z = x + x, w = z * z: dw/dx = 8x
-    x = ad.wrap(np.array(3.0))
+    x = ad.Node(np.array(3.0))
     z = x + x
     ad.backward(ad.mul(z, z))
     assert x.grad == pytest.approx(24.0, abs=0)
 
 
 def test_grads_accumulate_across_backward_calls():
-    x = ad.wrap(np.array([1.0, 2.0]))
+    x = ad.Node(np.array([1.0, 2.0]))
     ad.backward(ad.reduce_sum(ad.mul(x, x)))
     first = x.grad.copy()
     ad.backward(ad.reduce_sum(ad.mul(x, 3.0)))
@@ -171,15 +178,19 @@ def test_dense_shape_mismatch_raises():
 
 
 def test_max_ties_route_to_lowest_index():
-    x = ad.wrap(np.array([[1.0, 3.0, 3.0]]))
-    ad.backward(ad.reduce_sum(ad.amax(x, axis=1)))
-    assert np.array_equal(x.grad, np.array([[0.0, 1.0, 0.0]]))
+    # the pooled layer's maxima over rows 1 and 2 tie; row 1 takes them
+    x = ad.Node(np.array([[1.0], [3.0], [3.0]]))
+    w = ad.Node(np.array([[1.0, 2.0]]))
+    b = ad.Node(np.zeros(2))
+    ad.backward(ad.reduce_sum(ad.dense_max(x, w, b)))
+    assert np.array_equal(x.grad, np.array([[0.0], [3.0], [0.0]]))
+    assert np.array_equal(w.grad, np.array([[3.0, 3.0]]))
 
 
 def test_broadcast_backward_shapes():
-    a = ad.wrap(np.ones((5, 4)))
-    b = ad.wrap(np.ones(4))
-    c = ad.wrap(np.array(2.0))
+    a = ad.Node(np.ones((5, 4)))
+    b = ad.Node(np.ones(4))
+    c = ad.Node(np.array(2.0))
     ad.backward(ad.reduce_sum(ad.mul(ad.add(a, b), c)))
     assert a.grad.shape == (5, 4)
     assert b.grad.shape == (4,)
@@ -191,8 +202,8 @@ def test_broadcast_backward_shapes():
 def test_deterministic_bitwise_repeat():
     def run():
         rng = np.random.default_rng(99)
-        x = ad.wrap(rng.standard_normal((8, 5)))
-        w = ad.wrap(rng.standard_normal((5, 4)))
+        x = ad.Node(rng.standard_normal((8, 5)))
+        w = ad.Node(rng.standard_normal((5, 4)))
         h = ad.tanh(ad.matmul(x, w))
         loss = ad.reduce_sum(ad.mul(h, h))
         ad.backward(loss)
@@ -209,8 +220,8 @@ def test_deterministic_bitwise_repeat():
 # no-record mode
 
 def test_no_record_nodes_keep_no_tape():
-    x = ad.wrap(np.arange(6.0).reshape(2, 3))
-    w = ad.wrap(np.ones((3, 2)))
+    x = ad.Node(np.arange(6.0).reshape(2, 3))
+    w = ad.Node(np.ones((3, 2)))
     recorded = ad.tanh(ad.matmul(x, w))
     with ad.no_record():
         free = ad.tanh(ad.matmul(x, w))
@@ -219,13 +230,14 @@ def test_no_record_nodes_keep_no_tape():
     assert recorded._parents and recorded._vjps
     assert free._parents == () and free._vjps == ()
     assert loss._parents == () and loss._vjps == ()
+    assert recorded.needs_grad and not free.needs_grad
     ad.backward(loss)  # nothing to walk: only the loss itself gets a grad
     assert loss.grad == 1.0 and x.grad is None and w.grad is None
 
 
 def test_no_record_restores_the_mode_after_errors_and_nesting():
     def records():
-        a = ad.wrap(1.0)
+        a = ad.Node(1.0)
         return bool((a + a)._parents)
 
     assert records()
@@ -262,11 +274,11 @@ def _layer_run(layer, x_shape, inject, act, seed):
     both layers' inject terms, so both sum several contributions."""
     rng = np.random.default_rng(seed)
     n, h = x_shape[-1], 7
-    x = ad.wrap(rng.standard_normal(x_shape))
-    ws = [ad.wrap(rng.standard_normal((n, h))) for _ in range(2)]
-    bs = [ad.wrap(rng.standard_normal(h)) for _ in range(2)]
-    ctx = ad.wrap(rng.standard_normal(5))
-    gate = ad.wrap(rng.standard_normal((5, h)))
+    x = ad.Node(rng.standard_normal(x_shape))
+    ws = [ad.Node(rng.standard_normal((n, h))) for _ in range(2)]
+    bs = [ad.Node(rng.standard_normal(h)) for _ in range(2)]
+    ctx = ad.Node(rng.standard_normal(5))
+    gate = ad.Node(rng.standard_normal((5, h)))
     outs = []
     for w, b in zip(ws, bs):
         extra = ad.matmul(ctx, gate) if inject else None
@@ -293,7 +305,7 @@ def test_dense_is_bitwise_the_unfused_chain(x_shape, inject, act):
 
 def test_dense_is_one_node():
     rng = np.random.default_rng(81)
-    x, w, b, i = (ad.wrap(rng.standard_normal(s))
+    x, w, b, i = (ad.Node(rng.standard_normal(s))
                   for s in [(4, 3), (3, 2), (2,), (2,)])
     out = ad.dense(x, w, b, i, act=True)
     assert out.op == "dense"
@@ -303,7 +315,7 @@ def test_dense_is_one_node():
 
 def test_dense_under_no_record_keeps_no_parents():
     rng = np.random.default_rng(82)
-    x, w, b, i = (ad.wrap(rng.standard_normal(s))
+    x, w, b, i = (ad.Node(rng.standard_normal(s))
                   for s in [(4, 3), (3, 2), (2,), (2,)])
     recorded = ad.dense(x, w, b, i, act=True)
     with ad.no_record():
@@ -312,3 +324,91 @@ def test_dense_under_no_record_keeps_no_parents():
     assert free._parents == () and free._vjps == ()
     ad.backward(ad.reduce_sum(free))
     assert all(n.grad is None for n in (x, w, b, i))
+
+
+# ---------------------------------------------------------------------------
+# which nodes get a gradient
+
+def test_only_nodes_that_need_a_gradient_get_one():
+    c = ad.wrap(np.array([1.0, -2.0]))           # constant leaf
+    x = ad.Node(np.array([0.5, 3.0]))            # gradient leaf
+    cc = ad.mul(c, c)                            # built from constants only
+    y = ad.mul(x, cc)
+    assert not c.needs_grad and not cc.needs_grad
+    assert x.needs_grad and y.needs_grad
+    assert cc._parents == () and cc._vjps == ()  # no tape behind constants
+    assert y._parents == (x, cc)
+    loss = ad.reduce_sum(y)
+    ad.backward(loss)
+    assert np.array_equal(x.grad, cc.value)
+    assert c.grad is None and cc.grad is None
+    assert loss.grad == 1.0 and np.array_equal(y.grad, np.ones(2))
+
+
+def test_dense_with_a_constant_input_gives_the_same_weight_gradients():
+    rng = np.random.default_rng(83)
+    xv, wv, bv, iv = (rng.standard_normal(s)
+                      for s in [(6, 4), (4, 3), (3,), (3,)])
+
+    def run(x):
+        w, b, i = ad.Node(wv), ad.Node(bv), ad.Node(iv)
+        out = ad.dense(x, w, b, i, act=True)
+        ad.backward(ad.reduce_sum(ad.mul(out, out)))
+        return [w.grad, b.grad, i.grad]
+
+    const = ad.wrap(xv)
+    for a, b in zip(run(const), run(ad.Node(xv))):
+        assert a.tobytes() == b.tobytes()
+    assert const.grad is None
+
+
+def _maxpool(a):
+    """The max-pool over rows as its own node, ties to the first row."""
+    idx = np.argmax(a.value, axis=0)
+    cols = np.arange(a.shape[1])
+
+    def vjp(g):
+        z = np.zeros(a.shape)
+        z[idx, cols] = g
+        return z
+
+    return ad.Node(a.value[idx, cols], (a,), (vjp,), "maxpool")
+
+
+def test_dense_max_is_bitwise_dense_then_a_max_pool():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    # few distinct values make tied maxima common; +-30 saturates tanh,
+    # and zero upstream gradients give zero products of either sign
+    values = st.sampled_from([-30.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 30.0])
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 9), st.integers(1, 4), st.integers(1, 5),
+                      st.booleans(), st.data())
+    def check(m, n, h, act, data):
+        xv = data.draw(hnp.arrays(np.float64, (m, n), elements=values))
+        wv = data.draw(hnp.arrays(np.float64, (n, h), elements=values))
+        bv = data.draw(hnp.arrays(np.float64, (h,), elements=values))
+        probe = data.draw(hnp.arrays(np.float64, (h,), elements=values))
+
+        def run(layer):
+            x, w, b = ad.Node(xv), ad.Node(wv), ad.Node(bv)
+            out = layer(x, w, b)
+            ad.backward(ad.reduce_sum(ad.mul(out, probe)))
+            return [out.value, x.grad, w.grad, b.grad]
+
+        fused = run(lambda x, w, b: ad.dense_max(x, w, b, act=act))
+        chain = run(lambda x, w, b: _maxpool(ad.dense(x, w, b, act=act)))
+        for a, b in zip(fused, chain):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    check()
+
+
+def test_dense_max_shape_mismatch_raises():
+    x, w, b = np.ones((4, 5)), np.ones((5, 3)), np.ones(3)
+    for args in [(np.ones(5), w, b), (x, np.ones((4, 3)), b),
+                 (x, w, np.ones((4, 3))), (x, w, np.ones(2))]:
+        with pytest.raises(ad.ShapeMismatchError, match="^dense_max: "):
+            ad.dense_max(*args)

@@ -299,6 +299,57 @@ def test_train_calls_cfm_loss_through_the_module(monkeypatch):
         assert np.array_equal(wrapped.params[name], plain.params[name]), name
 
 
+@pytest.mark.parametrize("algorithm", ["flow", "diffusion"])
+def test_batch_step_averages_the_batch_1_gradients(algorithm, monkeypatch,
+                                                    tmp_path):
+    # the multi-loss path: one batch_size = 2 step sums two loss nodes and
+    # scales by 1/2, so its gradient is the mean of the two batch-1
+    # gradients on the same draws; scaling by 0.5 is exact, so bit for bit
+    from swarmflow import diffusion
+    rng = np.random.default_rng(40)
+    dataset = [rng.standard_normal((n, 3)) for n in (16, 12, 20)]
+    seed = 5
+    if algorithm == "flow":
+        run, loss_fn = train, cfm_loss
+    else:
+        sched = diffusion.DiffusionSchedule()
+        run = diffusion.train
+
+        def loss_fn(models, x0, r):
+            return diffusion.ddpm_train_loss(models, sched, x0, r)
+
+    seen = []
+    step = Adam.step
+
+    def capture(self, values, grads, lr):
+        seen.append(grads.copy())
+        step(self, values, grads, lr)
+
+    monkeypatch.setattr(Adam, "step", capture)
+    log = tmp_path / "train.log"
+    run(dataset, TrainConfig(epochs=1, batch_size=2, seed=seed), SMALL,
+        log_path=log)
+    assert len(seen) == 2  # ceil(3 clouds / 2) steps in the epoch
+
+    replay = np.random.default_rng(seed)
+    models = build_models(SMALL, replay)  # _run_training's draw order
+    idx = replay.integers(0, len(dataset), size=2)
+    grads, losses, parts = [], [], []
+    for i in idx:
+        models.zero_grad()
+        node, p = loss_fn(models, dataset[i], replay)
+        ad.backward(node)
+        grads.append(models.gather_grads().copy())
+        losses.append(node.value)
+        parts.append(p)
+    assert seen[0].tobytes() == ((grads[0] + grads[1]) * 0.5).tobytes()
+    loss = float((losses[0] + losses[1]) * 0.5)
+    field = 0.0 + parts[0]["field"] / 2 + parts[1]["field"] / 2
+    kl = 0.0 + parts[0]["kl"] / 2 + parts[1]["kl"] / 2
+    assert log.read_text().splitlines()[1] == \
+        f"0 {loss:.17g} {field:.17g} {kl:.17g}"
+
+
 def test_train_checkpoint_contents():
     cloud = np.random.default_rng(10).standard_normal((16, 3))
     ckpt = train([cloud], TrainConfig(epochs=5, seed=0), SMALL)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from swarmflow import autodiff as ad
+from swarmflow.diffusion import DiffusionSchedule, ddpm_train_loss
 from swarmflow.flowmatch import Adam, cfm_loss
 from swarmflow.models import (BijectorNumericsError, CouplingBijector,
                               GatedContextualNet, ModelConfig, ParamStore,
@@ -217,6 +218,74 @@ def test_bijector_nonfinite_intermediate_names_layer():
         bij.forward(w)
 
 
+def _chain_layers(bij, vec, inverse):
+    """The coupling layers as the unfused chain of tape ops that
+    ``CouplingBijector`` ran before each update and each log-det term
+    became one node."""
+    logdet = ad.wrap(0.0)
+    for i in reversed(range(bij.n_layers)) if inverse else range(bij.n_layers):
+        mask, moved_mask = bij.masks[i]
+        held = ad.mul(vec, mask)
+        s, t = bij._coupling(i, held)
+        if inverse:
+            moved = ad.mul(ad.mul(vec - t, ad.exp(ad.neg(s))), moved_mask)
+            logdet = logdet - ad.reduce_sum(ad.mul(s, moved_mask))
+        else:
+            moved = ad.mul(ad.mul(vec, ad.exp(s)) + t, moved_mask)
+            logdet = logdet + ad.reduce_sum(ad.mul(s, moved_mask))
+        vec = held + moved
+    return vec, logdet
+
+
+class _ChainBijector:
+    def __init__(self, bij):
+        self.bij = bij
+
+    def inverse(self, z):
+        return _chain_layers(self.bij, z, inverse=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bijector_layers_are_bitwise_the_unfused_chain(seed):
+    bij = perturbed_bijector(6, n_layers=4, hidden=8, seed=seed)
+    rng = np.random.default_rng(100 + seed)
+    w0, probe = rng.standard_normal(6), rng.standard_normal(6)
+    mu0, logvar0, eps = (rng.standard_normal(6) for _ in range(3))
+
+    def grads(*leaves):
+        out = [leaf.grad for leaf in leaves]
+        out += [p.grad for _, p in bij.params.named()]
+        for _, p in bij.params.named():
+            p.grad = None
+        return out
+
+    def forward_run(layers):
+        # the input feeds the layers and one more term, so its gradient
+        # sums several contributions
+        w = ad.Node(w0)
+        z, logdet = layers(w)
+        loss = (ad.reduce_sum(ad.mul(z, probe)) + logdet
+                + ad.reduce_sum(ad.mul(w, w)))
+        ad.backward(loss)
+        return [z.value, logdet.value, loss.value] + grads(w)
+
+    def kl_run(prior):
+        mu, logvar = ad.Node(mu0), ad.Node(logvar0)
+        z = mu + ad.mul(ad.exp(ad.mul(logvar, 0.5)), eps)
+        kl = kl_divergence(mu, logvar, z, prior)
+        ad.backward(kl)
+        return [kl.value] + grads(mu, logvar)
+
+    runs = [(forward_run(bij.forward),
+             forward_run(lambda w: _chain_layers(bij, w, inverse=False))),
+            (kl_run(bij), kl_run(_ChainBijector(bij)))]
+    for fused, chain in runs:
+        assert len(fused) == len(chain)
+        for a, b in zip(fused, chain):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_bijector_parameter_gradients_fd():
     bij = perturbed_bijector(6, n_layers=2, seed=9)
     w = np.random.default_rng(13).standard_normal(6)
@@ -305,7 +374,7 @@ def test_kl_gradient_through_reparameterization():
         return kl_divergence(mu, ad.wrap(logvar), z, bij)
 
     mu0 = np.array([0.3, -0.2, 0.5, 0.0])
-    mu = ad.wrap(mu0)
+    mu = ad.Node(mu0)  # a leaf that wants its gradient
     z = mu + ad.wrap(eps)
     kl = kl_divergence(mu, ad.wrap(logvar), z, bij)
     ad.backward(kl)
@@ -459,3 +528,82 @@ def test_networks_give_equal_bits_without_a_tape():
             assert np.array_equal(a, b)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# which tape nodes get a gradient
+
+def _tape(loss):
+    """Every node ``loss`` reaches through parents, itself included."""
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def test_fixture_size_backward_feeds_parameters_and_no_constant():
+    rng = np.random.default_rng(30)
+    models = build_models(ModelConfig(latent_dim=16), rng)
+    x0 = rng.standard_normal((512, 3))
+    loss, _ = cfm_loss(models, x0, rng)
+    models.zero_grad()
+    ad.backward(loss)
+    tape = _tape(loss)
+    consts = [node for node in tape if node.op == "const"]
+    assert len(consts) > 20  # clouds, masks, scalars, the time embedding
+    assert all(node.grad is None for node in consts)
+    assert all(node.grad is not None for node in tape if node.needs_grad)
+    for name, node in models.named_parameters():
+        assert node.grad is not None and node.grad.shape == node.shape, name
+
+
+def _full_backward(loss):
+    """The walk ``backward`` made before it skipped constants: every tape
+    node, constants too, in reverse post-order, fed every VJP."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if id(p) not in seen)
+    loss.grad = np.float64(1.0)
+    for node in reversed(topo):
+        g, vjps = node.grad, node._vjps
+        contributions = (vjps(g) if callable(vjps)
+                         else [vjp(g) for vjp in vjps])
+        for parent, c in zip(node._parents, contributions):
+            if c is not None:  # a fused rule skips a constant's product
+                parent.grad = c if parent.grad is None else parent.grad + c
+
+
+@pytest.mark.parametrize("algorithm", ["flow", "diffusion"])
+def test_backward_gives_the_full_walks_parameter_gradients(algorithm):
+    rng = np.random.default_rng(31)
+    models = build_models(TINY, rng)
+    opt = Adam(models.n_parameters())
+    x0 = rng.standard_normal((24, 3))
+    sched = DiffusionSchedule()
+
+    def loss(r):
+        if algorithm == "flow":
+            return cfm_loss(models, x0, r)[0]
+        return ddpm_train_loss(models, sched, x0, r)[0]
+
+    for _ in range(3):
+        replay = np.random.default_rng(0)
+        replay.bit_generator.state = rng.bit_generator.state
+        models.zero_grad()
+        ad.backward(loss(rng))
+        pruned = models.gather_grads().copy()
+        models.zero_grad()
+        _full_backward(loss(replay))
+        full = models.gather_grads()
+        assert pruned.tobytes() == full.tobytes()
+        opt.step(models.values, full, 1e-2)
