@@ -29,7 +29,12 @@ With one BLAS thread it rebuilds:
 - ``goal-2048`` flights (``sample_cfm_plus_orca``, 2048 agents x 8
   steps, as perfbench sets them up) at seeds 0, 3 and 5;
 - ``orca_adjust`` on converged normalised spheres of 512 to 4096 agents
-  with zero preferred velocities.
+  with zero preferred velocities;
+- one ``orca_adjust`` step on a crafted swarm (``orca-edge``) that holds
+  coincident agents, overlapping pairs (some at rest relative to each
+  other), exact head-on pairs along each axis and a dense random
+  cluster, so every branch of the half-space builder and its mirrored
+  rows are covered.
 
 The digests depend on the BLAS kernel and the CPU, so compare a parent
 and a change on the same machine, never against a stored line.
@@ -163,7 +168,49 @@ def library_runs(sf) -> dict:
         positions = sphere(sf, m, 20)
         out[f"orca-sweep/m{m}"] = sha256(
             sf.orca_adjust(np.zeros_like(positions), positions, nav))
+    positions, v_pref = edge_swarm()
+    out["orca-edge"] = sha256(sf.orca_adjust(v_pref, positions, nav))
     return out
+
+
+def edge_swarm():
+    """Positions and preferred velocities of the ``orca-edge`` swarm: its
+    groups sit 1.0 apart along x, beyond the culling radius of one
+    another, so each group's pairs are exactly the ones built here."""
+    import numpy as np
+
+    rng = np.random.default_rng(11)
+    positions, velocities = [], []
+
+    def group(p, v):
+        base = np.array([len(positions), 0.0, 0.0])
+        positions.append(base + p)
+        velocities.append(v)
+
+    for size in (2, 2, 3, 4):  # coincident agents, some with equal velocities
+        point = rng.uniform(-0.1, 0.1, size=3)
+        v = rng.standard_normal((size, 3))
+        if size > 2:
+            v[1] = v[0]
+        group(np.repeat(point[None], size, axis=0), v)
+    for rest in (False, True):  # overlapping pairs, moving or at rest
+        for _ in range(3):
+            offset = rng.standard_normal(3)
+            offset *= rng.uniform(0.1, 0.9) * KAPPA / np.linalg.norm(offset)
+            point = rng.uniform(-0.1, 0.1, size=3)
+            v = np.zeros((2, 3)) if rest else rng.standard_normal((2, 3))
+            group(np.stack([point, point + offset]), v)
+    for axis in range(3):  # exact head-on along each axis
+        for gap in (1.5, 3.0):
+            point = rng.uniform(-0.1, 0.1, size=3)
+            other = point.copy()
+            other[axis] += gap * KAPPA
+            v = np.zeros((2, 3))
+            v[:, axis] = (1.5, -1.5)
+            group(np.stack([point, other]), v)
+    cluster = rng.normal(scale=1.5 * KAPPA, size=(200, 3))
+    group(cluster, rng.standard_normal((200, 3)))
+    return np.concatenate(positions), np.concatenate(velocities)
 
 
 def main() -> None:

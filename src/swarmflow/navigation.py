@@ -21,11 +21,21 @@ with a mask of real rows, and each phase of the incremental solve (first
 violated plane, plane, line, back-projection) is one array operation
 over every program still at that phase.  So the Python cost of a step
 grows with its longest chain of phases, not with the number of agents.
+
+The pass builds each close pair once, for its lower-indexed agent, and
+gives the higher-indexed agent the mirror image of that row: the other
+half of the same correction ``u`` and the opposite normal.  So it
+returns two rows per pair, self rows first, then their mirrors.  The
+mirror is the row the other agent would build itself, because swapping
+the two agents negates the relative position and velocity, and every
+step of the build commutes with that negation.
+
 The output is bit for bit what a dense all-pairs scan with per-pair
-constraints and a one-program, one-plane-at-a-time LP gives.  That holds
-because masked rows take part in no scan and every dot product goes
-through ``np.dot`` / ``np.vecdot``, whose BLAS kernel rounds a 3-vector
-dot through fused multiply-adds, on stacked rows as on a single one; the
+constraints and a one-program, one-plane-at-a-time LP gives, but for the
+sign of a zero, which a mirrored row can flip.  That holds because
+masked rows take part in no scan and every dot product goes through
+``np.dot`` / ``np.vecdot``, whose BLAS kernel rounds a 3-vector dot
+through fused multiply-adds, on stacked rows as on a single one; the
 plain ``a0*b0 + a1*b1 + a2*b2`` and ``N @ v`` (matrix-vector BLAS) round
 differently.
 
@@ -123,16 +133,25 @@ def _perpendiculars(v: np.ndarray) -> np.ndarray:
 
 def build_orca_halfspace(p_self, v_self, p_other, v_other,
                          combined_radius: float, tau: float, dt: float):
-    """Half-spaces of velocities for self agents against their neighbors,
-    one per row of the (K, 3) float64 inputs.
+    """Half-spaces of velocities for both agents of each pair, one pair per
+    row of the (P, 3) float64 inputs.
 
-    Returns ``(points, normals)``, (K, 3) each: row k permits the self
-    agent's velocities v with ``(v - points[k]) . normals[k] >= 0``, and
-    ``normals[k]`` has unit length.  ``v_self``/``v_other`` are the
-    reference velocities the correction is split around; ``tau`` is the
-    avoidance horizon for non-colliding pairs, while already-overlapping
-    pairs are pushed apart within one ``dt``.  Coincident positions are a
-    degenerate input and raise.
+    Returns ``(points, normals)``, (2P, 3) each: row k permits the self
+    agent of pair k the velocities v with ``(v - points[k]) . normals[k]
+    >= 0``, and row P + k permits its other agent those with ``(v -
+    points[P + k]) . normals[P + k] >= 0``; every normal has unit length.
+    The other agent's row is the mirror image of the self agent's: the
+    self agent moves by ``+u/2`` and the other by ``-u/2`` for the same
+    correction ``u``, with opposite normals.  The mirror equals the row
+    built with self and other swapped, bit for bit but for the sign of a
+    zero: swapping negates the relative position and velocity, and every
+    operation below commutes with that negation (``np.vecdot`` runs the
+    same fused multiply-adds on two negated vectors, and
+    ``_perpendiculars`` is antisymmetric).  ``v_self``/``v_other``
+    are the reference velocities the correction is split around; ``tau``
+    is the avoidance horizon for non-colliding pairs, while
+    already-overlapping pairs are pushed apart within one ``dt``.
+    Coincident positions are a degenerate input and raise.
     """
     rel_pos = p_other - p_self
     rel_vel = v_self - v_other
@@ -140,7 +159,9 @@ def build_orca_halfspace(p_self, v_self, p_other, v_other,
     radius_sq = combined_radius * combined_radius
     if np.any(dist_sq == 0.0):
         raise ValueError("coincident agent positions")
-    normals = np.empty_like(rel_pos)
+    count = len(rel_pos)
+    points, out_normals = np.empty((2 * count, 3)), np.empty((2 * count, 3))
+    normals = out_normals[:count]  # the self agents' rows
     shift = np.empty_like(dist_sq)  # signed length of the correction u
 
     def settle(rows, w, w_len, degenerate, reach):
@@ -194,7 +215,14 @@ def build_orca_halfspace(p_self, v_self, p_other, v_other,
     settle(overlap, w, w_len, w_len * w_len <= _EPS,
            combined_radius * inv_dt)
 
-    return v_self + 0.5 * (shift[:, None] * normals), normals
+    # Self rows first, then their mirrors, each written in place: the
+    # half-correction c = 0.5 * (shift * n) gives (v_self + c, n) and
+    # (v_other + (-c), -n), and v + (-c) is v - c.
+    half = 0.5 * (shift[:, None] * normals)
+    np.add(v_self, half, out=points[:count])
+    np.subtract(v_other, half, out=points[count:])
+    np.negative(normals, out=out_normals[count:])
+    return points, out_normals
 
 
 # ---------------------------------------------------------------------------
@@ -488,39 +516,36 @@ def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
         2.0 * float(np.max(np.linalg.norm(v_pref, axis=1), initial=0.0)),
         cfg.kappa / cfg.dt)
 
-    # Directed neighbor rows (i, j), sorted by i then j, so every agent
-    # sees its half-spaces in ascending neighbor order.
+    # One half-space per close pair, for its lower-indexed agent, and its
+    # mirror for the higher-indexed one.  Coincident agents break the tie
+    # by moving the higher-indexed agent a little along +x.
     pairs, dist = close_pairs(positions, cfg.culling_radius)
-    i = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    j = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.lexsort((j, i))
-    i, j, dist = i[order], j[order], np.concatenate([dist, dist])[order]
-
-    p_other = positions[j]
-    coincident = np.flatnonzero(dist == 0.0)
-    if coincident.size:
-        # Coincident agents: break the tie with a fixed axis, oppositely
-        # signed for the two agents of the pair.
-        nudge = np.zeros((coincident.size, 3))
-        nudge[:, 0] = 1e-9 * cfg.kappa * np.where(
-            j[coincident] > i[coincident], 1.0, -1.0)
-        p_other[coincident] = p_other[coincident] + nudge
-    points, normals = build_orca_halfspace(positions[i], v_pref[i], p_other,
-                                           v_pref[j], cfg.kappa, cfg.horizon,
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    p_hi = positions[hi]
+    p_hi[dist == 0.0, 0] += 1e-9 * cfg.kappa
+    points, normals = build_orca_halfspace(positions[lo], v_pref[lo], p_hi,
+                                           v_pref[hi], cfg.kappa, cfg.horizon,
                                            cfg.dt)
+    owner = np.concatenate([lo, hi])  # the agent each row constrains
 
     # An agent whose preferred velocity violates none of its half-spaces
     # keeps it: under a cap of twice its speed, that is the LP optimum.  The
     # others solve their programs together, each on its own rows padded to
-    # the longest program.
-    violated = np.vecdot(normals, points - v_pref[i]) > 0.0
-    agents = np.unique(i[violated])
+    # the longest program.  Sorted by the unique key owner * M + neighbor,
+    # every agent's rows are contiguous and in ascending neighbor order,
+    # and they start after the rows of all lower-indexed agents.
+    violated = np.vecdot(normals, points - v_pref[owner]) > 0.0
+    corrected = np.zeros(m, dtype=bool)
+    corrected[owner[violated]] = True
+    agents = np.flatnonzero(corrected)
     out = v_pref.copy()
     if agents.size:
-        first = np.searchsorted(i, agents)
-        counts = np.searchsorted(i, agents, side="right") - first
+        degree = np.bincount(owner, minlength=m)
+        counts = degree[agents]
+        first = (np.cumsum(degree) - degree)[agents]
+        order = np.argsort(owner * m + np.concatenate([hi, lo]))
         valid = np.arange(counts.max()) < counts[:, None]
-        rows = (first[:, None] + np.arange(counts.max()))[valid]
+        rows = order[(first[:, None] + np.arange(counts.max()))[valid]]
         agent_points = np.zeros(valid.shape + (3,))
         agent_points[valid] = points[rows]
         agent_normals = np.zeros_like(agent_points)

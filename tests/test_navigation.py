@@ -40,11 +40,18 @@ class _Plane:
 
 
 def _halfspace(p_self, v_self, p_other, v_other, combined_radius, tau, dt):
-    """``build_orca_halfspace`` on one pair, as a ``_Plane``."""
-    points, normals = build_orca_halfspace(
-        *(np.reshape(x, (1, 3)).astype(np.float64)
-          for x in (p_self, v_self, p_other, v_other)),
-        combined_radius, tau, dt)
+    """``build_orca_halfspace`` on one pair, as a ``_Plane`` for the self
+    agent.  Checks on the way that the builder returns two rows, the
+    second of which (the other agent's) is the first row of the build
+    with the two agents swapped."""
+    rows = [np.reshape(x, (1, 3)).astype(np.float64)
+            for x in (p_self, v_self, p_other, v_other)]
+    points, normals = build_orca_halfspace(*rows, combined_radius, tau, dt)
+    assert points.shape == normals.shape == (2, 3)
+    swapped = build_orca_halfspace(*rows[2:], *rows[:2], combined_radius,
+                                   tau, dt)
+    assert np.array_equal(points[1], swapped[0][0])
+    assert np.array_equal(normals[1], swapped[1][0])
     return _Plane(points[0], normals[0])
 
 
@@ -517,7 +524,9 @@ def _reference_perpendicular(v):
 
 
 def _reference_halfspace(p_self, v_self, p_other, v_other, combined_radius,
-                         tau, dt):
+                         tau, dt, branches=None):
+    """The half-space of one pair for the self agent; adds the name of the
+    case the pair takes to ``branches`` when that set is given."""
     rel_pos = p_other - p_self
     rel_vel = v_self - v_other
     dist_sq = float(np.dot(rel_pos, rel_pos))
@@ -528,6 +537,7 @@ def _reference_halfspace(p_self, v_self, p_other, v_other, combined_radius,
         w_len_sq = float(np.dot(w, w))
         dot = float(np.dot(w, rel_pos))
         if dot < 0.0 and dot * dot > radius_sq * w_len_sq:
+            branch = "cap"
             w_len = np.sqrt(w_len_sq)
             unit_w = w / w_len
             u = (combined_radius * inv_tau - w_len) * unit_w
@@ -541,11 +551,13 @@ def _reference_halfspace(p_self, v_self, p_other, v_other, combined_radius,
             w = rel_vel - t * rel_pos
             w_len = float(np.linalg.norm(w))
             if w_len * w_len <= 1e-10 * max(1.0, t * t * dist_sq):
+                branch = "head-on"
                 unit_w = (np.sqrt(1.0 - radius_sq / dist_sq)
                           * _reference_perpendicular(rel_pos)
                           - (combined_radius / dist_sq) * rel_pos)
                 w_len = 0.0
             else:
+                branch = "flank"
                 unit_w = w / w_len
             u = (combined_radius * t - w_len) * unit_w
     else:
@@ -553,11 +565,15 @@ def _reference_halfspace(p_self, v_self, p_other, v_other, combined_radius,
         w = rel_vel - inv_dt * rel_pos
         w_len = float(np.linalg.norm(w))
         if w_len * w_len <= 1e-10:
+            branch = "overlap, escaping sideways"
             unit_w = _reference_perpendicular(rel_pos)
             w_len = 0.0
         else:
+            branch = "overlap"
             unit_w = w / w_len
         u = (combined_radius * inv_dt - w_len) * unit_w
+    if branches is not None:
+        branches.add(branch)
     return _Plane(point=v_self + 0.5 * u, normal=unit_w)
 
 
@@ -704,12 +720,13 @@ def _reference_programs(v_pref, positions, cfg):
         for j in range(m):
             if j == i or dist[i, j] >= cfg.culling_radius:
                 continue
-            p_other = positions[j]
+            p_self, p_other = positions[i].copy(), positions[j].copy()
             if dist[i, j] == 0.0:
-                nudge = 1e-9 * cfg.kappa * (1.0 if j > i else -1.0)
-                p_other = p_other + np.array([nudge, 0.0, 0.0])
+                # the higher-indexed agent of a coincident pair moves along
+                # +x, in both agents' half-spaces
+                (p_other if j > i else p_self)[0] += 1e-9 * cfg.kappa
             planes.append(_reference_halfspace(
-                positions[i], v_pref[i], p_other, v_pref[j], cfg.kappa,
+                p_self, v_pref[i], p_other, v_pref[j], cfg.kappa,
                 cfg.horizon, cfg.dt))
         programs.append(planes)
     return programs, v_max
@@ -746,17 +763,123 @@ def _halfspace_cases(rng, count):
 
 
 def test_halfspace_matches_scalar_reference_bitwise():
-    # Every pair in one stacked call: each row must equal the pair
-    # computed on its own by the scalar reference.
+    # Every pair in one stacked call: row k must equal the pair computed
+    # on its own by the scalar reference, and row P + k the same pair
+    # computed from the other agent's side, byte for byte.
     rng = np.random.default_rng(41)
     cases = list(_halfspace_cases(rng, 400))
     rows = [np.array(column) for column in zip(*cases)]
+    count = len(cases)
     for tau in (10.0 * DT, 3.0 * DT):
         points, normals = build_orca_halfspace(*rows, KAPPA, tau, DT)
-        for k, case in enumerate(cases):
-            want = _reference_halfspace(*case, KAPPA, tau, DT)
-            assert np.array_equal(points[k], want.point)
-            assert np.array_equal(normals[k], want.normal)
+        assert points.shape == normals.shape == (2 * count, 3)
+        for k, (p_self, v_self, p_other, v_other) in enumerate(cases):
+            want = _reference_halfspace(p_self, v_self, p_other, v_other,
+                                        KAPPA, tau, DT)
+            assert points[k].tobytes() == want.point.tobytes()
+            assert normals[k].tobytes() == want.normal.tobytes()
+            mirror = _reference_halfspace(p_other, v_other, p_self, v_self,
+                                          KAPPA, tau, DT)
+            assert points[count + k].tobytes() == mirror.point.tobytes()
+            assert normals[count + k].tobytes() == mirror.normal.tobytes()
+
+
+_PAIR_KINDS = ("cap", "flank", "head-on", "overlap",
+               "overlap, escaping sideways", "coincident")
+
+
+def _pair_of_kind(kind, center, rng):
+    """Positions and preferred velocities, (2, 3) each, of two agents near
+    ``center`` whose pair takes the named case of the half-space builder.
+    A "head-on" pair lies on a line parallel to an axis and flies along
+    it, so its relative velocity is exactly on the line of centers; an
+    "overlap, escaping sideways" pair closes exactly its distance in one
+    ``DT``, so the vector the overlap's correction follows vanishes."""
+    p = center + rng.uniform(-0.1, 0.1, size=3)
+    direction = rng.standard_normal(3)
+    direction /= np.linalg.norm(direction)
+    v = rng.standard_normal((2, 3)) * rng.uniform(0.0, 3.0)
+    if kind == "coincident":
+        return np.stack([p, p]), v
+    if kind == "head-on":
+        axis = rng.integers(3)
+        q = p.copy()
+        q[axis] += rng.uniform(1.2, 3.5) * KAPPA
+        v = np.zeros((2, 3))
+        v[:, axis] = rng.uniform(1.5, 3.0, size=2) * [1.0, -1.0]
+        return np.stack([p, q]), v
+    if kind.startswith("overlap"):
+        q = p + rng.uniform(0.05, 0.95) * KAPPA * direction
+        if kind != "overlap":
+            v[0], v[1] = (1.0 / DT) * (q - p), 0.0
+        return np.stack([p, q]), v
+    q = p + rng.uniform(1.5, 3.5) * KAPPA * direction
+    if kind == "cap":  # closing, but slower than one horizon's approach
+        v[1] = 0.3 * rng.standard_normal(3)
+        v[0] = (v[1] + rng.uniform(0.2, 0.9) / (10.0 * DT) * (q - p)
+                + 0.01 * rng.standard_normal(3))
+    return np.stack([p, q]), v
+
+
+def test_mirror_rows_match_the_reference_from_the_other_side(monkeypatch):
+    # orca_adjust on pairs of every kind, far apart from one another: the
+    # builder's row k must be the scalar reference for the lower-indexed
+    # agent of pair k, byte for byte, and row P + k the reference for the
+    # higher-indexed agent.  Coincident agents reach the builder only this
+    # way, with the higher-indexed agent moved along +x.  The velocities
+    # must be the reference's too.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cfg = NavConfig(kappa=KAPPA, dt=DT)
+    builder = navigation.build_orca_halfspace
+    built = []
+
+    def recording(*args):
+        points, normals = builder(*args)
+        built.append((args, points, normals))
+        return points, normals
+
+    monkeypatch.setattr(navigation, "build_orca_halfspace", recording)
+    branches, coincident = set(), []
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.lists(st.sampled_from(_PAIR_KINDS), min_size=1,
+                               max_size=5),
+                      st.integers(0, 2**32 - 1))
+    def check(kinds, seed):
+        rng = np.random.default_rng(seed)
+        scene = [_pair_of_kind(kind, np.array([n, 0.0, 0.0]), rng)
+                 for n, kind in enumerate(kinds)]
+        positions = np.concatenate([pair[0] for pair in scene])
+        v_pref = np.concatenate([pair[1] for pair in scene])
+        # shuffled, so either agent of a pair can be the lower-indexed one
+        order = rng.permutation(len(positions))
+        positions, v_pref = positions[order], v_pref[order]
+        built.clear()
+        _assert_matches_reference(v_pref, positions, cfg)
+        [(args, points, normals)] = built
+        p_self, v_self, p_other, v_other, *params = args
+        count = len(kinds)
+        assert points.shape == normals.shape == (2 * count, 3)
+        for k in range(count):
+            want = _reference_halfspace(p_self[k], v_self[k], p_other[k],
+                                        v_other[k], *params, branches)
+            assert points[k].tobytes() == want.point.tobytes()
+            assert normals[k].tobytes() == want.normal.tobytes()
+            # the mirror negates the self row's normal, so a zero component
+            # can have the other sign than in the other side's own build
+            # (where x - x gives +0); every other bit must agree
+            assert normals[count + k].tobytes() == (-normals[k]).tobytes()
+            mirror = _reference_halfspace(p_other[k], v_other[k], p_self[k],
+                                          v_self[k], *params)
+            assert np.array_equal(points[count + k], mirror.point)
+            assert np.array_equal(normals[count + k], mirror.normal)
+        coincident.extend(kind for kind in kinds if kind == "coincident")
+
+    check()
+    assert branches == set(_PAIR_KINDS) - {"coincident"}, branches
+    assert len(coincident) >= 20
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -780,6 +903,31 @@ def test_adjust_matches_reference_with_coincident_agents():
     _assert_matches_reference(v_pref, positions, NavConfig(kappa=KAPPA, dt=DT))
     _assert_matches_reference(np.zeros((12, 3)), positions,
                               NavConfig(kappa=KAPPA, dt=DT))
+
+
+def test_coincident_pair_is_displaced_once_for_both_agents(monkeypatch):
+    # At x = 1/16 + 1e-11 the nudge of 1e-9 kappa rounds differently above
+    # and below the point, so agents that each displaced the other would
+    # build their half-spaces from two different pairs.  orca_adjust
+    # displaces the higher-indexed agent along +x once, for both rows, as
+    # the reference does.
+    cfg = NavConfig(kappa=KAPPA, dt=DT)
+    positions = np.full((2, 3), 0.0625 + 1e-11)
+    v_pref = np.array([[0.3, -0.2, 0.1], [0.1, 0.4, 0.0]])
+    point, nudge = positions[0, 0], 1e-9 * KAPPA
+    assert (point + nudge) - point != point - (point - nudge)
+    builder = navigation.build_orca_halfspace
+    built = []
+
+    def recording(*args):
+        built.append(args)
+        return builder(*args)
+
+    monkeypatch.setattr(navigation, "build_orca_halfspace", recording)
+    _assert_matches_reference(v_pref, positions, cfg)
+    [(p_self, _, p_other, *_)] = built
+    assert np.array_equal(p_self, positions[:1])
+    assert np.array_equal(p_other, [[point + nudge, point, point]])
 
 
 def test_adjust_matches_reference_on_exact_head_on_pair():
