@@ -34,7 +34,15 @@ With one BLAS thread it rebuilds:
   coincident agents, overlapping pairs (some at rest relative to each
   other), exact head-on pairs along each axis and a dense random
   cluster, so every branch of the half-space builder and its mirrored
-  rows are covered.
+  rows are covered;
+- ``chamfer`` both ways round on crafted pairs (``chamfer-edge/...``):
+  two 2048-point spheres, lattices whose nearest neighbours tie, a cloud
+  of repeated points, a one-point cloud, and a 9-point cloud against one
+  of 2^18 + 3 points, longer than a block of ``metrics.chamfer`` holds,
+  so that its blocks are single rows; and ``coverage_and_mmd`` of the
+  first clouds of the pairs against the second ones.  Run with an older
+  checkout's ``SRC``, these check the blocked distance against the dense
+  matrix.
 
 The digests depend on the BLAS kernel and the CPU, so compare a parent
 and a change on the same machine, never against a stored line.
@@ -213,6 +221,33 @@ def edge_swarm():
     return np.concatenate(positions), np.concatenate(velocities)
 
 
+def chamfer_edges(sf) -> dict:
+    import numpy as np
+
+    rng = np.random.default_rng(13)
+    steps = np.arange(-3, 4) * 0.25
+    lattice = np.stack(np.meshgrid(steps, steps, steps, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    # each shifted point is equally near eight lattice points
+    shifted = lattice[::2] + 0.125
+    repeated = rng.standard_normal((40, 3))[rng.integers(0, 40, size=1500)]
+    pairs = {
+        "2048": (sphere(sf, 2048, 20), sphere(sf, 2048, 21)),
+        "lattice": (lattice, shifted),
+        "repeated": (repeated, rng.standard_normal((700, 3))),
+        "one-point": (rng.standard_normal((1, 3)), sphere(sf, 2048, 22)),
+        "wide": (rng.standard_normal((9, 3)),
+                 rng.standard_normal(((1 << 18) + 3, 3))),
+    }
+    out = {f"chamfer-edge/{name}": sha256(np.array(
+        [sf.chamfer(a, b), sf.chamfer(b, a)])) for name, (a, b) in pairs.items()}
+    # the wide pair would add little but time to the set-level metrics
+    sets = [pair for name, pair in pairs.items() if name != "wide"]
+    out["chamfer-edge/cov-mmd"] = sha256(np.array(sf.coverage_and_mmd(
+        [a for a, _ in sets], [b for _, b in sets])))
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -231,6 +266,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         out = cli_run(sf, Path(tmp))
     out.update(library_runs(sf))
+    out.update(chamfer_edges(sf))
     print(json.dumps(out, sort_keys=True))
 
 

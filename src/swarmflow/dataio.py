@@ -386,20 +386,24 @@ def save_trajectory_csv(path, log: TrajectoryLog) -> None:
     The sidecar is encoded before either file is opened, so metadata that
     JSON cannot encode raises and writes nothing.  Rows are formatted a
     frame per ``%``, the bytes ``np.savetxt`` would write, without
-    holding more than one frame as Python objects.
+    holding more than one frame as Python objects: the agent ids are
+    written into the one format string of a call and each frame's time is
+    formatted once per frame.
     """
     sidecar = json.dumps(log.meta, sort_keys=True, indent=2) + "\n"
     s, m = log.num_steps, log.num_agents
-    velocities = np.concatenate([log.applied_velocities, np.zeros((1, m, 3))])
-    table = np.column_stack([np.repeat(log.times, m),
-                             np.tile(np.arange(m), s + 1),
-                             log.positions.reshape(-1, 3),
-                             velocities.reshape(-1, 3)])
-    frame = (",".join([_FMT, "%d"] + [_FMT] * 6) + "\n") * m
+    # column 0 of each row takes the frame's time, formatted once per frame
+    table = np.zeros((s + 1, m, 7))  # the final frame's velocities stay 0
+    table[:, :, 1:4] = log.positions
+    table[:-1, :, 4:] = log.applied_velocities
+    frame_fmt = "".join(f"%s,{j}," + ",".join([_FMT] * 6) + "\n"
+                        for j in range(m))
     with _open_new(path) as fh:
         fh.write(_CSV_HEADER + "\n")
-        for rows in table.reshape(s + 1, -1):
-            fh.write(frame % tuple(rows.tolist()))
+        for t, frame in zip(log.times.tolist(), table.reshape(s + 1, -1)):
+            values = frame.tolist()
+            values[::7] = [_FMT % t] * m
+            fh.write(frame_fmt % tuple(values))
     with _open_new(f"{path}.meta.json") as fh:
         fh.write(sidecar)
 

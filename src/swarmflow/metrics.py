@@ -3,10 +3,12 @@ matching distance), safety (collision percentages along and at the end of
 a run), and kinematic smoothness (acceleration, jerk, direction change,
 path length).
 
-Quality metrics compare *sets* of clouds; everything else is computed per
-trajectory and pooled over agents and steps.  All distances are plain
-Euclidean in whatever scale the inputs are expressed; callers convert to
-real-world units first when reporting physical numbers.
+Quality metrics compare *sets* of clouds through the chamfer distance,
+which is computed in bounded memory, a block of rows of the distance
+matrix at a time.  Everything else is computed per trajectory and pooled
+over agents and steps.  All distances are plain Euclidean in whatever
+scale the inputs are expressed; callers convert to real-world units first
+when reporting physical numbers.
 """
 
 from __future__ import annotations
@@ -26,16 +28,37 @@ __all__ = [
 ]
 
 
+# Most squared distances one block of ``chamfer`` holds: 2 MiB of float64.
+# A 2048-point pair then peaks at a few MiB instead of its 32 MiB matrix.
+_BLOCK = 1 << 18
+
+
 def chamfer(a, b) -> float:
-    """Symmetric squared-nearest-neighbor distance between two clouds."""
+    """Symmetric squared-nearest-neighbor distance between two clouds.
+
+    The distance matrix is walked in blocks of rows of at most ``_BLOCK``
+    entries (one row when ``b`` alone is longer), so memory stays bounded
+    whatever the cloud sizes.  Each entry, the minima and the two means
+    are the ones the full matrix gives, so the value is too, bit for bit.
+    Clouds holding NaN or inf are rejected.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[-1] != 3 or b.shape[-1] != 3:
         raise ValueError(f"expected (N, 3) clouds, got {a.shape} and {b.shape}")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("chamfer distance of an empty cloud is undefined")
-    sq = cdist(a, b, metric="sqeuclidean")
-    return float(sq.min(axis=1).mean() + sq.min(axis=0).mean())
+    for name, cloud in (("a", a), ("b", b)):
+        if not np.isfinite(cloud).all():
+            raise ValueError(f"chamfer: cloud {name} holds NaN or inf")
+    rows = max(1, _BLOCK // len(b))
+    to_b = np.empty(len(a))
+    to_a = np.full(len(b), np.inf)
+    for i in range(0, len(a), rows):
+        sq = cdist(a[i:i + rows], b, metric="sqeuclidean")
+        sq.min(axis=1, out=to_b[i:i + rows])
+        np.minimum(to_a, sq.min(axis=0), out=to_a)
+    return float(to_b.mean() + to_a.mean())
 
 
 def coverage_and_mmd(generated, reference):

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from swarmflow.cli import _collect_trajectories, _split_config, main
 from swarmflow.dataio import (SceneScale, load_checkpoint, load_pointcloud,
@@ -133,6 +134,38 @@ def test_evaluate_scores_reference_in_training_space(pipeline, scale):
     cov, mmd = coverage_and_mmd([log.final_cloud()], [reference])
     assert got["COV"] == cov
     assert got["MMD"] == mmd
+
+
+def test_evaluate_scores_several_runs_against_several_references(pipeline):
+    # three runs against three reference clouds: COV and MMD must be the
+    # ones a dense-matrix chamfer oracle gives over the normalised clouds
+    root = pipeline["root"] / "multi"
+    refs = root / "refs"
+    assert main(["make-data", "--kind", "torus", "--points", "48",
+                 "--count", "3", "--seed", "5", "--out", str(refs)]) == 0
+    runs = [root / f"r{seed}" for seed in (1, 2, 3)]
+    for seed, run in zip((1, 2, 3), runs):
+        assert main(["sample", "--checkpoint", str(pipeline["flow"]),
+                     "--agents", "24", "--steps", "10", "--seed", str(seed),
+                     "--out", str(run)]) == 0
+    out = root / "metrics"
+    assert main(["evaluate", "--trajectories", *map(str, runs),
+                 "--reference", str(refs), "--out", str(out)]) == 0
+    got = _read_keyvalues(out / "metrics.kv")
+
+    finals = [load_trajectory_csv(run / "trajectory.csv").final_cloud()
+              for run in runs]
+    ref_paths = sorted(refs.glob("*.xyz"))
+    assert len(ref_paths) == 3
+    references = [normalize_cloud(load_pointcloud(p))[0] for p in ref_paths]
+    dist = np.empty((3, 3))
+    for i, final in enumerate(finals):
+        for j, reference in enumerate(references):
+            sq = cdist(final, reference, metric="sqeuclidean")
+            dist[i, j] = float(sq.min(axis=1).mean() + sq.min(axis=0).mean())
+    matched = {int(np.argmin(row)) for row in dist}
+    assert got["COV"] == len(matched) / 3
+    assert got["MMD"] == float(dist.min(axis=0).mean())
 
 
 def test_sample_reruns_are_byte_identical(pipeline):

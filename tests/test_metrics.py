@@ -1,11 +1,13 @@
 """Tests for the evaluation battery, checked against brute-force loops."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from swarmflow import metrics
 from swarmflow.metrics import (
     MetricsReport,
     chamfer,
@@ -77,6 +79,74 @@ def test_chamfer_validation():
         chamfer(np.zeros((4, 2)), np.zeros((4, 3)))
     with pytest.raises(ValueError):
         chamfer(np.zeros(3), np.zeros((4, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        cloud = np.zeros((4, 3))
+        cloud[2, 1] = bad
+        with pytest.raises(ValueError, match="cloud a "):
+            chamfer(cloud, np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="cloud b "):
+            chamfer(np.zeros((5, 3)), cloud)
+
+
+def _dense_chamfer(a, b):
+    # the whole (N, M) matrix at once: the reference the blocks must equal
+    sq = cdist(a, b, metric="sqeuclidean")
+    return float(sq.min(axis=1).mean() + sq.min(axis=0).mean())
+
+
+def test_chamfer_blocks_equal_the_dense_matrix():
+    # small blocks give ragged last blocks and, where len(b) > _BLOCK,
+    # blocks of one row; lattice clouds tie distances and repeat points
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def clouds(draw):
+        n = draw(st.integers(1, 40))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        kind = draw(st.sampled_from(["normal", "lattice", "repeats"]))
+        if kind == "lattice":
+            return rng.integers(-2, 3, size=(n, 3)) * 0.5
+        cloud = rng.standard_normal((n, 3))
+        if kind == "repeats":
+            cloud = cloud[rng.integers(0, max(1, n // 4), size=n)]
+        return cloud
+
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(clouds(), clouds(), st.integers(1, 64))
+    def check(a, b, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK", block)
+            got = chamfer(a, b)
+        assert got == _dense_chamfer(a, b)
+        rows = max(1, block // len(b))
+        if len(b) > block:
+            seen.add("one row")
+        elif rows >= len(a):
+            seen.add("one block")
+        else:
+            seen.add("ragged" if len(a) % rows else "even")
+
+    check()
+    assert seen == {"one row", "one block", "ragged", "even"}, seen
+
+
+def test_chamfer_memory_is_bounded_at_2048_points():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((2048, 3))
+    b = rng.standard_normal((2048, 3))
+    tracemalloc.start()
+    try:
+        chamfer(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense (2048, 2048) matrix alone is 32 MiB
+    assert peak < 8 * 2**20, peak
 
 
 def test_coverage_mmd_identical_sets():
