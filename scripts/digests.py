@@ -158,12 +158,12 @@ def log_digest(log) -> str:
 
 def library_runs(sf) -> dict:
     import numpy as np
+    from swarmflow.sampling import integrate_exact_target
 
     out = {}
     x0 = sphere(sf, 512, 20)
     noise = np.random.default_rng(1).standard_normal(x0.shape)
-    out["exact-target"] = log_digest(
-        sf.integrate_exact_target(noise, x0, 100))
+    out["exact-target"] = log_digest(integrate_exact_target(noise, x0, 100))
     for seed in (0, 3, 5):
         goal = sphere(sf, 2048, 20 + seed)
         start = np.random.default_rng(1 + seed).standard_normal(goal.shape)

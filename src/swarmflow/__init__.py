@@ -6,10 +6,9 @@ README for the full pipeline (make-data -> train -> sample -> evaluate).
 """
 
 from .autodiff import Node, ShapeMismatchError, backward
-from .diffusion import DiffusionSchedule, ddpm_forward_sample, ddpm_sample
+from .diffusion import DiffusionSchedule, ddpm_sample
 from .flowmatch import (SIGMA_MIN, Adam, TrainConfig, TrainingDiverged,
-                        cfm_loss, conditional_field, sample_path_point,
-                        scheduled_lr, target_field, train)
+                        cfm_loss, scheduled_lr, train)
 from .dataio import (NormalizationTransform, SceneScale, load_checkpoint,
                      load_pointcloud, load_trajectory_csv,
                      make_synthetic_dataset, normalize_cloud,
@@ -19,11 +18,9 @@ from .metrics import (MetricsReport, chamfer, collision_rates,
                       coverage_and_mmd, distance_traveled, evaluate_logs,
                       smoothness)
 from .models import (Checkpoint, CouplingBijector, GatedContextualNet,
-                     ModelConfig, ModelSet, ParamStore, PointSetEncoder,
-                     build_models, kl_divergence, models_from_checkpoint)
-from .navigation import (NavConfig, build_orca_halfspace, orca_adjust,
-                         solve_velocity_lp)
-from .sampling import (SampleConfig, TrajectoryLog, integrate_exact_target,
-                       sample, sample_cfm_plus_orca)
+                     ModelConfig, ModelSet, PointSetEncoder, build_models,
+                     kl_divergence, models_from_checkpoint)
+from .navigation import NavConfig, build_orca_halfspace, orca_adjust
+from .sampling import SampleConfig, TrajectoryLog, sample, sample_cfm_plus_orca
 
 __version__ = "0.1.0"

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .flowmatch import TrainConfig, _run_training
-from .models import (Checkpoint, ModelConfig, ModelSet, _finite_number,
-                     _positive_int, kl_divergence)
+from .models import (Checkpoint, ModelConfig, ModelSet, _require,
+                     kl_divergence)
 from .sampling import TrajectoryLog, _draw_latent, _euler_rollout
 
 __all__ = [
@@ -41,13 +41,8 @@ class DiffusionSchedule:
     beta_end: float = 0.02
 
     def __post_init__(self):
-        if not _positive_int(self.n_steps):
-            raise ValueError(
-                f"n_steps must be a positive int, got {self.n_steps!r}")
-        for name in ("beta_start", "beta_end"):
-            if not _finite_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got "
-                                 f"{getattr(self, name)!r}")
+        _require(self, "a positive int", "n_steps")
+        _require(self, "a finite number", "beta_start", "beta_end")
         if not 0.0 < self.beta_start <= self.beta_end < 1.0:
             raise ValueError("need 0 < beta_start <= beta_end < 1")
 

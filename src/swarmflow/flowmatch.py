@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .models import (Checkpoint, ModelConfig, ModelSet, _finite_number,
-                     _open_new, build_models, kl_divergence)
+from .models import (Checkpoint, ModelConfig, ModelSet, _open_new, _require,
+                     build_models, kl_divergence)
 
 __all__ = [
     "SIGMA_MIN", "TrainConfig", "TrainingDiverged",
@@ -181,22 +181,9 @@ class TrainConfig:
     kappa: float = 0.06  # collision radius for downstream sampling
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        for name in ("learning_rate", "kappa"):
-            if not _finite_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got "
-                                 f"{getattr(self, name)!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
+        _require(self, "a positive int", "epochs", "batch_size")
+        _require(self, "a non-negative int", "seed")
+        _require(self, "finite and positive", "learning_rate", "kappa")
 
 
 class TrainingDiverged(RuntimeError):

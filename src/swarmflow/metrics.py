@@ -52,10 +52,12 @@ def chamfer(a, b) -> float:
         if not np.isfinite(cloud).all():
             raise ValueError(f"chamfer: cloud {name} holds NaN or inf")
     rows = max(1, _BLOCK // len(b))
+    block = np.empty((min(rows, len(a)), len(b)))  # the one block alive
     to_b = np.empty(len(a))
     to_a = np.full(len(b), np.inf)
     for i in range(0, len(a), rows):
-        sq = cdist(a[i:i + rows], b, metric="sqeuclidean")
+        sq = cdist(a[i:i + rows], b, metric="sqeuclidean",
+                   out=block[:len(a) - i])
         sq.min(axis=1, out=to_b[i:i + rows])
         np.minimum(to_a, sq.min(axis=0), out=to_a)
     return float(to_b.mean() + to_a.mean())

@@ -2,16 +2,16 @@
 an invertible coupling-layer prior over the shape latent.
 
 All three are built on the local autodiff tape (`swarmflow.autodiff`) and
-declare their weights in a ``ParamStore``.  Every layer is one
-``autodiff.dense`` node, product, inject, bias and ``tanh`` in one
-forward and one backward rule: a field block with its gated context
-term, an encoder layer or head, and each layer of a coupling MLP.  The
-encoder's last per-point layer and its max-pool over the points are one
-``autodiff.dense_max`` node, whose weight gradient is taken from the
-argmax rows alone.  A coupling layer's update and its log-det term are
-one node each.
+keep their weights in ``params``, a dict of named parameter nodes.  Every
+layer is one ``autodiff.dense`` node, product, inject, bias and ``tanh``
+in one forward and one backward rule: a field block with its gated
+context term, an encoder layer or head, and each layer of a coupling
+MLP.  The encoder's last per-point layer and its max-pool over the
+points are one ``autodiff.dense_max`` node, whose weight gradient is
+taken from the argmax rows alone.  A coupling layer's update and its
+log-det term are one node each.
 
-``ModelSet`` joins the three stores under prefixed names and alone knows
+``ModelSet`` joins the three dicts under prefixed names and alone knows
 the parameter layout: it keeps every weight in one flat float64 buffer,
 ``values``, and points each parameter node's ``value`` at a shaped view
 of it.  Those values are buffer views, to be written through
@@ -32,7 +32,7 @@ from . import autodiff as ad
 from .autodiff import Node
 
 __all__ = [
-    "ParamStore", "ModelConfig", "ModelSet", "Checkpoint",
+    "ModelConfig", "ModelSet", "Checkpoint",
     "GatedContextualNet", "PointSetEncoder", "CouplingBijector",
     "BijectorNumericsError", "time_embedding", "kl_divergence",
     "build_models", "models_from_checkpoint",
@@ -41,24 +41,10 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-class ParamStore:
-    """Ordered, named collection of one network's trainable tensors."""
-
-    def __init__(self):
-        self._params: dict[str, Node] = {}
-
-    def add(self, name: str, value) -> Node:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        node = Node(np.array(value, dtype=np.float64), op="param")
-        self._params[name] = node
-        return node
-
-    def __getitem__(self, name: str) -> Node:
-        return self._params[name]
-
-    def named(self):
-        return self._params.items()
+def _params(arrays: dict) -> dict:
+    """One parameter node per named initial array, in the dict's order."""
+    return {name: Node(np.array(value, dtype=np.float64), op="param")
+            for name, value in arrays.items()}
 
 
 def _init_matrix(rng, fan_in, fan_out):
@@ -88,14 +74,31 @@ def time_embedding(t: float) -> np.ndarray:
     return np.array([t, math.sin(2.0 * math.pi * t), math.cos(2.0 * math.pi * t)])
 
 
-def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value > 0
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
         and math.isfinite(value)
+
+
+# what a settings field must be, as its error words it -> the test
+_RULES = {
+    "a positive int": lambda v: _is_int(v) and v > 0,
+    "a non-negative int": lambda v: _is_int(v) and v >= 0,
+    "a finite number": _finite_number,
+    "finite and positive": lambda v: _finite_number(v) and v > 0.0,
+}
+
+
+def _require(settings, rule: str, *names) -> None:
+    """Raise ``ValueError`` on the first of the fields ``names`` of
+    ``settings`` whose value fails ``_RULES[rule]``."""
+    for name in names:
+        value = getattr(settings, name)
+        if not _RULES[rule](value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def _open_new(path, mode="w", **kw):
@@ -123,13 +126,10 @@ class ModelConfig:
     coupling_hidden: int = 64
 
     def __post_init__(self):
-        for name in ("latent_dim", "field_hidden", "field_blocks",
-                     "coupling_layers", "coupling_hidden"):
-            if not _positive_int(getattr(self, name)):
-                raise ValueError(f"{name} must be a positive int, got "
-                                 f"{getattr(self, name)!r}")
+        _require(self, "a positive int", "latent_dim", "field_hidden",
+                 "field_blocks", "coupling_layers", "coupling_hidden")
         if not (isinstance(self.encoder_widths, tuple) and self.encoder_widths
-                and all(map(_positive_int, self.encoder_widths))):
+                and all(map(_RULES["a positive int"], self.encoder_widths))):
             raise ValueError("encoder_widths must be a non-empty tuple of "
                              f"positive ints, got {self.encoder_widths!r}")
         if self.latent_dim < 2:
@@ -159,17 +159,18 @@ class GatedContextualNet:
         self.latent_dim = latent_dim
         self.blocks = blocks
         self.ctx_dim = 3 + latent_dim
-        self.params = ParamStore()
+        p = {}
         dims = [3] + [hidden] * (blocks - 1) + [3]
         for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
             last = i == blocks - 1
-            self.params.add(f"b{i}.w", np.zeros((din, dout)) if last
-                            else _init_matrix(rng, din, dout))
-            self.params.add(f"b{i}.gate_w", np.zeros((self.ctx_dim, dout)) if last
-                            else _init_context_matrix(rng, latent_dim, dout))
-            self.params.add(f"b{i}.ctx_w", np.zeros((self.ctx_dim, dout)) if last
-                            else _init_context_matrix(rng, latent_dim, dout))
-            self.params.add(f"b{i}.bias", np.zeros(dout))
+            p[f"b{i}.w"] = np.zeros((din, dout)) if last \
+                else _init_matrix(rng, din, dout)
+            p[f"b{i}.gate_w"] = np.zeros((self.ctx_dim, dout)) if last \
+                else _init_context_matrix(rng, latent_dim, dout)
+            p[f"b{i}.ctx_w"] = np.zeros((self.ctx_dim, dout)) if last \
+                else _init_context_matrix(rng, latent_dim, dout)
+            p[f"b{i}.bias"] = np.zeros(dout)
+        self.params = _params(p)
 
     def __call__(self, points, t: float, z) -> Node:
         """Velocity for every point of an (M, 3) cloud; returns (M, 3)."""
@@ -202,16 +203,16 @@ class PointSetEncoder:
     def __init__(self, latent_dim: int, widths=(64, 128, 256), *, rng):
         self.latent_dim = latent_dim
         self.widths = tuple(widths)
-        self.params = ParamStore()
+        p = {}
         dims = [3] + list(self.widths)
         for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-            self.params.add(f"l{i}.w", _init_matrix(rng, din, dout))
-            self.params.add(f"l{i}.bias", np.zeros(dout))
+            p[f"l{i}.w"] = _init_matrix(rng, din, dout)
+            p[f"l{i}.bias"] = np.zeros(dout)
         # zero-initialized heads: untrained posterior is N(0, I)
-        self.params.add("mu.w", np.zeros((dims[-1], latent_dim)))
-        self.params.add("mu.bias", np.zeros(latent_dim))
-        self.params.add("logvar.w", np.zeros((dims[-1], latent_dim)))
-        self.params.add("logvar.bias", np.zeros(latent_dim))
+        for head in ("mu", "logvar"):
+            p[f"{head}.w"] = np.zeros((dims[-1], latent_dim))
+            p[f"{head}.bias"] = np.zeros(latent_dim)
+        self.params = _params(p)
 
     def __call__(self, points):
         """Posterior parameters (mu, logvar), each a (latent_dim,) node."""
@@ -304,18 +305,19 @@ class CouplingBijector:
             raise ValueError("coupling bijector needs dim >= 2")
         self.dim = dim
         self.n_layers = n_layers
-        self.params = ParamStore()
+        p = {}
         self.masks = []  # (pass-through mask, its complement) per layer
         for i in range(n_layers):
             mask = np.zeros(dim)
             mask[i % 2::2] = 1.0  # 1 = pass-through coordinate
             self.masks.append((mask, 1.0 - mask))
             for net in ("scale", "shift"):
-                self.params.add(f"c{i}.{net}.w0", _init_matrix(rng, dim, hidden))
-                self.params.add(f"c{i}.{net}.b0", np.zeros(hidden))
-                self.params.add(f"c{i}.{net}.w1", np.zeros((hidden, dim)))
-                self.params.add(f"c{i}.{net}.b1", np.zeros(dim))
-            self.params.add(f"c{i}.s_factor", np.array(1.0))
+                p[f"c{i}.{net}.w0"] = _init_matrix(rng, dim, hidden)
+                p[f"c{i}.{net}.b0"] = np.zeros(hidden)
+                p[f"c{i}.{net}.w1"] = np.zeros((hidden, dim))
+                p[f"c{i}.{net}.b1"] = np.zeros(dim)
+            p[f"c{i}.s_factor"] = np.array(1.0)
+        self.params = _params(p)
 
     def _coupling(self, i: int, passthrough: Node):
         """Scale/shift nodes for layer ``i`` given the pass-through half."""
@@ -409,12 +411,11 @@ class ModelSet:
             node.value = view
 
     def named_parameters(self):
-        for name, node in self.field_net.params.named():
-            yield "field." + name, node
-        for name, node in self.encoder.params.named():
-            yield "encoder." + name, node
-        for name, node in self.bijector.params.named():
-            yield "bijector." + name, node
+        for prefix, net in (("field.", self.field_net),
+                            ("encoder.", self.encoder),
+                            ("bijector.", self.bijector)):
+            for name, node in net.params.items():
+                yield prefix + name, node
 
     def _views(self, flat):
         """(name, node, shaped view of ``flat``) for each parameter."""

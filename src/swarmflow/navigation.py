@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .models import _finite_number
+from .models import _require
 
 __all__ = [
     "NavConfig", "build_orca_halfspace", "solve_velocity_lp", "orca_adjust",
@@ -77,11 +77,7 @@ class NavConfig:
     dt: float
 
     def __post_init__(self):
-        for name in ("kappa", "dt"):
-            value = getattr(self, name)
-            if not (_finite_number(value) and value > 0.0):
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value!r}")
+        _require(self, "finite and positive", "kappa", "dt")
 
     @property
     def horizon(self) -> float:

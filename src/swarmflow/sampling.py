@@ -25,8 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .flowmatch import conditional_field
-from .models import (Checkpoint, _finite_number, _positive_int,
-                     models_from_checkpoint)
+from .models import Checkpoint, _require, models_from_checkpoint
 from .navigation import NavConfig, orca_adjust
 
 __all__ = [
@@ -114,17 +113,9 @@ class SampleConfig:
     kappa: float = 0.06
 
     def __post_init__(self):
-        for name in ("num_agents", "steps"):
-            if not _positive_int(getattr(self, name)):
-                raise ValueError(f"{name} must be a positive int, got "
-                                 f"{getattr(self, name)!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
-                or self.seed < 0:
-            raise ValueError(
-                f"seed must be a non-negative int, got {self.seed!r}")
-        if not (_finite_number(self.kappa) and self.kappa > 0.0):
-            raise ValueError(
-                f"kappa must be finite and positive, got {self.kappa!r}")
+        _require(self, "a positive int", "num_agents", "steps")
+        _require(self, "a non-negative int", "seed")
+        _require(self, "finite and positive", "kappa")
 
 
 def _euler_rollout(x0, steps, velocity_fn, kappa=None, /,

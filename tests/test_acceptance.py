@@ -34,6 +34,9 @@ from scipy.spatial.distance import pdist
 
 import swarmflow as sf
 from swarmflow import diffusion
+from swarmflow.flowmatch import (conditional_field, sample_path_point,
+                                 target_field)
+from swarmflow.sampling import integrate_exact_target
 
 FIXTURE_JSON = Path(__file__).parent / "fixtures" / "sphere_thresholds.json"
 
@@ -182,8 +185,8 @@ def test_check02_path_sampler_endpoints_and_on_path_field_identity():
         t = rng.uniform(0.0, 1.0)
         x0 = rng.standard_normal((4, 3))
         eps = rng.standard_normal((4, 3))
-        xt = sf.sample_path_point(x0, t, eps)
-        diff = sf.target_field(x0, eps) - sf.conditional_field(xt, x0, t)
+        xt = sample_path_point(x0, t, eps)
+        diff = target_field(x0, eps) - conditional_field(xt, x0, t)
         worst = max(worst, float(np.max(np.abs(diff))))
     assert worst < 1e-10, f"on-path field mismatch {worst:.3e}"
 
@@ -191,8 +194,8 @@ def test_check02_path_sampler_endpoints_and_on_path_field_identity():
     for _ in range(200):
         x0 = rng.standard_normal((4, 3))
         eps = rng.standard_normal((4, 3))
-        assert np.array_equal(sf.sample_path_point(x0, 1.0, eps), eps)
-        start = sf.sample_path_point(x0, 0.0, eps)
+        assert np.array_equal(sample_path_point(x0, 1.0, eps), eps)
+        start = sample_path_point(x0, 0.0, eps)
         slack = sf.SIGMA_MIN * float(np.max(np.abs(eps))) * (1.0 + 1e-9)
         assert float(np.max(np.abs(start - x0))) <= slack
     _accept(2, "path sampler endpoints and on-path field identity",
@@ -206,7 +209,7 @@ def test_check03_exact_field_integration_is_straight_and_accurate():
     cloud = sf.normalize_cloud(
         sf.make_synthetic_dataset("sphere", 64, 1, 3)[0])[0]
     eps = np.random.default_rng(4).standard_normal((64, 3))
-    log = sf.integrate_exact_target(eps, cloud, steps=1000)
+    log = integrate_exact_target(eps, cloud, steps=1000)
 
     terminal = float(np.max(np.abs(log.final_cloud() - cloud)))
     assert terminal < 1e-3, f"terminal error {terminal:.3e}"
@@ -235,7 +238,7 @@ def test_check04_bijector_round_trip_and_log_det():
     # full-depth stack, weights moved off the identity initialization
     bij = sf.CouplingBijector(16, n_layers=14, hidden=64,
                               rng=np.random.default_rng(11))
-    _perturb_params(bij.params.named(), 0.1, np.random.default_rng(12))
+    _perturb_params(bij.params.items(), 0.1, np.random.default_rng(12))
     rng = np.random.default_rng(13)
     worst_rt = 0.0
     for _ in range(100):
@@ -248,7 +251,7 @@ def test_check04_bijector_round_trip_and_log_det():
     # log|det| against a dense numerical Jacobian at low dimension
     small = sf.CouplingBijector(4, n_layers=3, hidden=8,
                                 rng=np.random.default_rng(14))
-    _perturb_params(small.params.named(), 0.5, np.random.default_rng(15))
+    _perturb_params(small.params.items(), 0.5, np.random.default_rng(15))
     rng = np.random.default_rng(16)
     h = 1e-6
     worst_ld = 0.0

@@ -461,11 +461,11 @@ def test_config_keys_are_the_config_dataclass_fields(pipeline, tmp_path,
 
 
 @pytest.mark.parametrize("line, message", [
-    ("epochs = 2.5", "epochs must be an int, got 2.5"),
-    ("seed = true", "seed must be an int, got True"),
-    ("kappa = 0.06, 0.07", "kappa must be a finite number"),
-    ("learning_rate = fast", "learning_rate must be a finite number"),
-    ("kappa = -1", "kappa must be positive, got -1"),
+    ("epochs = 2.5", "epochs must be a positive int, got 2.5"),
+    ("seed = true", "seed must be a non-negative int, got True"),
+    ("kappa = 0.06, 0.07", "kappa must be finite and positive"),
+    ("learning_rate = fast", "learning_rate must be finite and positive"),
+    ("kappa = -1", "kappa must be finite and positive, got -1"),
     ("lr_final_frac = -1", "unknown config key 'lr_final_frac'"),
     ("algorithm = diffusion\nsigma_min = 5",
      "unknown config key 'sigma_min'"),

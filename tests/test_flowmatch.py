@@ -251,15 +251,32 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
 
 
-@pytest.mark.parametrize("key, value", [
-    ("epochs", 2.5), ("epochs", "20"), ("epochs", True), ("batch_size", 1.0),
-    ("seed", None), ("seed", False), ("seed", -1), ("learning_rate", "1e-3"),
-    ("learning_rate", True), ("kappa", float("nan")), ("kappa", -1.0),
-    ("kappa", 0),
-])
-def test_train_config_rejects_wrong_types(key, value):
-    with pytest.raises(ValueError, match=f"^{key} must be"):
+_TRAIN_CONFIG_ERRORS = [
+    ("epochs", 2.5, "epochs must be a positive int, got 2.5"),
+    ("epochs", "20", "epochs must be a positive int, got '20'"),
+    ("epochs", True, "epochs must be a positive int, got True"),
+    ("epochs", 0, "epochs must be a positive int, got 0"),
+    ("batch_size", 1.0, "batch_size must be a positive int, got 1.0"),
+    ("seed", None, "seed must be a non-negative int, got None"),
+    ("seed", False, "seed must be a non-negative int, got False"),
+    ("seed", -1, "seed must be a non-negative int, got -1"),
+    ("learning_rate", "1e-3",
+     "learning_rate must be finite and positive, got '1e-3'"),
+    ("learning_rate", True,
+     "learning_rate must be finite and positive, got True"),
+    ("kappa", float("nan"), "kappa must be finite and positive, got nan"),
+    ("kappa", -1.0, "kappa must be finite and positive, got -1.0"),
+    ("kappa", 0, "kappa must be finite and positive, got 0"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", _TRAIN_CONFIG_ERRORS,
+                         ids=[f"{key}-{value}"
+                              for key, value, _ in _TRAIN_CONFIG_ERRORS])
+def test_train_config_rejects_wrong_types(key, value, message):
+    with pytest.raises(ValueError) as info:
         TrainConfig(**{key: value})
+    assert str(info.value) == message
 
 
 def test_train_config_takes_ints_for_float_settings():

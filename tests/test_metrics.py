@@ -145,8 +145,8 @@ def test_chamfer_memory_is_bounded_at_2048_points():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the dense (2048, 2048) matrix alone is 32 MiB
-    assert peak < 8 * 2**20, peak
+    # the dense (2048, 2048) matrix alone is 32 MiB, one block 2 MiB
+    assert peak < 3 * 2**20, peak
 
 
 def test_coverage_mmd_identical_sets():

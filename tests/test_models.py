@@ -11,8 +11,10 @@ import pytest
 from swarmflow import autodiff as ad
 from swarmflow.diffusion import DiffusionSchedule, ddpm_train_loss
 from swarmflow.flowmatch import Adam, cfm_loss
+from swarmflow.navigation import NavConfig
+from swarmflow.sampling import SampleConfig
 from swarmflow.models import (BijectorNumericsError, CouplingBijector,
-                              GatedContextualNet, ModelConfig, ParamStore,
+                              GatedContextualNet, ModelConfig,
                               PointSetEncoder, build_models, kl_divergence,
                               time_embedding)
 
@@ -21,7 +23,7 @@ def perturbed_bijector(dim, n_layers=4, hidden=8, seed=7, amount=0.3):
     """Bijector with randomized (non-identity) coupling weights."""
     rng = np.random.default_rng(seed)
     bij = CouplingBijector(dim, n_layers=n_layers, hidden=hidden, rng=rng)
-    for _, node in bij.params.named():
+    for _, node in bij.params.items():
         node.value = np.asarray(
             node.value + amount * rng.standard_normal(node.value.shape))
     return bij
@@ -36,18 +38,6 @@ def nudge_param(node, i, delta):
     arr = np.array(node.value, dtype=np.float64).reshape(-1).copy()
     arr[i] += delta
     return arr.reshape(np.shape(node.value))
-
-
-# ---------------------------------------------------------------------------
-# parameter store
-
-def test_param_store_basics():
-    store = ParamStore()
-    w = store.add("w", np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        store.add("w", np.zeros(1))
-    assert store["w"] is w
-    assert [name for name, _ in store.named()] == ["w"]
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +77,7 @@ def test_field_net_latent_dim_mismatch_raises():
 def test_field_net_permutation_equivariance():
     rng = np.random.default_rng(3)
     net = GatedContextualNet(latent_dim=6, hidden=16, blocks=3, rng=rng)
-    for _, node in net.params.named():  # make the last block non-zero too
+    for _, node in net.params.items():  # make the last block non-zero too
         node.value = node.value + 0.1 * rng.standard_normal(node.value.shape)
     x = rng.standard_normal((20, 3))
     z = rng.standard_normal(6)
@@ -101,7 +91,7 @@ def test_field_net_per_point_independence():
     # evaluating a subset of rows gives the same rows as the full batch
     rng = np.random.default_rng(4)
     net = GatedContextualNet(latent_dim=6, hidden=16, blocks=3, rng=rng)
-    for _, node in net.params.named():
+    for _, node in net.params.items():
         node.value = node.value + 0.1 * rng.standard_normal(node.value.shape)
     x = rng.standard_normal((12, 3))
     z = rng.standard_normal(6)
@@ -126,7 +116,7 @@ def test_encoder_shapes_and_standard_normal_init():
 def test_encoder_permutation_invariance_exact():
     rng = np.random.default_rng(2)
     enc = PointSetEncoder(latent_dim=8, widths=(8, 16), rng=rng)
-    for _, node in enc.params.named():
+    for _, node in enc.params.items():
         node.value = node.value + 0.2 * rng.standard_normal(node.value.shape)
     x = rng.standard_normal((40, 3))
     perm = rng.permutation(40)
@@ -146,7 +136,7 @@ def test_encoder_empty_cloud_raises():
 def test_encode_reparameterization_formula():
     rng = np.random.default_rng(5)
     enc = PointSetEncoder(latent_dim=6, widths=(8, 8), rng=rng)
-    for _, node in enc.params.named():
+    for _, node in enc.params.items():
         node.value = node.value + 0.2 * rng.standard_normal(node.value.shape)
     x = rng.standard_normal((10, 3))
     z, mu, logvar = enc.encode(x, np.random.default_rng(123))
@@ -254,8 +244,8 @@ def test_bijector_layers_are_bitwise_the_unfused_chain(seed):
 
     def grads(*leaves):
         out = [leaf.grad for leaf in leaves]
-        out += [p.grad for _, p in bij.params.named()]
-        for _, p in bij.params.named():
+        out += [p.grad for _, p in bij.params.items()]
+        for _, p in bij.params.items():
             p.grad = None
         return out
 
@@ -296,11 +286,11 @@ def test_bijector_parameter_gradients_fd():
         return ad.reduce_sum(ad.mul(z, weights)) + logdet
 
     node = loss_value()
-    for _, p in bij.params.named():
+    for _, p in bij.params.items():
         p.grad = None
     ad.backward(node)
     rng = np.random.default_rng(15)
-    for name, p in bij.params.named():
+    for name, p in bij.params.items():
         size = np.size(p.value)
         gflat = np.reshape(p.grad, -1)
         picks = rng.choice(size, size=min(2, size), replace=False)
@@ -492,6 +482,22 @@ def test_model_config_validation():
             ModelConfig(**{name: bad})
     cfg = ModelConfig(latent_dim=8, encoder_widths=(8, 16))
     assert ModelConfig.from_dict(asdict(cfg)) == cfg
+
+
+@pytest.mark.parametrize("cls, settings, message", [
+    (ModelConfig, {"field_blocks": 0},
+     "field_blocks must be a positive int, got 0"),
+    (SampleConfig, {"num_agents": 4, "seed": -1},
+     "seed must be a non-negative int, got -1"),
+    (NavConfig, {"kappa": 0.06, "dt": "0.1"},
+     "dt must be finite and positive, got '0.1'"),
+    (DiffusionSchedule, {"beta_end": None},
+     "beta_end must be a finite number, got None"),
+], ids=["ModelConfig", "SampleConfig", "NavConfig", "DiffusionSchedule"])
+def test_settings_classes_word_their_errors_alike(cls, settings, message):
+    with pytest.raises(ValueError) as info:
+        cls(**settings)
+    assert str(info.value) == message
 
 
 def test_networks_give_equal_bits_without_a_tape():

@@ -5,9 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from swarmflow import autodiff as ad
-from swarmflow import sampling
+from swarmflow import navigation, sampling
 from swarmflow.diffusion import DiffusionSchedule, ddpm_sample
 from swarmflow.flowmatch import SIGMA_MIN, cfm_loss
 from swarmflow.models import Checkpoint, ModelConfig, build_models, \
@@ -324,6 +325,68 @@ def test_goal_baseline_validation():
         sample_cfm_plus_orca(np.zeros((2, 3)), np.zeros((3, 3)), cfg)
     with pytest.raises(ValueError):
         sample_cfm_plus_orca(np.zeros((3, 3)), np.zeros((3, 3)), cfg)
+
+
+def _points_apart(rng, m, half, kappa):
+    """``m`` uniform points of the box ``[-half, half]^3``, every pair at
+    least ``kappa`` apart (drawn one by one, each retried until it fits)."""
+    points = []
+    while len(points) < m:
+        p = rng.uniform(-half, half, 3)
+        if all(np.linalg.norm(p - q) >= kappa for q in points):
+            points.append(p)
+    return np.array(points)
+
+
+def test_guarded_feasible_steps_keep_agents_apart(monkeypatch):
+    """The whole-flight avoidance contract.  A step that starts with every
+    pair at least kappa apart, solves only feasible velocity programs and
+    is guarded, ``kappa + 2 v_max h <= culling_radius`` (so no pair beyond
+    the culling radius can close to kappa in one step), ends with every
+    pair still at least kappa apart."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    kappa = 0.06
+    calls = []  # per orca_adjust call: [positions, v_pref, nav, infeasible]
+    adjust, solve = sampling.orca_adjust, navigation._solve_lps
+
+    def recording_adjust(v_pref, positions, cfg):
+        calls.append([positions, v_pref, cfg, False])
+        return adjust(v_pref, positions, cfg)
+
+    def recording_solve(*args):
+        result, infeasible = solve(*args)
+        calls[-1][3] = bool(infeasible.any())
+        return result, infeasible
+
+    monkeypatch.setattr(sampling, "orca_adjust", recording_adjust)
+    monkeypatch.setattr(navigation, "_solve_lps", recording_solve)
+    checked = 0
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(2, 30), st.integers(2, 29),
+                      st.floats(0.2, 0.6), st.integers(0, 2**32 - 1))
+    def check(m, steps, half, seed):
+        nonlocal checked
+        rng = np.random.default_rng(seed)
+        start = _points_apart(rng, m, half, kappa)
+        goal = rng.uniform(-half, half, (m, 3))
+        calls.clear()
+        log = sample_cfm_plus_orca(goal, start, SampleConfig(
+            num_agents=m, steps=steps, kappa=kappa))
+        assert len(calls) == steps
+        for k, (x, v_pref, nav, infeasible) in enumerate(calls):
+            v_max = max(2.0 * float(np.max(np.linalg.norm(v_pref, axis=1))),
+                        nav.kappa / nav.dt)
+            guarded = nav.kappa + 2.0 * v_max * nav.dt <= nav.culling_radius
+            if guarded and not infeasible and pdist(x).min() >= nav.kappa:
+                after = pdist(log.positions[k + 1]).min()
+                assert after >= nav.kappa, (k, after / nav.kappa)
+                checked += 1
+
+    check()
+    assert checked >= 200, checked
 
 
 def _run_every_sampler():
