@@ -30,8 +30,8 @@ pass works in place on its one output array.
 
 ``dense_max`` is an encoder's last layer and its max-pool over the
 points as one node.  Its pooled gradient reaches one row per column, so
-it forms the weight and bias gradients from those rows alone, with the
-same values as the full products.
+it forms the weight, bias and input gradients from those rows alone,
+with the bits of the full products over the zero-filled gradient.
 
 Inside ``with no_record():`` the same ops run on the same arrays, so
 values are bitwise equal, but no new node needs a gradient, so none
@@ -282,6 +282,43 @@ def dense(x, w, b, inject=None, act=False) -> Node:
     return Node(out, (x, w) + addends, vjp, "dense")
 
 
+# Fewest output entries of the product ``_pooled_input_grad`` runs.
+# OpenBLAS 0.3.31 (Haswell kernels) rounds a product of up to about 1200
+# entries (fewer for a long inner dimension) through another kernel than
+# the blocked one a full layer's product takes, so its rows differ in the
+# last bit; zero rows pad the product past that.
+_MIN_ENTRIES = 2048
+
+
+def _pooled_input_grad(gv, idx, w, m):
+    """``gp @ w.T`` for the ``(m, h)`` gradient ``gp`` that holds
+    ``gv[j]`` at ``(idx[j], j)`` and zeros elsewhere, bit for bit, for a
+    ``(n, h)`` ``w``, without the full product.
+
+    A row of ``gp`` that holds no non-zero gives +0.  A row that holds
+    one, ``gv[j]``, gives ``gv[j] * w[:, j] + 0.0``: one product among
+    exact zeros, with the sign a sum of zeros has.  The rows that hold
+    several keep their BLAS product, run on those rows alone, padded with
+    zero rows to ``_MIN_ENTRIES`` outputs (or to all ``m`` rows): a row of
+    a product takes the same operations whatever other rows are in it,
+    as long as the product runs on the same kernel.
+    """
+    wins = np.bincount(idx, minlength=m)
+    gx = np.zeros((m, w.shape[0]))
+    one = wins[idx] == 1
+    single = gv[one, None] * w.T[one]
+    single += 0.0
+    gx[idx[one]] = single
+    many = np.flatnonzero(~one)
+    if many.size:
+        rows = np.flatnonzero(wins > 1)
+        size = max(rows.size, min(m, -(-_MIN_ENTRIES // w.shape[0])))
+        gp = np.zeros((size, len(idx)))
+        gp[np.searchsorted(rows, idx[many]), many] = gv[many]
+        gx[rows] = (gp @ w.T)[:rows.size]
+    return gx
+
+
 def dense_max(x, w, b, act=False) -> Node:
     """A layer and a max-pool over its rows as one node: the column
     maxima of ``dense(x, w, b, act=act)`` for an ``(M, n)`` ``x`` and an
@@ -294,8 +331,9 @@ def dense_max(x, w, b, act=False) -> Node:
     ``x.T @ gp`` and of ``gp``'s row sum is one product plus exact
     zeros: the weight and bias gradients are formed from the argmax rows
     alone, ``x[idx].T * gv`` and ``gv``, with the same bits (``+ 0.0``
-    gives a zero the sign a sum of zeros has).  The input gradient is
-    still ``gp @ w.T`` on the zero-filled ``gp``, for the same rounding.
+    gives a zero the sign a sum of zeros has).  The input gradient
+    ``gp @ w.T`` is built from the argmax rows too, see
+    ``_pooled_input_grad``.
     """
     x, w, b = wrap(x), wrap(w), wrap(b)
     xv, wv = x.value, w.value
@@ -317,9 +355,7 @@ def dense_max(x, w, b, act=False) -> Node:
         gv = g * (1.0 - pooled * pooled) if act else g
         gx = None
         if x.needs_grad:
-            gp = np.zeros(shape)
-            gp[idx, cols] = gv
-            gx = gp @ wv.T
+            gx = _pooled_input_grad(gv, idx, wv, shape[0])
         gw = xv[idx].T * gv
         gw += 0.0
         return [gx, gw, gv + 0.0]
@@ -402,7 +438,10 @@ def backward(loss: Node) -> None:
 
     # Iterative post-order DFS over the nodes that need a gradient:
     # parents are appended before consumers, so the reversed list visits
-    # every consumer before the node it feeds.
+    # every consumer before the node it feeds.  A parentless node (a
+    # parameter, a ``Node(x)`` leaf) feeds nothing, so it is left off
+    # the list: it still gets its contributions, in the same order, and
+    # every other node keeps its place.
     topo = []
     visited = set()
     stack = [(loss, False)]
@@ -416,7 +455,7 @@ def backward(loss: Node) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if parent.needs_grad and id(parent) not in visited:
+            if parent._parents and id(parent) not in visited:
                 stack.append((parent, False))
 
     loss.grad = np.float64(1.0) if loss.grad is None else loss.grad + 1.0

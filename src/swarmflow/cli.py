@@ -222,10 +222,24 @@ def _sample_config(args, ckpt, use_orca: bool) -> sampling.SampleConfig:
             f"{args.checkpoint}: bad stored kappa: {err}") from None
 
 
+def _warn_unguarded(log) -> None:
+    """One stderr line when steps of an avoidance run were unguarded: an
+    agent could move far enough that pairs starting beyond the culling
+    radius, which avoidance ignores, may end closer than kappa."""
+    count = sampling.unguarded_steps(log)
+    if count:
+        print(f"warning: {count} of {log.num_steps} steps unguarded "
+              f"(kappa + 2*v_max*h > culling radius 4*kappa): agents "
+              f"farther apart than 4*kappa were not avoided and may end "
+              f"closer than kappa; more --steps shorten h", file=sys.stderr)
+
+
 def _cmd_sample(args) -> int:
     ckpt = dataio.load_checkpoint(args.checkpoint)
     log = sampling.sample(ckpt, _sample_config(args, ckpt, not args.no_orca))
     _write_trajectory(log, args.out, args.scale)
+    if not args.no_orca:
+        _warn_unguarded(log)
     return 0
 
 
@@ -264,6 +278,7 @@ def _cmd_sample_cfm_orca(args) -> int:
     log = sampling.sample_cfm_plus_orca(plain.final_cloud(),
                                         plain.positions[0], cfg)
     _write_trajectory(log, args.out, args.scale)
+    _warn_unguarded(log)
     return 0
 
 

@@ -7,8 +7,8 @@ layer is one ``autodiff.dense`` node, product, inject, bias and ``tanh``
 in one forward and one backward rule: a field block with its gated
 context term, an encoder layer or head, and each layer of a coupling
 MLP.  The encoder's last per-point layer and its max-pool over the
-points are one ``autodiff.dense_max`` node, whose weight gradient is
-taken from the argmax rows alone.  A coupling layer's update and its
+points are one ``autodiff.dense_max`` node, whose gradients are taken
+from the argmax rows alone.  A coupling layer's update and its
 log-det term are one node each.
 
 ``ModelSet`` joins the three dicts under prefixed names and alone knows
@@ -395,7 +395,9 @@ class ModelSet:
     through the views; a rebound ``node.value`` no longer reaches the
     buffer until ``load_state_dict`` points it back.  ``grads`` is the
     matching flat buffer that ``gather_grads`` fills each step; the
-    optimizer then uses it as scratch.
+    optimizer then uses it as scratch.  The prefixed ``(name, node)``
+    list is built once, with the set, and every per-step walk uses it,
+    so a network's ``params`` must not change after the set is built.
     """
 
     config: ModelConfig
@@ -404,18 +406,20 @@ class ModelSet:
     bijector: CouplingBijector
 
     def __post_init__(self):
+        self._named = [(prefix + name, node)
+                       for prefix, net in (("field.", self.field_net),
+                                           ("encoder.", self.encoder),
+                                           ("bijector.", self.bijector))
+                       for name, node in net.params.items()]
         self.values = np.concatenate(
-            [node.value.ravel() for _, node in self.named_parameters()])
+            [node.value.ravel() for _, node in self._named])
         self.grads = np.empty_like(self.values)
         for _, node, view in self._views(self.values):
             node.value = view
 
     def named_parameters(self):
-        for prefix, net in (("field.", self.field_net),
-                            ("encoder.", self.encoder),
-                            ("bijector.", self.bijector)):
-            for name, node in net.params.items():
-                yield prefix + name, node
+        """``(prefixed name, node)`` of every parameter, in buffer order."""
+        return iter(self._named)
 
     def _views(self, flat):
         """(name, node, shaped view of ``flat``) for each parameter."""
@@ -431,15 +435,16 @@ class ModelSet:
 
     def gather_grads(self) -> np.ndarray:
         """Copy every parameter gradient into ``grads`` and return it."""
-        for name, node in self.named_parameters():
+        flat = []
+        for name, node in self._named:
             if node.grad is None:
                 raise ValueError(f"parameter {name!r} has no gradient")
-        np.concatenate([np.ravel(node.grad) for _, node
-                        in self.named_parameters()], out=self.grads)
+            flat.append(np.ravel(node.grad))
+        np.concatenate(flat, out=self.grads)
         return self.grads
 
     def zero_grad(self) -> None:
-        for _, node in self.named_parameters():
+        for _, node in self._named:
             node.grad = None
 
     def state_dict(self) -> dict:

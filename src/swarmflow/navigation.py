@@ -54,6 +54,7 @@ from .models import _require
 
 __all__ = [
     "NavConfig", "build_orca_halfspace", "solve_velocity_lp", "orca_adjust",
+    "speed_cap", "is_guarded",
 ]
 
 # Parallelism threshold for squared cross products of unit vectors.
@@ -163,7 +164,12 @@ def build_orca_halfspace(p_self, v_self, p_other, v_other,
     def settle(rows, w, w_len, degenerate, reach):
         # u = (reach - |w|) * unit(w); a vanishing w (exact head-on) escapes
         # sideways along the perpendicular of the line of centers (the
-        # flank then leans that normal back).
+        # flank then leans that normal back).  Most calls have no
+        # degenerate row, and skip the masked writes.
+        if not degenerate.any():
+            normals[rows] = w / w_len[:, None]
+            shift[rows] = reach - w_len
+            return
         keep = ~degenerate
         normals[rows[keep]] = w[keep] / w_len[keep, None]
         normals[rows[degenerate]] = _perpendiculars(rel_pos[rows[degenerate]])
@@ -186,7 +192,7 @@ def build_orca_halfspace(p_self, v_self, p_other, v_other,
     flank = outside[~in_cap]
     pos, vel, a = rel_pos[flank], rel_vel[flank], dist_sq[flank]
     b = np.vecdot(pos, vel)
-    cr = np.cross(pos, vel)
+    cr = _cross(pos, vel)
     c = np.vecdot(vel, vel) - np.vecdot(cr, cr) / (a - radius_sq)
     # an exact head-on pair has a zero discriminant, which can round below
     # zero; clamp it so the pair takes the head-on escape below
@@ -199,9 +205,11 @@ def build_orca_halfspace(p_self, v_self, p_other, v_other,
     # A head-on escape leaves along the flank's normal: sideways, leaning
     # back by the cone's half-angle (sine r / |rel_pos|), so the corrected
     # velocity lands on the flank rather than inside the cone.
-    rows, a_h = flank[head_on], a[head_on]
-    normals[rows] = (np.sqrt(1.0 - radius_sq / a_h)[:, None] * normals[rows]
-                     - (combined_radius / a_h)[:, None] * pos[head_on])
+    if head_on.any():
+        rows, a_h = flank[head_on], a[head_on]
+        normals[rows] = (
+            np.sqrt(1.0 - radius_sq / a_h)[:, None] * normals[rows]
+            - (combined_radius / a_h)[:, None] * pos[head_on])
 
     # Already overlapping: resolve within a single time step.
     overlap = np.flatnonzero(~is_outside)
@@ -485,6 +493,26 @@ def solve_velocity_lp(v_pref, points, normals, v_max: float) -> np.ndarray:
     return result[0]
 
 
+def speed_cap(v_pref, cfg: NavConfig) -> float:
+    """The speed cap of ``orca_adjust`` for the (M, 3) preferred
+    velocities of one step: twice the largest preferred speed, floored at
+    the one-step escape speed ``kappa / dt`` so that overlapping agents
+    can always separate, even when nobody wants to move."""
+    return max(
+        2.0 * float(np.max(np.linalg.norm(v_pref, axis=1), initial=0.0)),
+        cfg.kappa / cfg.dt)
+
+
+def is_guarded(v_pref, cfg: NavConfig) -> bool:
+    """Whether the step ``orca_adjust(v_pref, ..., cfg)`` adjusts is
+    guarded: ``kappa + 2 * speed_cap * dt <= culling_radius``.  Two agents
+    then close by at most ``2 * speed_cap * dt`` in the step, so a pair
+    that starts beyond the culling radius, which no half-space links,
+    cannot end it closer than ``kappa``."""
+    return (cfg.kappa + 2.0 * speed_cap(v_pref, cfg) * cfg.dt
+            <= cfg.culling_radius)
+
+
 def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
     """Collision-free velocities for the whole swarm.
 
@@ -506,11 +534,7 @@ def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
     if m == 0:
         return np.zeros((0, 3))
 
-    # floor at the one-step escape speed so overlapping agents can always
-    # separate even when nobody wants to move
-    v_max = max(
-        2.0 * float(np.max(np.linalg.norm(v_pref, axis=1), initial=0.0)),
-        cfg.kappa / cfg.dt)
+    v_max = speed_cap(v_pref, cfg)
 
     # One half-space per close pair, for its lower-indexed agent, and its
     # mirror for the higher-indexed one.  Coincident agents break the tie

@@ -26,11 +26,11 @@ import numpy as np
 from . import autodiff as ad
 from .flowmatch import conditional_field
 from .models import Checkpoint, _require, models_from_checkpoint
-from .navigation import NavConfig, orca_adjust
+from .navigation import NavConfig, is_guarded, orca_adjust
 
 __all__ = [
     "TrajectoryLog", "SampleConfig", "sample", "sample_cfm_plus_orca",
-    "integrate_exact_target",
+    "integrate_exact_target", "unguarded_steps",
 ]
 
 
@@ -159,6 +159,15 @@ def _euler_rollout(x0, steps, velocity_fn, kappa=None, /,
     return TrajectoryLog(times=times, positions=positions,
                          applied_velocities=applied,
                          preferred_velocities=preferred, meta=meta)
+
+
+def unguarded_steps(log: TrajectoryLog) -> int:
+    """How many steps of a run flown with avoidance were not guarded
+    (``navigation.is_guarded``), judged from the preferred velocities it
+    logged and the ``NavConfig(kappa, h)`` its rollout gave
+    ``orca_adjust``."""
+    nav = NavConfig(kappa=log.meta["kappa"], dt=1.0 / log.num_steps)
+    return sum(not is_guarded(v, nav) for v in log.preferred_velocities)
 
 
 def _draw_latent(models, rng):

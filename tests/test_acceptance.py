@@ -34,9 +34,10 @@ from scipy.spatial.distance import pdist
 
 import swarmflow as sf
 from swarmflow import diffusion
+from swarmflow.cli import main
 from swarmflow.flowmatch import (conditional_field, sample_path_point,
                                  target_field)
-from swarmflow.sampling import integrate_exact_target
+from swarmflow.sampling import integrate_exact_target, unguarded_steps
 
 FIXTURE_JSON = Path(__file__).parent / "fixtures" / "sphere_thresholds.json"
 
@@ -514,3 +515,34 @@ def test_check10_reruns_are_byte_identical(bundle, tmp_path):
     _accept(10, "reruns are byte-identical",
             f"checkpoint {first.stat().st_size} bytes and trajectory CSV "
             f"{first_csv.stat().st_size} bytes match exactly")
+
+
+# ---------------------------------------------------------------------------
+# the sampling commands' warning on unguarded steps, on the fixture model
+
+def _cli_flight(bundle, tmp_path, command, steps):
+    ckpt = tmp_path / "checkpoint.swf"
+    sf.save_checkpoint(ckpt, bundle.flow_ckpt)
+    out = tmp_path / command
+    assert main([command, "--checkpoint", str(ckpt),
+                 "--agents", str(bundle.sample_agents), "--steps", str(steps),
+                 "--seed", str(bundle.sample_seed), "--out", str(out)]) == 0
+    return sf.load_trajectory_csv(out / "trajectory.csv")
+
+
+def test_fixture_sample_is_guarded_and_silent(bundle, tmp_path, capsys):
+    # the fixture's largest reach, kappa + 2 v_max h, is 3.27 kappa
+    log = _cli_flight(bundle, tmp_path, "sample", bundle.sample_steps)
+    assert capsys.readouterr().err == ""
+    assert np.array_equal(log.positions, bundle.log_orca.positions)
+    assert unguarded_steps(bundle.log_orca) == 0
+
+
+def test_spread_sample_cfm_orca_start_warns(bundle, tmp_path, capsys):
+    # 25 straight steps from the Gaussian start to the sphere move agents
+    # up to 9.4 kappa a step, beyond the 4 kappa culling radius
+    log = _cli_flight(bundle, tmp_path, "sample-cfm-orca", 25)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: 25 of 25 steps unguarded")
+    assert log.meta["algorithm"] == "orca-to-goal"

@@ -406,6 +406,75 @@ def test_dense_max_is_bitwise_dense_then_a_max_pool():
     check()
 
 
+def _zero_filled_input_grad(gv, idx, w, m):
+    """The input gradient as ``dense`` forms it: the zero-filled unpooled
+    gradient times ``w.T``."""
+    gp = np.zeros((m, len(idx)))
+    gp[idx, np.arange(len(idx))] = gv
+    return gp @ w.T
+
+
+def _argmax_rows(kind, rng, m=512, h=256):
+    """The argmax row of each of ``h`` columns, in patterns where rows
+    win 0, 1 or many columns."""
+    if kind == "uniform":  # ~46 rows win several columns
+        return rng.integers(0, m, h)
+    if kind == "distinct":  # every winning row wins one column
+        return rng.permutation(m)[:h]
+    if kind == "one-row":
+        return np.full(h, rng.integers(m))
+    # few rows win several columns each and the rest one column each: a
+    # product over those rows alone would be small enough for BLAS to take
+    # another kernel than the full product's
+    few = int(kind.split("-")[1])
+    idx = rng.permutation(m)[:h]
+    idx[:4 * few] = np.repeat(idx[:few], 4)
+    return rng.permutation(idx)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "distinct", "one-row", "few-1",
+                                  "few-2", "few-5", "few-9", "few-12"])
+def test_pooled_input_grad_is_bitwise_the_zero_filled_product(kind):
+    # fixture-size layers, (512, 128) @ (128, 256), reach BLAS's blocked
+    # kernels, which the small shapes of the test above never do
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    w = rng.standard_normal((128, 256))
+    w[:, :8] = 0.0  # zero products of either sign
+    w[:3, 8:16] = -0.0
+    for _ in range(5):
+        idx = _argmax_rows(kind, rng)
+        gv = rng.standard_normal(256)
+        gv[::17] = -0.0  # a saturated tanh passes on a zero gradient
+        gv[1::29] = 0.0
+        got = ad._pooled_input_grad(gv, idx, w, 512)
+        want = _zero_filled_input_grad(gv, idx, w, 512)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m, act", [(512, False), (512, True), (1, False),
+                                    (1, True)])
+def test_dense_max_at_fixture_size_is_bitwise_dense_then_a_max_pool(m, act):
+    # repeated input rows tie their maxima; large entries saturate tanh
+    rng = np.random.default_rng(m + act)
+    xv = rng.standard_normal((m, 128))
+    if m > 1:
+        xv[m // 2:] = xv[rng.integers(0, m // 2, m - m // 2)]
+    wv = rng.standard_normal((128, 256)) * (8.0 if act else 0.1)
+    bv = rng.standard_normal(256)
+    probe = rng.standard_normal(256)
+
+    def run(layer):
+        x, w, b = ad.Node(xv), ad.Node(wv), ad.Node(bv)
+        out = layer(x, w, b)
+        ad.backward(ad.reduce_sum(ad.mul(out, probe)))
+        return [out.value, x.grad, w.grad, b.grad]
+
+    fused = run(lambda x, w, b: ad.dense_max(x, w, b, act=act))
+    chain = run(lambda x, w, b: _maxpool(ad.dense(x, w, b, act=act)))
+    for a, b in zip(fused, chain):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_dense_max_shape_mismatch_raises():
     x, w, b = np.ones((4, 5)), np.ones((5, 3)), np.ones(3)
     for args in [(np.ones(5), w, b), (x, np.ones((4, 3)), b),

@@ -400,6 +400,19 @@ def test_sample_cfm_orca_subcommand(pipeline):
     assert log.euler_consistent()
 
 
+def test_only_runs_with_avoidance_warn_of_unguarded_steps(pipeline, capsys):
+    # the tiny model moves its agents about 0.04 in all, far more than a
+    # kappa of 1e-4 per step, so every one of its steps is unguarded
+    args = ["--checkpoint", str(pipeline["flow"]), "--agents", "8",
+            "--steps", "10", "--kappa", "1e-4"]
+    for extra, warns in [([], True), (["--no-orca"], False)]:
+        out = pipeline["root"] / f"unguarded-{warns}"
+        assert main(["sample", *args, *extra, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: 10 of 10 steps unguarded ") == warns
+        assert err.count("\n") == warns
+
+
 @pytest.mark.parametrize("command, extra", [
     ("sample", ["--kappa", "inf"]),
     ("sample", ["--no-orca", "--kappa", "-1"]),

@@ -1,9 +1,15 @@
 """Flow-path algebra, loss wiring, optimizer trace against a decimal
 oracle, schedule shape, and the training loop's determinism contract."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import swarmflow
 from swarmflow import autodiff as ad
 from swarmflow import flowmatch
 from swarmflow.flowmatch import (SIGMA_MIN, Adam, TrainConfig,
@@ -416,3 +422,36 @@ def test_training_diverged_carries_step_and_parts(tmp_path):
     assert lines[0] == "# step loss field kl"
     assert [int(line.split()[0]) for line in lines[1:]] == \
         list(range(info.value.step))
+
+
+# Trains the fixture model (512-point sphere, seed 20, latent_dim 16) for
+# 60 steps and prints one line per trained tensor: name and value bytes.
+_FIXTURE_TRAINING = """
+import hashlib
+from swarmflow import (ModelConfig, TrainConfig, make_synthetic_dataset,
+                       normalize_cloud, train)
+cloud = normalize_cloud(make_synthetic_dataset("sphere", 512, 1, 20)[0])[0]
+ckpt = train([cloud], TrainConfig(epochs=60, seed=0), ModelConfig(latent_dim=16))
+for name, value in ckpt.params.items():
+    print(name, hashlib.sha256(value.tobytes()).hexdigest())
+"""
+
+
+def test_trained_parameters_do_not_depend_on_the_blas_thread_count():
+    # the encoder's input gradient takes BLAS products of a few rows in
+    # place of the full layer's product, and relies on a row coming out
+    # the same in both; a second BLAS thread splits the full product
+    # differently, so compare the trained bytes under one and two
+    src = str(Path(swarmflow.__file__).resolve().parents[1])
+    lines = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _FIXTURE_TRAINING],
+                             env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+        lines.append(run.stdout.splitlines())
+    assert len(lines[0]) == 160
+    assert lines[0] == lines[1]

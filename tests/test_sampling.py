@@ -14,7 +14,7 @@ from swarmflow.flowmatch import SIGMA_MIN, cfm_loss
 from swarmflow.models import Checkpoint, ModelConfig, build_models, \
     models_from_checkpoint
 from swarmflow.sampling import SampleConfig, TrajectoryLog, _euler_rollout, \
-    integrate_exact_target, sample, sample_cfm_plus_orca
+    integrate_exact_target, sample, sample_cfm_plus_orca, unguarded_steps
 
 SMALL = ModelConfig(latent_dim=4, field_hidden=8, field_blocks=2,
                     encoder_widths=(8, 16), coupling_layers=2,
@@ -376,14 +376,18 @@ def test_guarded_feasible_steps_keep_agents_apart(monkeypatch):
         log = sample_cfm_plus_orca(goal, start, SampleConfig(
             num_agents=m, steps=steps, kappa=kappa))
         assert len(calls) == steps
+        unguarded = 0
         for k, (x, v_pref, nav, infeasible) in enumerate(calls):
             v_max = max(2.0 * float(np.max(np.linalg.norm(v_pref, axis=1))),
                         nav.kappa / nav.dt)
             guarded = nav.kappa + 2.0 * v_max * nav.dt <= nav.culling_radius
+            unguarded += not guarded
             if guarded and not infeasible and pdist(x).min() >= nav.kappa:
                 after = pdist(log.positions[k + 1]).min()
                 assert after >= nav.kappa, (k, after / nav.kappa)
                 checked += 1
+        # the count the sampling commands warn with judges the same steps
+        assert unguarded_steps(log) == unguarded
 
     check()
     assert checked >= 200, checked
