@@ -12,10 +12,10 @@ With one BLAS thread it rebuilds:
   run writes is digested under its path in that directory, so
   checkpoints, train logs, trajectories, their sidecars, the metrics
   reports and the exported clouds are all covered;
-- the batch path: ``make-data`` of three 128-point tori (seed 7), then
-  ``train`` with ``batch_size = 2`` for flow and for diffusion
-  (``latent_dim`` 16, 50 epochs of two steps, seed 0), digested the same
-  way (``batch-flow/...``, ``batch-diffusion/...``);
+- training on several clouds: ``make-data`` of three 128-point tori
+  (seed 7), then ``train`` on all three for flow and for diffusion
+  (``latent_dim`` 16, 50 epochs of three steps, seed 0), digested the
+  same way (``clouds-flow/...``, ``clouds-diffusion/...``);
 - the arrays ``load_trajectory_csv`` reads back from the ``--scale`` run's
   two trajectories (``read/sample/...``: times, positions and applied
   velocities);
@@ -99,14 +99,13 @@ def cli_run(sf, root: Path) -> dict:
             "--config", str(root / "fixture.cfg"), "--epochs", "2000",
             "--seed", "0", "--algorithm", algorithm,
             "--out", str(root / algorithm))
-    (root / "batch.cfg").write_text("latent_dim = 16\nbatch_size = 2\n")
     cli("make-data", "--kind", "torus", "--points", "128", "--count", "3",
         "--seed", "7", "--out", str(root / "tori"))
     for algorithm in ("flow", "diffusion"):
         cli("train", "--data", str(root / "tori"),
-            "--config", str(root / "batch.cfg"), "--epochs", "50",
+            "--config", str(root / "fixture.cfg"), "--epochs", "50",
             "--seed", "0", "--algorithm", algorithm,
-            "--out", str(root / f"batch-{algorithm}"))
+            "--out", str(root / f"clouds-{algorithm}"))
     flow = str(root / "flow" / "checkpoint.swf")
     run = ("--agents", "512", "--seed", "1")
     cli("sample", "--checkpoint", flow, *run, "--scale",
@@ -138,7 +137,7 @@ def cli_run(sf, root: Path) -> dict:
     cli("sample", "--checkpoint", flow, *run, "--scale",
         "--out", str(root / "sample"))
     out.update(files(root / "sample", "rerun/"))
-    for algorithm in ("flow", "diffusion", "batch-flow", "batch-diffusion"):
+    for algorithm in ("flow", "diffusion", "clouds-flow", "clouds-diffusion"):
         ckpt = sf.load_checkpoint(root / algorithm / "checkpoint.swf")
         out[f"params/{algorithm}"] = sha256(*(
             part for name, value in ckpt.params.items()

@@ -18,7 +18,6 @@ integrator.
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -176,12 +175,11 @@ class TrainConfig:
 
     learning_rate: float = 1e-3
     epochs: int = 2000
-    batch_size: int = 1
     seed: int = 0
     kappa: float = 0.06  # collision radius for downstream sampling
 
     def __post_init__(self):
-        _require(self, "a positive int", "epochs", "batch_size")
+        _require(self, "a positive int", "epochs")
         _require(self, "a non-negative int", "seed")
         _require(self, "finite and positive", "learning_rate", "kappa")
 
@@ -200,15 +198,17 @@ class TrainingDiverged(RuntimeError):
 def _run_training(dataset, train_config: TrainConfig,
                   model_config: ModelConfig, loss_fn, algorithm: str,
                   log_path=None) -> Checkpoint:
-    """Shared Adam loop: ``loss_fn(models, x0, rng) -> (node, parts)``."""
+    """Shared Adam loop: ``loss_fn(models, x0, rng) -> (node, parts)``.
+
+    Each step draws one cloud of ``dataset`` at random, so an epoch is
+    one step per cloud."""
     dataset = [np.asarray(x, dtype=np.float64) for x in dataset]
     if not dataset:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(train_config.seed)
     models = build_models(model_config, rng)
     opt = Adam(models.n_parameters())
-    steps_per_epoch = math.ceil(len(dataset) / train_config.batch_size)
-    total = train_config.epochs * steps_per_epoch
+    total = train_config.epochs * len(dataset)
     last_loss = float("nan")
     # line-buffered: a run that diverges or is killed keeps its history
     with (_open_new(log_path, buffering=1) if log_path is not None
@@ -217,25 +217,15 @@ def _run_training(dataset, train_config: TrainConfig,
             log.write("# step loss field kl\n")
         for step in range(total):
             lr = scheduled_lr(step, total, train_config.learning_rate)
-            idx = rng.integers(0, len(dataset), size=train_config.batch_size)
-            nodes = []
-            parts = {"field": 0.0, "kl": 0.0}
+            x0 = dataset[rng.integers(len(dataset))]
             try:
-                for i in idx:
-                    node, p = loss_fn(models, dataset[i], rng)
-                    nodes.append(node)
-                    for k in parts:
-                        parts[k] += p[k] / len(idx)
+                loss, parts = loss_fn(models, x0, rng)
             except FloatingPointError as exc:
-                # parameters already blew up mid-forward; report as a
-                # divergence with the step index, not a numerics error
-                raise TrainingDiverged(step, dict(parts, loss=float("nan"))) \
-                    from exc
-            loss = nodes[0]
-            for node in nodes[1:]:
-                loss = loss + node
-            if len(nodes) > 1:
-                loss = ad.mul(loss, 1.0 / len(nodes))
+                # parameters already blew up mid-forward, before either
+                # term had a value; report as a divergence with the step
+                # index, not a numerics error
+                raise TrainingDiverged(step, dict.fromkeys(
+                    ("field", "kl", "loss"), float("nan"))) from exc
             last_loss = float(loss.value)
             if not np.isfinite(last_loss):
                 raise TrainingDiverged(step, dict(parts, loss=last_loss))

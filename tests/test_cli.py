@@ -70,6 +70,32 @@ def test_train_writes_checkpoint_and_log(pipeline):
     assert diff.step_count == 10  # --epochs override beats the config
 
 
+def test_train_on_several_clouds_then_sample_and_evaluate(pipeline,
+                                                          tmp_path):
+    # an epoch is one step per cloud: three clouds for four epochs take
+    # twelve steps, each logged
+    data = tmp_path / "data"
+    assert main(["make-data", "--kind", "sphere", "--points", "48",
+                 "--count", "3", "--seed", "4", "--out", str(data)]) == 0
+    epochs = 4
+    assert main(["train", "--data", str(data), "--config",
+                 str(pipeline["config"]), "--epochs", str(epochs),
+                 "--out", str(tmp_path / "flow")]) == 0
+    ckpt = load_checkpoint(tmp_path / "flow" / "checkpoint.swf")
+    assert ckpt.step_count == 3 * epochs
+    rows = np.loadtxt(tmp_path / "flow" / "train.log")
+    assert rows.shape == (3 * epochs, 4)
+    assert np.array_equal(rows[:, 0], np.arange(3 * epochs))
+    run = tmp_path / "run"
+    assert main(["sample", "--checkpoint",
+                 str(tmp_path / "flow" / "checkpoint.swf"), "--agents", "48",
+                 "--steps", "10", "--seed", "1", "--out", str(run)]) == 0
+    assert main(["evaluate", "--trajectories", str(run), "--reference",
+                 str(data), "--out", str(tmp_path / "metrics")]) == 0
+    got = _read_keyvalues(tmp_path / "metrics" / "metrics.kv")
+    assert np.isfinite(got["COV"]) and np.isfinite(got["MMD"])
+
+
 def test_sample_and_evaluate_and_export(pipeline, capsys):
     run = pipeline["root"] / "run"
     assert main(["sample", "--checkpoint", str(pipeline["flow"]),
@@ -413,6 +439,31 @@ def test_only_runs_with_avoidance_warn_of_unguarded_steps(pipeline, capsys):
         assert err.count("\n") == warns
 
 
+def test_avoidance_separates_a_start_that_overlaps(pipeline, capsys):
+    # at kappa 0.5 some of the 16 Gaussian start positions overlap, and
+    # the tiny model moves its agents far less than kappa per step, so
+    # every step is guarded: avoidance must push the pairs apart
+    args = ["--checkpoint", str(pipeline["flow"]), "--agents", "16",
+            "--steps", "10", "--seed", "1", "--kappa", "0.5"]
+    logs, fin = [], []
+    for extra in ([], ["--no-orca"]):
+        out = pipeline["root"] / f"overlap{''.join(extra)}"
+        capsys.readouterr()
+        assert main(["sample", *args, *extra, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        logs.append(load_trajectory_csv(out / "trajectory.csv"))
+        assert main(["evaluate", "--trajectories", str(out),
+                     "--out", str(out / "metrics")]) == 0
+        fin.append(_read_keyvalues(out / "metrics" / "metrics.kv")["FIN"])
+    avoided, raw = logs
+    start = cdist(raw.positions[0], raw.positions[0])
+    assert np.any(start[np.triu_indices(16, 1)] < 0.5)
+    assert np.array_equal(avoided.positions[0], raw.positions[0])
+    assert not np.array_equal(avoided.positions, raw.positions)
+    assert avoided.euler_consistent()
+    assert fin[0] < fin[1]
+
+
 @pytest.mark.parametrize("command, extra", [
     ("sample", ["--kappa", "inf"]),
     ("sample", ["--no-orca", "--kappa", "-1"]),
@@ -485,6 +536,7 @@ def test_config_keys_are_the_config_dataclass_fields(pipeline, tmp_path,
     ("algorithm = diffusion\nbeta_start = abc",
      "beta_start must be a finite number, got 'abc'"),
     ("horizon = 2", "unknown config key 'horizon'"),
+    ("batch_size = 2", "unknown config key 'batch_size'"),
 ])
 def test_wrong_typed_train_setting_fails_before_training(pipeline, tmp_path,
                                                          capsys, line,
@@ -512,6 +564,21 @@ def test_sample_refuses_a_checkpoint_trained_on_another_time_span(
     assert err.count("\n") == 1
     assert "checkpoint was trained with horizon 2.0" in err
     assert not out.exists()
+
+
+def test_sample_reads_a_checkpoint_that_records_a_batch_size(pipeline,
+                                                             tmp_path):
+    # older checkpoints record batch_size = 1 with the training settings
+    ckpt = load_checkpoint(pipeline["flow"])
+    ckpt.train_config["batch_size"] = 1
+    path = tmp_path / "batch_size.swf"
+    save_checkpoint(path, ckpt)
+    argv = ["--agents", "4", "--steps", "5", "--seed", "2"]
+    for checkpoint, out in ((path, "old"), (pipeline["flow"], "new")):
+        assert main(["sample", "--checkpoint", str(checkpoint), *argv,
+                     "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "old" / "trajectory.csv").read_bytes() == \
+        (tmp_path / "new" / "trajectory.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command, extra, message", [

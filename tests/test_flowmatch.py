@@ -16,7 +16,8 @@ from swarmflow.flowmatch import (SIGMA_MIN, Adam, TrainConfig,
                                  TrainingDiverged, adam_step, cfm_loss,
                                  conditional_field, sample_path_point,
                                  scheduled_lr, target_field, train)
-from swarmflow.models import ModelConfig, build_models
+from swarmflow.models import (BijectorNumericsError, ModelConfig,
+                              build_models)
 
 SMALL = ModelConfig(latent_dim=4, field_hidden=8, field_blocks=2,
                     encoder_widths=(8, 16), coupling_layers=2,
@@ -253,8 +254,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
 
 
 _TRAIN_CONFIG_ERRORS = [
@@ -262,7 +261,6 @@ _TRAIN_CONFIG_ERRORS = [
     ("epochs", "20", "epochs must be a positive int, got '20'"),
     ("epochs", True, "epochs must be a positive int, got True"),
     ("epochs", 0, "epochs must be a positive int, got 0"),
-    ("batch_size", 1.0, "batch_size must be a positive int, got 1.0"),
     ("seed", None, "seed must be a non-negative int, got None"),
     ("seed", False, "seed must be a non-negative int, got False"),
     ("seed", -1, "seed must be a non-negative int, got -1"),
@@ -323,54 +321,42 @@ def test_train_calls_cfm_loss_through_the_module(monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ["flow", "diffusion"])
-def test_batch_step_averages_the_batch_1_gradients(algorithm, monkeypatch,
-                                                    tmp_path):
-    # the multi-loss path: one batch_size = 2 step sums two loss nodes and
-    # scales by 1/2, so its gradient is the mean of the two batch-1
-    # gradients on the same draws; scaling by 0.5 is exact, so bit for bit
+def test_each_step_trains_on_one_drawn_cloud(algorithm, monkeypatch,
+                                             tmp_path):
+    # an epoch is one step per cloud, each step draws its cloud with
+    # rng.integers(len(dataset)) right after the models are built, and
+    # the step's loss and parts are the loss function's, as they are
     from swarmflow import diffusion
     rng = np.random.default_rng(40)
     dataset = [rng.standard_normal((n, 3)) for n in (16, 12, 20)]
-    seed = 5
+    seed, epochs = 5, 5
     if algorithm == "flow":
-        run, loss_fn = train, cfm_loss
+        module, name, run, sched = flowmatch, "cfm_loss", train, ()
     else:
-        sched = diffusion.DiffusionSchedule()
-        run = diffusion.train
+        module, name, run = diffusion, "ddpm_train_loss", diffusion.train
+        sched = (diffusion.DiffusionSchedule(),)
+    loss = getattr(module, name)
+    drawn = []
 
-        def loss_fn(models, x0, r):
-            return diffusion.ddpm_train_loss(models, sched, x0, r)
+    def recording(*args):
+        drawn.append(len(args[-2]))  # the cloud, told apart by its size
+        return loss(*args)
 
-    seen = []
-    step = Adam.step
-
-    def capture(self, values, grads, lr):
-        seen.append(grads.copy())
-        step(self, values, grads, lr)
-
-    monkeypatch.setattr(Adam, "step", capture)
+    monkeypatch.setattr(module, name, recording)
     log = tmp_path / "train.log"
-    run(dataset, TrainConfig(epochs=1, batch_size=2, seed=seed), SMALL,
-        log_path=log)
-    assert len(seen) == 2  # ceil(3 clouds / 2) steps in the epoch
+    ckpt = run(dataset, TrainConfig(epochs=epochs, seed=seed), SMALL,
+               log_path=log)
+    assert len(drawn) == ckpt.step_count == epochs * 3
+    assert sorted(set(drawn)) == [12, 16, 20]
 
     replay = np.random.default_rng(seed)
     models = build_models(SMALL, replay)  # _run_training's draw order
-    idx = replay.integers(0, len(dataset), size=2)
-    grads, losses, parts = [], [], []
-    for i in idx:
-        models.zero_grad()
-        node, p = loss_fn(models, dataset[i], replay)
-        ad.backward(node)
-        grads.append(models.gather_grads().copy())
-        losses.append(node.value)
-        parts.append(p)
-    assert seen[0].tobytes() == ((grads[0] + grads[1]) * 0.5).tobytes()
-    loss = float((losses[0] + losses[1]) * 0.5)
-    field = 0.0 + parts[0]["field"] / 2 + parts[1]["field"] / 2
-    kl = 0.0 + parts[0]["kl"] / 2 + parts[1]["kl"] / 2
-    assert log.read_text().splitlines()[1] == \
-        f"0 {loss:.17g} {field:.17g} {kl:.17g}"
+    x0 = dataset[replay.integers(3)]
+    node, parts = loss(models, *sched, x0, replay)
+    assert drawn[0] == len(x0)
+    assert log.read_text().splitlines()[1] == (
+        f"0 {float(node.value):.17g} "
+        f"{parts['field']:.17g} {parts['kl']:.17g}")
 
 
 def test_train_checkpoint_contents():
@@ -418,6 +404,12 @@ def test_training_diverged_carries_step_and_parts(tmp_path):
               SMALL, log_path=log_path)
     assert info.value.step >= 0
     assert "field" in info.value.parts
+    # here the coupling bijector meets a non-finite value mid-forward,
+    # before either term has one, so both are reported as nan
+    assert isinstance(info.value.__cause__, BijectorNumericsError)
+    assert set(info.value.parts) == {"field", "kl", "loss"}
+    assert all(np.isnan(v) for v in info.value.parts.values())
+    assert "field=nan, kl=nan, loss=nan" in str(info.value)
     lines = log_path.read_text().splitlines()
     assert lines[0] == "# step loss field kl"
     assert [int(line.split()[0]) for line in lines[1:]] == \
