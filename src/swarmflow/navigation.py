@@ -20,7 +20,19 @@ lockstep: their rows are padded into (A, K, 3) point and normal arrays
 with a mask of real rows, and each phase of the incremental solve (first
 violated plane, plane, line, back-projection) is one array operation
 over every program still at that phase.  So the Python cost of a step
-grows with its longest chain of phases, not with the number of agents.
+grows with its chains of phases, not with the number of agents.
+
+Those chains are cut short where they outlive their first step.  A plane
+optimum depends only on the program and the plane's row, because a
+program's preferred velocity is fixed, and a line optimum only on the
+program, its plane and the line's row.  So after the first step the rows a
+chain could still visit are all solved in one lockstep call, each on its
+own program row with the arithmetic the walk would give it, and the chain
+follows index lookups through those results: the same bytes, with one
+Python step in place of many.  That call holds every candidate row times
+K, so it is taken only up to ``_BATCH_ROWS`` rows; longer chains walk on.
+The first step always walks: most programs of a sparse step end after one
+plane, and solving their candidates up front costs more than it saves.
 
 The pass builds each close pair once, for its lower-indexed agent, and
 gives the higher-indexed agent the mirror image of that row: the other
@@ -270,6 +282,91 @@ def _fold(start, values, pick):
     return both[np.arange(len(both)), pick(both, axis=1)]
 
 
+# A walk whose chains outlive their first step solves every row they could
+# still visit in one call, once that call holds at most this many rows
+# (candidates x K); a longer call would cost more than the steps it saves.
+# Of 1024 to 16384 rows, 4096 flew a 2048-agent goal flight fastest (README).
+_BATCH_ROWS = 4096
+
+
+def _chain_end(succ, start):
+    """The end of each chain of links ``succ`` from the nodes ``start``:
+    the first node that links to itself."""
+    end = start
+    while True:
+        after = succ[end]
+        if np.array_equal(after, end):
+            return end
+        end = after
+
+
+def _follow(solve, points, normals, later, row, result):
+    """Walk each program's chain of rows from ``row`` (A,), K where it has
+    none.  ``solve(a, row, points[a], normals[a])`` solves programs ``a``
+    at rows ``row`` and returns each attempt and whether it holds; a chain
+    goes on to the first later row flagged in ``later`` (A, K) that the
+    attempt violates, and ends where there is none or where the attempt
+    fails.  Returns (fail, result): the row at which each chain failed, or
+    K, and ``result`` (A, 3), into which each program's last attempt that
+    held is written in place.
+
+    The first step is walked for every chain.  After it, the chains still
+    going solve all their candidate rows in one ``solve`` call when that
+    call is small enough, and follow their links through the results.  A
+    step's outcome depends only on its program and row, not on the other
+    programs in the call, so each chain gets the attempts the walk gives.
+    """
+    n, k = later.shape
+    column = np.arange(k)
+    row = row.copy()
+    fail = np.full(n, k)
+    a = np.flatnonzero(row < k)
+    walked = False
+    while a.size:
+        if walked and a.size * k <= _BATCH_ROWS:
+            candidates = later[a] & (column >= row[a, None])
+            if np.count_nonzero(candidates) * k <= _BATCH_ROWS:
+                break
+        r = row[a]
+        # The last step's rows are freed only once these are copied, as in
+        # a plain loop; freeing them first let the heap shrink and fault
+        # back in, about 7000 more page faults on a 4096-agent call.
+        sub_points, sub_normals = points[a], normals[a]
+        attempt, ok = solve(a, r, sub_points, sub_normals)
+        fail[a[~ok]] = r[~ok]
+        result[a[ok]] = attempt[ok]
+        row[a] = _first_violated(
+            sub_points, sub_normals,
+            later[a] & (column > r[:, None]) & ok[:, None], attempt)
+        a = a[row[a] < k]
+        walked = True
+    else:
+        return fail, result
+
+    # Solve every candidate, link each to the candidate its next row names
+    # where that one holds, and follow the links from each chain's row.
+    owner, rows = np.nonzero(candidates)
+    programs = a[owner]
+    sub_points, sub_normals = points[programs], normals[programs]
+    attempt, ok = solve(programs, rows, sub_points, sub_normals)
+    after = _first_violated(
+        sub_points, sub_normals,
+        later[programs] & (column > rows[:, None]) & ok[:, None], attempt)
+    index = np.zeros((a.size, k), dtype=np.intp)
+    index[owner, rows] = np.arange(rows.size)
+    succ = np.arange(rows.size)
+    link = np.flatnonzero(after < k)
+    target = index[owner[link], after[link]]
+    succ[link[ok[target]]] = target[ok[target]]
+    start = index[np.arange(a.size), row[a]]
+    held = ok[start]
+    fail[a[~held]] = row[a[~held]]
+    end = _chain_end(succ, start[held])
+    result[a[held]] = attempt[end]
+    fail[a[held]] = after[end]
+    return fail, result
+
+
 def _lp_line(points, normals, rows, line_point, line_dir, radius, opt,
              direction_opt):
     """Optimum on each program's line clipped by its speed ball and the
@@ -333,8 +430,8 @@ def _lp_plane(points, normals, valid, plane, radius, opt, direction_opt):
         disc_radius_sq[move] / offset_sq[move])[:, None] * offset[move]
 
     column = np.arange(k)
-    earlier = valid & (column < plane[:, None])
-    line = _first_violated(points, normals, earlier & ok[:, None], result)
+    earlier = valid & (column < plane[:, None]) & ok[:, None]
+    line = _first_violated(points, normals, earlier, result)
 
     # Each earlier row meets the plane in a line fixed by the two planes
     # alone, so the lines of every program that needs one are built up
@@ -356,21 +453,14 @@ def _lp_plane(points, normals, valid, plane, radius, opt, direction_opt):
     line_point = np.zeros_like(points)
     line_point[meets] = point[owner] + scale[:, None] * line_normal
 
-    a = np.flatnonzero(line < k)
-    while a.size:
-        j = line[a]
-        sub_points, sub_normals = points[a], normals[a]
+    def solve(a, j, sub_points, sub_normals):
         attempt, line_ok = _lp_line(
             sub_points, sub_normals, valid[a] & (column < j[:, None]),
             line_point[a, j], line_dir[a, j], radius, opt[a], direction_opt)
-        line_ok &= meets[a, j]
-        result[a] = attempt
-        ok[a] = line_ok
-        line[a] = _first_violated(
-            sub_points, sub_normals,
-            earlier[a] & (column > j[:, None]) & line_ok[:, None], attempt)
-        a = np.flatnonzero(line < k)
-    return result, ok
+        return attempt, line_ok & meets[a, j]
+
+    fail, result = _follow(solve, points, normals, earlier, line, result)
+    return result, ok & (fail == k)
 
 
 def _lp_full(points, normals, valid, radius, opt, direction_opt):
@@ -385,23 +475,12 @@ def _lp_full(points, normals, valid, radius, opt, direction_opt):
         result = opt.copy()
         result[clip] = opt[clip] * (radius / np.sqrt(opt_sq[clip]))[:, None]
 
-    n, k = valid.shape
-    column = np.arange(k)
-    fail = np.full(n, k)
-    plane = _first_violated(points, normals, valid, result)
-    a = np.flatnonzero(plane < k)
-    while a.size:
-        i = plane[a]
-        sub_points, sub_normals, sub_valid = points[a], normals[a], valid[a]
-        attempt, ok = _lp_plane(sub_points, sub_normals, sub_valid, i, radius,
-                                opt[a], direction_opt)
-        fail[a[~ok]] = i[~ok]
-        result[a[ok]] = attempt[ok]
-        plane[a] = _first_violated(
-            sub_points, sub_normals,
-            sub_valid & (column > i[:, None]) & ok[:, None], attempt)
-        a = np.flatnonzero(plane < k)
-    return fail, result
+    def solve(a, i, sub_points, sub_normals):
+        return _lp_plane(sub_points, sub_normals, valid[a], i, radius, opt[a],
+                         direction_opt)
+
+    return _follow(solve, points, normals, valid,
+                   _first_violated(points, normals, valid, result), result)
 
 
 def _projected_planes(points, normals, valid, plane):

@@ -1,5 +1,6 @@
 """Tests for the reciprocal collision-avoidance layer."""
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -746,6 +747,55 @@ def _assert_matches_reference(v_pref, positions, cfg):
     return out
 
 
+def _count_chains(monkeypatch):
+    """Wrap the lockstep walks and return a counter of the chain steps they
+    take after each chain's first one, keyed by (phase, level, path).
+    Phase is "backproject" inside ``_lp_backproject``, else "main"; level
+    is "plane" for the walk of ``_lp_full`` and "line" for that of
+    ``_lp_plane``.  Path "walk" counts the chains in every ``solve`` call
+    after the first that is not a batch; path "batch" counts the chains
+    that ``_chain_end`` followed through at least one link, so that two or
+    more of their steps came from the batched solve."""
+    counts = collections.Counter()
+    phase, frames = ["main"], []
+    follow, chain_end = navigation._follow, navigation._chain_end
+    backproject = navigation._lp_backproject
+    levels = {"_lp_full": "plane", "_lp_plane": "line"}
+
+    def backprojecting(*args):
+        phase.append("backproject")
+        try:
+            return backproject(*args)
+        finally:
+            phase.pop()
+
+    def following(solve, *args):
+        calls, batched = [], []
+        frames.append(batched)
+
+        def counted(a, *rest):
+            calls.append(len(a))
+            return solve(a, *rest)
+
+        try:
+            return follow(counted, *args)
+        finally:
+            frames.pop()
+            key = (phase[-1], levels[solve.__qualname__.split(".")[0]])
+            counts[key + ("walk",)] += sum(calls[1:len(calls) - len(batched)])
+            counts[key + ("batch",)] += sum(batched)
+
+    def ending(succ, start):
+        end = chain_end(succ, start)
+        frames[-1].append(int(np.count_nonzero(end != start)))
+        return end
+
+    monkeypatch.setattr(navigation, "_lp_backproject", backprojecting)
+    monkeypatch.setattr(navigation, "_follow", following)
+    monkeypatch.setattr(navigation, "_chain_end", ending)
+    return counts
+
+
 def _halfspace_cases(rng, count):
     """Random pairs mixing cap, flank, overlap and exact head-on cases."""
     for k in range(count):
@@ -951,22 +1001,36 @@ def test_adjust_matches_reference_on_overlapping_pairs():
     _assert_matches_reference(v_pref, positions, NavConfig(kappa=KAPPA, dt=DT))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_adjust_matches_reference_with_concurrent_back_projection(seed):
-    # A 3x3x3 grid of overlapping agents: many programs are infeasible in
-    # the same call, so their back-projections run in lockstep next to
-    # feasible ones.
-    rng = np.random.default_rng(80 + seed)
-    grid = np.stack(np.meshgrid(*[np.arange(3)] * 3), axis=-1).reshape(-1, 3)
-    positions = 0.8 * KAPPA * grid + rng.normal(scale=0.05 * KAPPA,
-                                                size=grid.shape)
+@pytest.mark.parametrize("side, spacing, seed", [
+    pytest.param(3, 0.8, 80, id="0"),
+    pytest.param(3, 0.8, 81, id="1"),
+    pytest.param(3, 0.8, 82, id="2"),
+    pytest.param(4, 0.6, 83, id="dense"),
+])
+def test_adjust_matches_reference_with_concurrent_back_projection(
+        monkeypatch, side, spacing, seed):
+    # A grid of overlapping agents: many programs are infeasible in the
+    # same call, so their back-projections run in lockstep next to feasible
+    # ones.  In the dense 4x4x4 grid every agent has 63 rows, so the main
+    # LP's remaining candidates are too many to batch and its chains walk,
+    # while the back-projection's narrower calls batch theirs.
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * 3),
+                    axis=-1).reshape(-1, 3)
+    positions = spacing * KAPPA * grid + rng.normal(scale=0.05 * KAPPA,
+                                                    size=grid.shape)
     v_pref = rng.standard_normal(grid.shape) * 0.2
     cfg = NavConfig(kappa=KAPPA, dt=DT)
     programs, v_max = _reference_programs(v_pref, positions, cfg)
     infeasible = [_reference_solve_lp(v, planes, v_max)[1]
                   for v, planes in zip(v_pref, programs)]
     assert 2 <= sum(infeasible) < len(infeasible)
+    chains = _count_chains(monkeypatch)
     _assert_matches_reference(v_pref, positions, cfg)
+    if side == 4:
+        assert chains["main", "plane", "walk"] >= 100, chains
+        assert chains["backproject", "plane", "batch"] >= 10, chains
+        assert chains["backproject", "line", "batch"] >= 10, chains
 
 
 def test_pair_at_exactly_the_culling_radius_is_ignored():
@@ -1039,8 +1103,29 @@ def _lp_cases(st):
     return cases()
 
 
-def test_stacked_lp_matches_object_lp_bitwise():
+# ``_BATCH_ROWS`` at 0 walks every chain; above every case here, each chain
+# that outlives its first step is solved by the batched path.
+_CROSSOVERS = pytest.mark.parametrize("batch_rows", [0, 1 << 30],
+                                      ids=["walk", "batch"])
+
+
+def _assert_chains_took(chains, batch_rows, least):
+    """Both levels followed chains of two or more steps on the path that
+    ``batch_rows`` picks, at least ``least`` times each, and never on the
+    other path."""
+    took = collections.Counter()
+    for (_, level, path), n in chains.items():
+        took[level, path] += n
+    path, other = ("walk", "batch") if batch_rows == 0 else ("batch", "walk")
+    for level in ("plane", "line"):
+        assert took[level, path] >= least and not took[level, other], took
+
+
+@_CROSSOVERS
+def test_stacked_lp_matches_object_lp_bitwise(monkeypatch, batch_rows):
     hypothesis = pytest.importorskip("hypothesis")
+    monkeypatch.setattr(navigation, "_BATCH_ROWS", batch_rows)
+    chains = _count_chains(monkeypatch)
     seen = {"infeasible": 0, "empty": 0}
 
     @hypothesis.settings(max_examples=600, deadline=None, derandomize=True,
@@ -1064,6 +1149,7 @@ def test_stacked_lp_matches_object_lp_bitwise():
 
     check()
     assert seen["infeasible"] >= 20 and seen["empty"] >= 1
+    _assert_chains_took(chains, batch_rows, 50)
 
 
 def test_line_bound_fold_keeps_the_first_of_tied_values():
@@ -1078,7 +1164,9 @@ def test_line_bound_fold_keeps_the_first_of_tied_values():
             assert got.tobytes() == np.array(want).tobytes()
 
 
-def test_lockstep_lp_matches_each_program_alone_bitwise():
+@_CROSSOVERS
+def test_lockstep_lp_matches_each_program_alone_bitwise(monkeypatch,
+                                                        batch_rows):
     # Programs of mixed size and feasibility, solved in one lockstep call,
     # must each come out exactly as the reference solves it alone.  Each
     # program's rows sit at random sorted columns of the padded arrays, and
@@ -1087,6 +1175,8 @@ def test_lockstep_lp_matches_each_program_alone_bitwise():
     # here though no one-program call can see it.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    monkeypatch.setattr(navigation, "_BATCH_ROWS", batch_rows)
+    chains = _count_chains(monkeypatch)
     seen = {"infeasible": 0, "empty": 0, "mixed": 0}
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
@@ -1121,6 +1211,7 @@ def test_lockstep_lp_matches_each_program_alone_bitwise():
     check()
     assert seen["infeasible"] >= 300 and seen["mixed"] >= 60, seen
     assert seen["empty"] >= 30, seen
+    _assert_chains_took(chains, batch_rows, 50)
 
 
 def _safe_scenes(st):
