@@ -51,8 +51,8 @@ Usage:  python3 scripts/digests.py [SRC]
 
 SRC is the directory the ``swarmflow`` package is imported from (default:
 this checkout's ``src``); point it at another checkout's ``src`` to get
-that commit's line, then diff the two.  A run takes about 45 s on two
-cores, most of it the two 2000-step trainings.
+that commit's line, then diff the two.  A run takes about 30 s on two
+cores of an AMD EPYC host, most of it the two 2000-step trainings.
 """
 
 import argparse

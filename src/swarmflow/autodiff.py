@@ -93,10 +93,12 @@ class Node:
 
     Treat ``value`` as immutable once the node exists; downstream nodes
     capture it by reference.  (The optimizer writes parameter values in
-    place, but only once ``backward`` is done with the tape.)  Treat
-    ``grad`` as read-only too: it may share its array with another
+    place, but only once ``backward`` is done with the tape.)  An op
+    node's ``grad`` is read-only: it may share its array with another
     node's, since ``backward`` stores a first contribution as is and adds
-    later ones out of place.
+    later ones out of place.  A parentless node owns its ``grad``, a copy
+    of its first contribution or a view of a caller's buffer, and
+    ``backward`` adds into it in place.
     """
 
     __slots__ = ("value", "grad", "op", "needs_grad", "_parents", "_vjps")
@@ -464,7 +466,12 @@ def backward(loss: Node) -> None:
         contributions = (vjps(g) if callable(vjps) else
                          [vjp(g) if parent.needs_grad else None
                           for parent, vjp in zip(parents, vjps)])
-        for parent, contribution in zip(parents, contributions):
-            if parent.needs_grad:
-                parent.grad = (contribution if parent.grad is None
-                               else parent.grad + contribution)
+        for parent, c in zip(parents, contributions):
+            if not parent.needs_grad:
+                continue
+            if parent.grad is None:
+                parent.grad = c if parent._parents else np.array(c)
+            elif parent._parents:
+                parent.grad = parent.grad + c
+            else:
+                parent.grad += c

@@ -207,7 +207,7 @@ def _run_training(dataset, train_config: TrainConfig,
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(train_config.seed)
     models = build_models(model_config, rng)
-    opt = Adam(models.n_parameters())
+    opt = Adam(models.values.size)
     total = train_config.epochs * len(dataset)
     last_loss = float("nan")
     # line-buffered: a run that diverges or is killed keeps its history
@@ -231,7 +231,7 @@ def _run_training(dataset, train_config: TrainConfig,
                 raise TrainingDiverged(step, dict(parts, loss=last_loss))
             models.zero_grad()
             ad.backward(loss)
-            opt.step(models.values, models.gather_grads(), lr)
+            opt.step(models.values, models.grads, lr)
             if log is not None:
                 log.write(f"{step} {last_loss:.17g} "
                           f"{parts['field']:.17g} {parts['kl']:.17g}\n")

@@ -106,23 +106,20 @@ def collision_rates(log: TrajectoryLog, kappa: float):
     return float(np.mean(per_frame)), per_frame[-1]
 
 
-def smoothness(log: TrajectoryLog, dt_real: float = 1.0):
+def smoothness(log: TrajectoryLog):
     """Kinematic regularity of the applied velocities.
 
-    ``dt_real`` is the wall-clock duration of one control step in seconds.
-    It is a property of the vehicle control loop, fixed per tick, so runs
-    with different step counts stay comparable (more steps means a longer,
-    gentler show, not a faster control rate).
+    One step is one control tick of fixed duration, whatever the step
+    count, so runs with different step counts stay comparable (more steps
+    means a longer, gentler show, not a faster control rate).
 
-    Returns ``(acc, jerk, dirchange)``:
-      acc   - mean |d speed / dt_real| over consecutive steps,
-      jerk  - mean ||second difference of velocity|| / dt_real^2,
+    Returns ``(acc, jerk, dirchange)``, per tick:
+      acc   - mean |change in speed| over consecutive steps,
+      jerk  - mean ||second difference of velocity||,
       dirchange - mean angle (radians) between consecutive velocities,
                   skipping entries where either velocity is zero.
     Runs too short for a difference contribute 0.
     """
-    if not dt_real > 0.0:
-        raise ValueError("dt_real must be positive")
     v = log.applied_velocities
     s = v.shape[0]
     acc = 0.0
@@ -130,7 +127,7 @@ def smoothness(log: TrajectoryLog, dt_real: float = 1.0):
     dirchange = 0.0
     if s >= 2:
         speeds = np.linalg.norm(v, axis=2)
-        acc = float(np.mean(np.abs(np.diff(speeds, axis=0)) / dt_real))
+        acc = float(np.mean(np.abs(np.diff(speeds, axis=0))))
         dots = np.sum(v[1:] * v[:-1], axis=2)
         norms = speeds[1:] * speeds[:-1]
         keep = norms > 0.0
@@ -139,7 +136,7 @@ def smoothness(log: TrajectoryLog, dt_real: float = 1.0):
             dirchange = float(np.mean(np.arccos(cosines)))
     if s >= 3:
         second = v[2:] - 2.0 * v[1:-1] + v[:-2]
-        jerk = float(np.mean(np.linalg.norm(second, axis=2) / (dt_real * dt_real)))
+        jerk = float(np.mean(np.linalg.norm(second, axis=2)))
     return acc, jerk, dirchange
 
 
@@ -173,8 +170,7 @@ class MetricsReport:
         }
 
 
-def evaluate_logs(logs, kappa: float, reference=None,
-                  dt_real: float = 1.0) -> MetricsReport:
+def evaluate_logs(logs, kappa: float, reference=None) -> MetricsReport:
     """Pool safety/kinematic metrics over ``logs``; if ``reference``
     clouds are given, score the final clouds of the runs against them."""
     logs = list(logs)
@@ -194,7 +190,7 @@ def evaluate_logs(logs, kappa: float, reference=None,
         t, f = collision_rates(lg, kappa)
         traj.append(t)
         fin.append(f)
-        a, j, d = smoothness(lg, dt_real=dt_real)
+        a, j, d = smoothness(lg)
         acc.append(a)
         jerk.append(j)
         dirchange.append(d)

@@ -13,11 +13,11 @@ log-det term are one node each.
 
 ``ModelSet`` joins the three dicts under prefixed names and alone knows
 the parameter layout: it keeps every weight in one flat float64 buffer,
-``values``, and points each parameter node's ``value`` at a shaped view
-of it.  Those values are buffer views, to be written through
-(``node.value[...] = x``) and never rebound.  The optimizer works on the
-flat buffers only; the checkpoint code reads named tensors from
-``state_dict`` and ``split``.
+``values``, and their gradients in another, ``grads``, and points each
+parameter node's ``value`` and ``grad`` at shaped views of them, to be
+written through (``node.value[...] = x``) and never rebound.  The
+optimizer works on the flat buffers only; the checkpoint code reads
+named tensors from ``state_dict`` and ``split``.
 """
 
 from __future__ import annotations
@@ -391,13 +391,13 @@ class ModelSet:
 
     ``values`` holds every parameter in ``named_parameters()`` order and
     each parameter node's ``value`` is a shaped view of it, so the
-    optimizer updates all networks by writing into ``values``.  Write
-    through the views; a rebound ``node.value`` no longer reaches the
-    buffer until ``load_state_dict`` points it back.  ``grads`` is the
-    matching flat buffer that ``gather_grads`` fills each step; the
-    optimizer then uses it as scratch.  The prefixed ``(name, node)``
-    list is built once, with the set, and every per-step walk uses it,
-    so a network's ``params`` must not change after the set is built.
+    optimizer updates all networks by writing into ``values``.  Each
+    node's ``grad`` is likewise a view of ``grads``, which ``backward``
+    adds into in place and the optimizer then uses as scratch.  Write
+    through the views; a rebound one no longer reaches its buffer until
+    ``load_state_dict`` points it back.  The prefixed ``(name, node)``
+    list is built once, with the set, so a network's ``params`` must not
+    change after the set is built.
     """
 
     config: ModelConfig
@@ -413,9 +413,8 @@ class ModelSet:
                        for name, node in net.params.items()]
         self.values = np.concatenate(
             [node.value.ravel() for _, node in self._named])
-        self.grads = np.empty_like(self.values)
-        for _, node, view in self._views(self.values):
-            node.value = view
+        self.grads = np.zeros_like(self.values)
+        self._point_views()
 
     def named_parameters(self):
         """``(prefixed name, node)`` of every parameter, in buffer order."""
@@ -429,23 +428,19 @@ class ModelSet:
             yield name, node, flat[start:stop].reshape(node.value.shape)
             start = stop
 
+    def _point_views(self) -> None:
+        """Point every node's ``value`` and ``grad`` at its buffer views."""
+        for _, node, view in self._views(self.values):
+            node.value = view
+        for _, node, view in self._views(self.grads):
+            node.grad = view
+
     def split(self, flat) -> dict:
         """Named, shaped copies of a flat array laid out like ``values``."""
         return {name: view.copy() for name, _, view in self._views(flat)}
 
-    def gather_grads(self) -> np.ndarray:
-        """Copy every parameter gradient into ``grads`` and return it."""
-        flat = []
-        for name, node in self._named:
-            if node.grad is None:
-                raise ValueError(f"parameter {name!r} has no gradient")
-            flat.append(np.ravel(node.grad))
-        np.concatenate(flat, out=self.grads)
-        return self.grads
-
     def zero_grad(self) -> None:
-        for _, node in self._named:
-            node.grad = None
+        self.grads.fill(0.0)
 
     def state_dict(self) -> dict:
         return self.split(self.values)
@@ -463,11 +458,7 @@ class ModelSet:
                 raise ValueError(
                     f"parameter {name!r}: shape {arr.shape} != {view.shape}")
             view[...] = arr
-            node.value = view
-            node.grad = None
-
-    def n_parameters(self) -> int:
-        return self.values.size
+        self._point_views()
 
 
 def build_models(config: ModelConfig, rng) -> ModelSet:

@@ -452,11 +452,10 @@ def test_check09_metrics_agree_with_brute_force():
     times = 1.0 - (1.0 / 12.0) * np.arange(13)
     v = rng.standard_normal((12, 5, 3))
     log = _log_from_velocities(times, v, rng.standard_normal((5, 3)))
-    dt_real = 0.7
     speeds = np.linalg.norm(v, axis=2)
-    acc_brute = float(np.mean(np.abs(np.diff(speeds, axis=0)))) / dt_real
+    acc_brute = float(np.mean(np.abs(np.diff(speeds, axis=0))))
     jerk_brute = float(np.mean(
-        np.linalg.norm(v[2:] - 2.0 * v[1:-1] + v[:-2], axis=2))) / dt_real ** 2
+        np.linalg.norm(v[2:] - 2.0 * v[1:-1] + v[:-2], axis=2)))
     angles = []
     for k in range(len(v) - 1):
         for agent in range(v.shape[1]):
@@ -466,7 +465,7 @@ def test_check09_metrics_agree_with_brute_force():
                 cosang = np.dot(v[k, agent], v[k + 1, agent]) / (n1 * n2)
                 angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
     dir_brute = float(np.mean(angles))
-    acc, jerk, dirchange = sf.smoothness(log, dt_real=dt_real)
+    acc, jerk, dirchange = sf.smoothness(log)
     err_smooth = max(abs(acc - acc_brute), abs(jerk - jerk_brute),
                      abs(dirchange - dir_brute))
     assert err_smooth < 1e-10

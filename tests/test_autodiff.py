@@ -136,6 +136,24 @@ def test_grads_accumulate_across_backward_calls():
     assert np.array_equal(x.grad, first + 3.0)
 
 
+def test_leaf_accumulation_never_writes_into_another_nodes_gradient():
+    # add hands its one gradient array to both parents, so a's two
+    # contributions are b.grad itself: the first is copied, the second
+    # added into that copy
+    a = ad.Node(np.array([1.0, -2.0, 3.0]))
+    w = np.array([0.5, 4.0, -1.5])
+    b = a + a
+    ad.backward(ad.reduce_sum(ad.mul(b, w)))
+    assert np.array_equal(b.grad, w)
+    assert np.array_equal(a.grad, 2.0 * b.grad)
+    assert not np.shares_memory(a.grad, b.grad)
+    # a gradient set by the caller is added into in place
+    buffer = np.ones(3)
+    a.grad = buffer
+    ad.backward(ad.reduce_sum(ad.mul(a + a, w)))
+    assert a.grad is buffer and np.array_equal(buffer, 1.0 + 2.0 * w)
+
+
 def test_non_scalar_loss_raises():
     x = ad.wrap(np.ones((3,)))
     with pytest.raises(ad.ShapeMismatchError):

@@ -119,14 +119,7 @@ def test_adam_three_step_trace_matches_decimal_oracle():
         assert np.max(np.abs(value - expected[step])) < 1e-9, step
 
 
-def test_adam_missing_grad_raises_and_zero_lr_advances_state():
-    models = build_models(SMALL, np.random.default_rng(0))
-    for _, node in models.named_parameters():
-        node.grad = np.ones(node.shape)
-    models.encoder.params["mu.bias"].grad = None
-    with pytest.raises(ValueError, match="'encoder.mu.bias'") as info:
-        models.gather_grads()
-    assert "\n" not in str(info.value)
+def test_adam_zero_lr_advances_state():
     value = np.array([1.0, 2.0])
     opt = Adam(2)
     opt.step(value, np.array([1.0, -1.0]), lr=0.0)
@@ -145,13 +138,13 @@ def test_adam_flat_update_matches_per_tensor_loop():
     assert want["bijector.c0.s_factor"].shape == ()
     m = {name: np.zeros(arr.shape) for name, arr in want.items()}
     v = {name: np.zeros(arr.shape) for name, arr in want.items()}
-    opt = Adam(models.n_parameters())
+    opt = Adam(models.values.size)
     for step in range(1, 6):
         lr = 0.1 / step
         for name, node in models.named_parameters():
-            node.grad = np.array(rng.standard_normal(node.shape))
+            node.grad[...] = rng.standard_normal(node.shape)
             adam_step(want[name], node.grad.copy(), m[name], v[name], step, lr)
-        opt.step(models.values, models.gather_grads(), lr)
+        opt.step(models.values, models.grads, lr)
         for name, node in models.named_parameters():
             assert node.value.shape == want[name].shape
             assert np.array_equal(node.value, want[name]), (step, name)

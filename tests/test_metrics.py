@@ -307,10 +307,6 @@ def test_smoothness_hand_values():
     assert acc == pytest.approx(1.0)  # speeds 1, 2, 3
     assert jerk == pytest.approx(math.sqrt(20.0))  # (-2, -4, 0)
     assert dirchange == pytest.approx(math.pi / 2.0)
-    acc2, jerk2, dir2 = smoothness(log, dt_real=2.0)
-    assert acc2 == pytest.approx(0.5)
-    assert jerk2 == pytest.approx(math.sqrt(20.0) / 4.0)
-    assert dir2 == pytest.approx(math.pi / 2.0)
 
 
 def test_smoothness_skips_zero_velocity_directions():
@@ -321,19 +317,19 @@ def test_smoothness_skips_zero_velocity_directions():
     assert jerk == pytest.approx(math.sqrt(2.0))
 
 
-def test_smoothness_validation_and_short_runs():
-    v = np.zeros((1, 2, 3))
-    log = _log_from_velocities(v)
-    assert smoothness(log) == (0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        smoothness(log, dt_real=0.0)
+def test_smoothness_of_short_runs():
+    assert smoothness(_log_from_velocities(np.ones((1, 2, 3)))) == \
+        (0.0, 0.0, 0.0)
+    # two steps have a speed change and a heading change but no jerk
+    v = np.array([[[1.0, 0.0, 0.0]], [[0.0, 2.0, 0.0]]])
+    assert smoothness(_log_from_velocities(v)) == \
+        (1.0, 0.0, pytest.approx(math.pi / 2.0))
 
 
 def test_smoothness_brute_force_oracle():
     rng = np.random.default_rng(9)
     v = rng.standard_normal((12, 5, 3))
-    dt_real = 0.7
-    acc, jerk, dirchange = smoothness(_log_from_velocities(v), dt_real=dt_real)
+    acc, jerk, dirchange = smoothness(_log_from_velocities(v))
     acc_sum = []
     dir_sum = []
     jerk_sum = []
@@ -341,12 +337,12 @@ def test_smoothness_brute_force_oracle():
         for k in range(11):
             s0 = np.linalg.norm(v[k, m])
             s1 = np.linalg.norm(v[k + 1, m])
-            acc_sum.append(abs(s1 - s0) / dt_real)
+            acc_sum.append(abs(s1 - s0))
             cosine = np.dot(v[k, m], v[k + 1, m]) / (s0 * s1)
             dir_sum.append(math.acos(max(-1.0, min(1.0, cosine))))
         for k in range(10):
             second = v[k + 2, m] - 2.0 * v[k + 1, m] + v[k, m]
-            jerk_sum.append(np.linalg.norm(second) / dt_real ** 2)
+            jerk_sum.append(np.linalg.norm(second))
     assert acc == pytest.approx(np.mean(acc_sum), abs=1e-12)
     assert jerk == pytest.approx(np.mean(jerk_sum), abs=1e-12)
     assert dirchange == pytest.approx(np.mean(dir_sum), abs=1e-12)
@@ -378,11 +374,11 @@ def test_evaluate_logs_pools_over_runs():
     logs = [_log_from_positions(rng.standard_normal((5, 4, 3)))
             for _ in range(3)]
     kappa = 0.5
-    report = evaluate_logs(logs, kappa=kappa, dt_real=0.7)
+    report = evaluate_logs(logs, kappa=kappa)
     assert math.isnan(report.cov) and math.isnan(report.mmd)
     traj = [collision_rates(lg, kappa)[0] for lg in logs]
     fin = [collision_rates(lg, kappa)[1] for lg in logs]
-    smooth = [smoothness(lg, dt_real=0.7) for lg in logs]
+    smooth = [smoothness(lg) for lg in logs]
     assert report.traj_collision_pct == pytest.approx(np.mean(traj), abs=1e-12)
     assert report.final_collision_pct == pytest.approx(np.mean(fin), abs=1e-12)
     assert report.acc == pytest.approx(np.mean([s[0] for s in smooth]), abs=1e-12)

@@ -404,25 +404,32 @@ def test_model_set_zero_grad_and_count():
     nodes = [node for _, node in models.named_parameters()]
     # field 416 + 624 + 117, encoder 32 + 144 + 2 * 136,
     # bijector 4 layers * (2 nets * 144 + 1 s_factor)
-    assert models.n_parameters() == 1157 + 448 + 1156
+    assert models.values.size == models.grads.size == 1157 + 448 + 1156
+    assert not np.any(models.grads)
     loss = ad.reduce_sum(ad.mul(nodes[0], nodes[0]))
     for node in nodes[1:]:
         loss = loss + ad.reduce_sum(ad.mul(node, node))
     ad.backward(loss)
-    assert all(node.grad is not None for node in nodes)
+    # d/dx sum(x * x) = x + x, added straight into the flat buffer
+    assert np.array_equal(models.grads, 2.0 * models.values)
     models.zero_grad()
-    assert all(node.grad is None for node in nodes)
+    assert not np.any(models.grads)
+    _assert_buffer_views(models)
 
 
 def _assert_buffer_views(models):
-    """Every parameter value is the slice of ``models.values`` at its offset."""
+    """Every parameter value and gradient is the slice of ``models.values``
+    and ``models.grads`` at its offset."""
     start = 0
     for name, node in models.named_parameters():
-        assert node.value.ctypes.data == models.values[start:].ctypes.data, name
-        assert np.array_equal(node.value.ravel(),
-                              models.values[start:start + node.value.size])
-        start += node.value.size
-    assert start == models.values.size == models.n_parameters()
+        stop = start + node.value.size
+        for arr, flat in ((node.value, models.values),
+                          (node.grad, models.grads)):
+            assert arr.shape == node.shape, name
+            assert arr.ctypes.data == flat[start:].ctypes.data, name
+            assert np.array_equal(arr.ravel(), flat[start:stop]), name
+        start = stop
+    assert start == models.values.size == models.grads.size
 
 
 def test_model_set_state_roundtrip():
@@ -435,12 +442,12 @@ def test_model_set_state_roundtrip():
                        .standard_normal((8, 3)), np.random.default_rng(4))
     models.zero_grad()
     ad.backward(loss)
-    Adam(models.n_parameters()).step(models.values, models.gather_grads(), 0.1)
+    Adam(models.values.size).step(models.values, models.grads, 0.1)
     assert not np.array_equal(models.values, np.concatenate(
         [arr.ravel() for arr in state.values()]))
     _assert_buffer_views(models)
     # split: the layout's key order and shapes, as copies
-    flat = np.arange(float(models.n_parameters()))
+    flat = np.arange(float(models.values.size))
     parts = models.split(flat)
     assert list(parts) == list(state)
     for name, arr in parts.items():
@@ -450,7 +457,7 @@ def test_model_set_state_roundtrip():
                           flat)
     # load_state_dict writes into the buffer and re-points rebound nodes
     for _, node in models.named_parameters():
-        node.value = np.zeros(node.value.shape)
+        node.value, node.grad = np.zeros(node.value.shape), None
     models.load_state_dict(state)
     _assert_buffer_views(models)
     for name, node in models.named_parameters():
@@ -593,7 +600,8 @@ def _full_backward(loss):
 def test_backward_gives_the_full_walks_parameter_gradients(algorithm):
     rng = np.random.default_rng(31)
     models = build_models(TINY, rng)
-    opt = Adam(models.n_parameters())
+    opt = Adam(models.values.size)
+    params = [node for _, node in models.named_parameters()]
     x0 = rng.standard_normal((24, 3))
     sched = DiffusionSchedule()
 
@@ -607,9 +615,14 @@ def test_backward_gives_the_full_walks_parameter_gradients(algorithm):
         replay.bit_generator.state = rng.bit_generator.state
         models.zero_grad()
         ad.backward(loss(rng))
-        pruned = models.gather_grads().copy()
-        models.zero_grad()
+        pruned = models.grads.copy()
+        # the oracle stores each first contribution as is, off the buffer
+        for node in params:
+            node.grad = None
         _full_backward(loss(replay))
-        full = models.gather_grads()
-        assert pruned.tobytes() == full.tobytes()
-        opt.step(models.values, full, 1e-2)
+        full = np.concatenate([np.ravel(node.grad) for node in params])
+        models.load_state_dict(models.state_dict())  # points the views back
+        _assert_buffer_views(models)
+        # adding into zeros turns a -0.0 first contribution into +0.0
+        assert pruned.tobytes() == (full + 0.0).tobytes()
+        opt.step(models.values, models.grads, 1e-2)

@@ -437,7 +437,9 @@ def test_training_after_sampling_gets_every_gradient():
         models = models_from_checkpoint(ckpt)
         loss, _ = cfm_loss(models, cloud, np.random.default_rng(3))
         ad.backward(loss)
-        return models.gather_grads().copy()  # raises on a missing gradient
+        for name, node in models.named_parameters():
+            assert node.needs_grad and np.any(node.grad != 0.0), name
+        return models.grads.copy()
 
     before = gradients()
     sample(ckpt, SampleConfig(num_agents=5, steps=3, seed=1))
