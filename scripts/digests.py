@@ -23,7 +23,7 @@ With one BLAS thread it rebuilds:
   same ``--out``, so the files a rerun writes over the first run's are
   digested too (``rerun/sample/...``);
 - the trained parameters of all four checkpoints (``params/...``), which
-  stay equal when only a checkpoint's header changes;
+  stay equal when only the checkpoint format changes;
 - an exact-target integration (``integrate_exact_target``, 512 points,
   100 steps);
 - ``goal-2048`` flights (``sample_cfm_plus_orca``, 2048 agents x 8

@@ -50,18 +50,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample a trajectory from a flow model")
     _sampling_args(p)
+    p.add_argument("--steps", type=int, default=100)
     p.add_argument("--no-orca", action="store_true",
                    help="integrate the raw field without collision avoidance")
 
     p = sub.add_parser("sample-diffusion",
                        help="ancestral sampling from a diffusion checkpoint")
     _sampling_args(p)
-    p.set_defaults(steps=None)  # the chain length the model was trained on
 
     p = sub.add_parser("sample-cfm-orca",
                        help="flow model picks the goal cloud, straight-line "
                             "collision-avoidance navigation flies to it")
     _sampling_args(p)
+    p.add_argument("--steps", type=int, default=100)
 
     p = sub.add_parser("evaluate", help="score trajectories")
     p.add_argument("--trajectories", nargs="+", required=True,
@@ -87,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _sampling_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--agents", type=int, default=512)
-    p.add_argument("--steps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kappa", type=float,
                    help="collision radius (default: checkpoint setting)")
@@ -207,11 +207,12 @@ def _write_trajectory(log, out_dir, scale) -> None:
     print(f"trajectory: {out / 'trajectory.csv'}")
 
 
-def _sample_config(args, ckpt, use_orca: bool) -> sampling.SampleConfig:
+def _sample_config(args, ckpt, steps: int,
+                   use_orca: bool) -> sampling.SampleConfig:
     """The run settings of every sampling command; ``kappa`` comes from
     ``--kappa``, else from the checkpoint's training config, else the
     ``SampleConfig`` default."""
-    cfg = sampling.SampleConfig(num_agents=args.agents, steps=args.steps,
+    cfg = sampling.SampleConfig(num_agents=args.agents, steps=steps,
                                 use_orca=use_orca, seed=args.seed)
     if args.kappa is not None:
         return replace(cfg, kappa=args.kappa)
@@ -236,7 +237,8 @@ def _warn_unguarded(log) -> None:
 
 def _cmd_sample(args) -> int:
     ckpt = dataio.load_checkpoint(args.checkpoint)
-    log = sampling.sample(ckpt, _sample_config(args, ckpt, not args.no_orca))
+    log = sampling.sample(
+        ckpt, _sample_config(args, ckpt, args.steps, not args.no_orca))
     _write_trajectory(log, args.out, args.scale)
     if not args.no_orca:
         _warn_unguarded(log)
@@ -254,14 +256,8 @@ def _cmd_sample_diffusion(args) -> int:
     except ValueError as err:  # a wrong-typed or out-of-range stored value
         raise ValueError(
             f"{args.checkpoint}: bad diffusion schedule: {err}") from None
-    if args.steps is None:
-        args.steps = sched.n_steps
     # DDPM runs no avoidance; kappa is validated and logged for evaluate
-    cfg = _sample_config(args, ckpt, use_orca=False)
-    if cfg.steps != sched.n_steps:
-        raise ValueError(
-            f"--steps {cfg.steps} disagrees with the {sched.n_steps}-step "
-            f"chain the checkpoint was trained on")
+    cfg = _sample_config(args, ckpt, sched.n_steps, use_orca=False)
     models = models_from_checkpoint(ckpt)
     rng = np.random.default_rng(cfg.seed)
     log = diffusion.ddpm_sample(models, sched, cfg.num_agents, rng)
@@ -273,7 +269,7 @@ def _cmd_sample_diffusion(args) -> int:
 def _cmd_sample_cfm_orca(args) -> int:
     ckpt = dataio.load_checkpoint(args.checkpoint)
     # one config for both flights: sample_cfm_plus_orca ignores use_orca
-    cfg = _sample_config(args, ckpt, use_orca=False)
+    cfg = _sample_config(args, ckpt, args.steps, use_orca=False)
     plain = sampling.sample(ckpt, cfg)
     log = sampling.sample_cfm_plus_orca(plain.final_cloud(),
                                         plain.positions[0], cfg)

@@ -5,7 +5,8 @@ Formats (all little-endian / plain text, stable across platforms):
   * trajectories: CSV with header ``t,agent,x,y,z,vx,vy,vz`` and
     frame-major rows (agents 0..M-1 in order, frame times strictly
     decreasing), plus a sidecar ``<path>.meta.json`` holding a JSON object;
-  * checkpoints: magic + version + JSON header + raw float64 payload;
+  * checkpoints: magic + version 2 + JSON header + raw float64 payload
+    of the parameters, no optimizer state (version 1 files are refused);
   * config files: ``key = value`` lines with ``#`` comments.
 
 The point-cloud and trajectory readers skip blank and ``#`` lines and
@@ -37,7 +38,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .models import Checkpoint, ModelConfig, _finite_number, _open_new
+from .models import (Checkpoint, ModelConfig, _finite_number, _is_int,
+                     _open_new)
 from .sampling import TrajectoryLog
 
 __all__ = [
@@ -123,9 +125,6 @@ class NormalizationTransform:
 
     def apply(self, cloud) -> np.ndarray:
         return (np.asarray(cloud, dtype=np.float64) - self.centroid) / self.scale
-
-    def invert(self, cloud) -> np.ndarray:
-        return np.asarray(cloud, dtype=np.float64) * self.scale + self.centroid
 
 
 def normalize_cloud(cloud):
@@ -255,35 +254,32 @@ def _helix(n, rng, turns=3.0, radius=1.0):
 # checkpoints
 
 _MAGIC = b"SWFLCKPT"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Binary write: magic, version, JSON header, raw float64 payload."""
-    sections = (("params", ckpt.params), ("opt_m", ckpt.opt_m),
-                ("opt_v", ckpt.opt_v))
+    """Binary write: magic, version, JSON header, raw float64 payload of
+    the parameters."""
     # insertion order is part of the format; asarray, not
     # ascontiguousarray: the latter would silently promote 0-d tensors to
     # shape (1,)
-    arrays = [(section, name, np.asarray(table[name], dtype=np.float64))
-              for section, table in sections for name in table]
-    tensors = [{"section": section, "name": name, "shape": list(arr.shape)}
-               for section, name, arr in arrays]
+    arrays = [(name, np.asarray(arr, dtype=np.float64))
+              for name, arr in ckpt.params.items()]
     header = json.dumps({
         "algorithm": ckpt.algorithm,
         "model_config": asdict(ckpt.model_config),
         "train_config": ckpt.train_config,
-        "opt_step": ckpt.opt_step,
         "step_count": ckpt.step_count,
         "final_loss": ckpt.final_loss,
-        "tensors": tensors,
+        "tensors": [{"name": name, "shape": list(arr.shape)}
+                    for name, arr in arrays],
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with _open_new(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for _, _, arr in arrays:  # the payload, one tensor at a time
+        for _, arr in arrays:  # the payload, one tensor at a time
             fh.write(arr.astype("<f8").tobytes())
 
 
@@ -297,15 +293,14 @@ def _read_exact(fh, size: int, path, what: str) -> bytes:
 
 # every key ``save_checkpoint`` writes, with the JSON type it reads back as
 _HEADER_TYPES = {"algorithm": str, "model_config": dict, "train_config": dict,
-                 "opt_step": int, "step_count": int,
-                 "final_loss": (int, float), "tensors": list}
-_SECTIONS = ("params", "opt_m", "opt_v")
+                 "step_count": int, "final_loss": (int, float),
+                 "tensors": list}
 
 
 def _check_header(header, path) -> None:
     """One-line ``ValueError`` naming ``path`` unless ``header`` holds every
-    key with its type and every tensor entry a known section, a name and
-    a shape of non-negative integers."""
+    key with its type and every tensor entry a name of its own and a shape
+    of non-negative integers."""
     if not isinstance(header, dict):
         raise ValueError(f"{path}: checkpoint header is not a JSON object")
     for key, kind in _HEADER_TYPES.items():
@@ -314,18 +309,20 @@ def _check_header(header, path) -> None:
         if not isinstance(header[key], kind):
             raise ValueError(f"{path}: checkpoint header {key!r} has the "
                              f"wrong type {type(header[key]).__name__}")
+    names = set()
     for k, entry in enumerate(header["tensors"]):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: tensor entry {k} is not a JSON object")
-        if entry.get("section") not in _SECTIONS:
-            raise ValueError(f"{path}: unknown tensor section "
-                             f"{entry.get('section')!r} in entry {k}")
-        shape = entry.get("shape")
-        if not isinstance(entry.get("name"), str) or not (
+        name, shape = entry.get("name"), entry.get("shape")
+        if not isinstance(name, str) or not (
                 isinstance(shape, list)
-                and all(isinstance(n, int) and n >= 0 for n in shape)):
+                and all(_is_int(n) and n >= 0 for n in shape)):
             raise ValueError(f"{path}: tensor entry {k} needs a name and a "
                              f"shape of non-negative integers")
+        if name in names:
+            raise ValueError(f"{path}: duplicate tensor name {name!r} in "
+                             f"entry {k}")
+        names.add(name)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -343,16 +340,16 @@ def load_checkpoint(path) -> Checkpoint:
         except ValueError as err:
             raise ValueError(f"{path}: bad checkpoint header: {err}") from None
         _check_header(header, path)
-        sections = {name: {} for name in _SECTIONS}
+        params = {}
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])
             count = math.prod(shape)
             raw = _read_exact(fh, count * 8, path, "payload")
             arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             if not np.isfinite(arr).all():
-                raise ValueError(f"{path}: tensor {entry['section']}/"
-                                 f"{entry['name']!r} holds NaN or inf")
-            sections[entry["section"]][entry["name"]] = arr
+                raise ValueError(f"{path}: tensor {entry['name']!r} holds "
+                                 f"NaN or inf")
+            params[entry["name"]] = arr
         trailing = fh.read(1)
         if trailing:
             raise ValueError(f"{path}: trailing bytes after payload")
@@ -364,9 +361,8 @@ def load_checkpoint(path) -> Checkpoint:
         algorithm=header["algorithm"],
         model_config=model_config,
         train_config=header["train_config"],
-        params=sections["params"], opt_m=sections["opt_m"],
-        opt_v=sections["opt_v"], opt_step=header["opt_step"],
-        step_count=header["step_count"], final_loss=header["final_loss"])
+        params=params, step_count=header["step_count"],
+        final_loss=header["final_loss"])
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,7 @@ class Adam:
     and knows no parameter names or shapes.  Training passes
     ``ModelSet.values``: every parameter node's value is a view of that
     buffer, written through by the update and never rebound, so the
-    networks see each step.  ``ModelSet.split`` names and shapes the
-    moments for a checkpoint.
+    networks see each step.
     """
 
     def __init__(self, size: int):
@@ -238,8 +237,7 @@ def _run_training(dataset, train_config: TrainConfig,
     return Checkpoint(
         algorithm=algorithm, model_config=model_config,
         train_config=asdict(train_config), params=models.state_dict(),
-        opt_m=models.split(opt.m), opt_v=models.split(opt.v),
-        opt_step=opt.step_count, step_count=total, final_loss=last_loss)
+        step_count=total, final_loss=last_loss)
 
 
 def train(dataset, train_config: TrainConfig = None,

@@ -17,7 +17,7 @@ the parameter layout: it keeps every weight in one flat float64 buffer,
 parameter node's ``value`` and ``grad`` at shaped views of them, to be
 written through (``node.value[...] = x``) and never rebound.  The
 optimizer works on the flat buffers only; the checkpoint code reads
-named tensors from ``state_dict`` and ``split``.
+named tensors from ``state_dict``.
 """
 
 from __future__ import annotations
@@ -435,15 +435,12 @@ class ModelSet:
         for _, node, view in self._views(self.grads):
             node.grad = view
 
-    def split(self, flat) -> dict:
-        """Named, shaped copies of a flat array laid out like ``values``."""
-        return {name: view.copy() for name, _, view in self._views(flat)}
-
     def zero_grad(self) -> None:
         self.grads.fill(0.0)
 
     def state_dict(self) -> dict:
-        return self.split(self.values)
+        """Named, shaped copies of the parameters, in buffer order."""
+        return {name: view.copy() for name, _, view in self._views(self.values)}
 
     def load_state_dict(self, state: dict) -> None:
         extra = sorted(set(state).difference(
@@ -474,13 +471,15 @@ def build_models(config: ModelConfig, rng) -> ModelSet:
 @dataclass
 class Checkpoint:
     """Everything needed to sample: weights and the configuration that
-    produced them.  The optimizer moments and step count are stored too,
-    but nothing reads them back to resume training."""
+    produced them."""
 
     algorithm: str  # "flow" or "diffusion"
     model_config: ModelConfig
     train_config: dict
     params: dict = field(default_factory=dict)
+    # not in the file and set by nothing here: they stay, at their defaults
+    # on trained and loaded checkpoints alike, only because perfbench's
+    # checkpoint digest still reads them
     opt_m: dict = field(default_factory=dict)
     opt_v: dict = field(default_factory=dict)
     opt_step: int = 0

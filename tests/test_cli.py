@@ -290,7 +290,7 @@ def test_evaluate_counts_a_scaled_run_once(pipeline, tmp_path, capsys):
 def test_sample_diffusion_subcommand(pipeline):
     out = pipeline["root"] / "diffusion_run"
     assert main(["sample-diffusion", "--checkpoint", str(pipeline["diffusion"]),
-                 "--agents", "8", "--steps", "20", "--seed", "2",
+                 "--agents", "8", "--seed", "2",
                  "--out", str(out)]) == 0
     log = load_trajectory_csv(out / "trajectory.csv")
     assert log.meta["algorithm"] == "diffusion"
@@ -329,13 +329,12 @@ def test_sample_diffusion_runs_the_trained_chain(pipeline, tmp_path, capsys):
                        np.random.default_rng(3))
     got = load_trajectory_csv(out / "trajectory.csv")
     assert np.array_equal(got.positions, want.positions)
-    capsys.readouterr()
-    assert main(["sample-diffusion", "--checkpoint", str(pipeline["diffusion"]),
-                 "--agents", "5", "--steps", "7",
-                 "--out", str(tmp_path / "short")]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "--steps 7 disagrees with the 20-step chain" in err
+    # the chain length is the checkpoint's: there is no --steps to set
+    with pytest.raises(SystemExit) as info:
+        main(["sample-diffusion", "--checkpoint", str(pipeline["diffusion"]),
+              "--steps", "20", "--out", str(tmp_path / "short")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --steps 20" in capsys.readouterr().err
     assert not (tmp_path / "short").exists()
 
 
@@ -473,9 +472,11 @@ def test_avoidance_separates_a_start_that_overlaps(pipeline, capsys):
 ])
 def test_bad_kappa_fails_before_any_step(pipeline, capsys, command, extra):
     out = pipeline["root"] / "bad_kappa"
-    ckpt = pipeline["diffusion" if command == "sample-diffusion" else "flow"]
+    diffusion = command == "sample-diffusion"
+    ckpt = pipeline["diffusion" if diffusion else "flow"]
+    steps = [] if diffusion else ["--steps", "5"]
     assert main([command, "--checkpoint", str(ckpt),
-                 "--agents", "4", "--steps", "5", *extra,
+                 "--agents", "4", *steps, *extra,
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "kappa must be finite and positive" in err
@@ -485,7 +486,7 @@ def test_bad_kappa_fails_before_any_step(pipeline, capsys, command, extra):
 
 def test_algorithm_checkpoint_mismatch_is_an_error(pipeline, capsys):
     assert main(["sample-diffusion", "--checkpoint", str(pipeline["flow"]),
-                 "--agents", "4", "--steps", "5",
+                 "--agents", "4",
                  "--out", str(pipeline["root"] / "x1")]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["sample", "--checkpoint", str(pipeline["diffusion"]),

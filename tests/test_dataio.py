@@ -13,7 +13,6 @@ import pytest
 from swarmflow import dataio
 from swarmflow.dataio import (
     _FMT,
-    NormalizationTransform,
     SceneScale,
     load_checkpoint,
     load_pointcloud,
@@ -37,14 +36,12 @@ SMALL = ModelConfig(latent_dim=4, field_hidden=8, field_blocks=2,
 
 
 def _small_checkpoint(s=0.5, final_loss=0.25):
-    """A checkpoint with all three sections and a 0-d tensor ``s``."""
+    """A two-tensor checkpoint whose ``s`` is 0-d."""
     return Checkpoint(algorithm="flow", model_config=SMALL,
                       train_config=asdict(TrainConfig()),
                       params={"w": np.arange(24.0).reshape(4, 6),
                               "s": np.array(s)},
-                      opt_m={"w": np.ones((4, 6)), "s": np.array(0.1)},
-                      opt_v={"w": np.ones((4, 6)), "s": np.array(0.2)},
-                      opt_step=1, step_count=1, final_loss=final_loss)
+                      step_count=1, final_loss=final_loss)
 
 
 def _euler_log(rng, steps=6, agents=4, meta=None, spread=1.0):
@@ -250,8 +247,6 @@ def test_normalize_cloud_properties():
     # translation does not change the normalized shape
     shifted, _ = normalize_cloud(cloud + np.array([100.0, -40.0, 3.0]))
     np.testing.assert_allclose(shifted, normalized, atol=1e-9)
-    # the transform inverts
-    np.testing.assert_allclose(transform.invert(normalized), cloud, atol=1e-9)
     assert np.array_equal(transform.apply(cloud), normalized)
 
 
@@ -342,30 +337,58 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     rng = np.random.default_rng(6)
     models = build_models(SMALL, rng)
     params = models.state_dict()
-    opt_m = {name: rng.standard_normal(arr.shape) for name, arr in params.items()}
-    opt_v = {name: rng.uniform(0.0, 1.0, arr.shape) for name, arr in params.items()}
     ckpt = Checkpoint(algorithm="flow", model_config=SMALL,
                       train_config={"learning_rate": 1e-3, "epochs": 5},
-                      params=params, opt_m=opt_m, opt_v=opt_v,
-                      opt_step=7, step_count=5, final_loss=1.25)
+                      params=params, step_count=5, final_loss=1.25)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, ckpt)
     loaded = load_checkpoint(path)
     assert loaded.algorithm == "flow"
     assert loaded.model_config == SMALL
     assert loaded.train_config == ckpt.train_config
-    assert loaded.opt_step == 7
     assert loaded.step_count == 5
     assert loaded.final_loss == 1.25
-    assert set(loaded.params) == set(params)
+    assert list(loaded.params) == list(params)
     for name in params:
         assert np.array_equal(loaded.params[name], params[name])
-        assert np.array_equal(loaded.opt_m[name], opt_m[name])
-        assert np.array_equal(loaded.opt_v[name], opt_v[name])
     # saving the loaded checkpoint reproduces the file byte for byte
     second = tmp_path / "model2.ckpt"
     save_checkpoint(second, loaded)
     assert second.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_holds_the_parameters_only(tmp_path):
+    # the fixture's model: no optimizer moments or step ride along, so the
+    # payload is the parameter buffer, 200,803 float64 values
+    models = build_models(ModelConfig(latent_dim=16), np.random.default_rng(0))
+    path = tmp_path / "checkpoint.swf"
+    save_checkpoint(path, Checkpoint(
+        algorithm="flow", model_config=models.config,
+        train_config=asdict(TrainConfig()), params=models.state_dict()))
+    raw = path.read_bytes()
+    version, header_len = struct.unpack("<IQ", raw[8:20])
+    assert version == 2
+    header = json.loads(raw[20:20 + header_len])
+    payload = len(raw) - 20 - header_len
+    assert payload == 8 * models.values.size == 1_606_424
+    assert raw[-payload:] == models.values.astype("<f8").tobytes()
+    assert "opt_step" not in header
+    assert [list(entry) for entry in header["tensors"]] == \
+        [["name", "shape"]] * len(models.state_dict())
+
+
+def test_checkpoint_version_1_is_refused(tmp_path):
+    # the version-1 layout (optimizer sections after the parameters) has
+    # no reader: one line naming the file and the version
+    header = json.dumps({"opt_step": 1, "tensors": [
+        {"name": "w", "section": "params", "shape": [2]},
+        {"name": "w", "section": "opt_m", "shape": [2]}]}).encode("utf-8")
+    path = tmp_path / "v1.swf"
+    path.write_bytes(b"SWFLCKPT" + struct.pack("<IQ", 1, len(header))
+                     + header + np.zeros(4).tobytes())
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: unsupported checkpoint version 1"
 
 
 def test_checkpoint_corruption_errors(tmp_path):
@@ -398,15 +421,6 @@ def test_checkpoint_corruption_errors(tmp_path):
         load_checkpoint(trailing)
 
     header_len = struct.unpack("<Q", raw[12:20])[0]
-    header = json.loads(raw[20:20 + header_len])
-    header["tensors"][0]["section"] = "bogus"
-    text = json.dumps(header).encode("utf-8")
-    unknown = tmp_path / "unknown_section.ckpt"
-    unknown.write_bytes(raw[:12] + struct.pack("<Q", len(text)) + text
-                        + raw[20 + header_len:])
-    with pytest.raises(ValueError, match="section"):
-        load_checkpoint(unknown)
-
     huge = tmp_path / "huge_header.ckpt"
     huge.write_bytes(raw[:12] + struct.pack("<Q", 2**62) + raw[20:])
     with pytest.raises(ValueError, match="truncated"):
@@ -429,9 +443,17 @@ def test_checkpoint_corruption_errors(tmp_path):
     def negative(h):
         h["tensors"][0]["shape"] = [-1, 4]
 
+    def duplicate(h):
+        # same payload size: the second tensor's shape, the first's name
+        h["tensors"][1]["name"] = h["tensors"][0]["name"]
+
+    def bool_shape(h):
+        h["tensors"][0]["shape"] = [True] * len(h["tensors"][0]["shape"])
+
     cases = {
         "no_algorithm": (lambda h: h.pop("algorithm"), "algorithm"),
-        "no_section": (lambda h: h["tensors"][0].pop("section"), "section"),
+        "duplicate_name": (duplicate, "duplicate tensor name"),
+        "bool_shape": (bool_shape, "shape"),
         "config_key": (widen, "model_config"),
         "string_tensors": (lambda h: h.update(tensors="w"), "tensors"),
         "negative_shape": (negative, "shape"),
@@ -453,7 +475,7 @@ def test_checkpoint_corruption_errors(tmp_path):
     for value in (np.nan, -np.inf):
         path.unlink()
         save_checkpoint(path, _small_checkpoint(s=value))
-        with pytest.raises(ValueError, match="params/'s' holds NaN") as info:
+        with pytest.raises(ValueError, match="tensor 's' holds NaN") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
     path.unlink()
@@ -617,15 +639,6 @@ def test_parse_config_file(tmp_path):
     assert str(path) in str(info.value)
 
 
-def test_normalization_transform_apply_invert_are_inverse():
-    transform = NormalizationTransform(centroid=np.array([1.0, -2.0, 3.0]),
-                                       scale=2.5)
-    rng = np.random.default_rng(10)
-    cloud = rng.standard_normal((20, 3))
-    np.testing.assert_allclose(transform.apply(transform.invert(cloud)),
-                               cloud, atol=1e-12)
-
-
 _CHUNKS = [b"nan", b"inf", b"-", b".", b"e", b"e9", b"1e999", b"0", b"7",
            b",", b" ", b"\n", b"#", b"=", b"\xff", b"\x00"]
 
@@ -672,9 +685,8 @@ def _check_cfg(cfg):
 
 def _check_ckpt(ckpt):
     assert isinstance(ckpt, Checkpoint)
-    for table in (ckpt.params, ckpt.opt_m, ckpt.opt_v):
-        for arr in table.values():
-            assert np.all(np.isfinite(arr))
+    for arr in ckpt.params.values():
+        assert np.all(np.isfinite(arr))
 
 
 @pytest.mark.parametrize("kind", ["csv", "xyz", "cfg", "ckpt"])

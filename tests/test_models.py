@@ -446,15 +446,15 @@ def test_model_set_state_roundtrip():
     assert not np.array_equal(models.values, np.concatenate(
         [arr.ravel() for arr in state.values()]))
     _assert_buffer_views(models)
-    # split: the layout's key order and shapes, as copies
-    flat = np.arange(float(models.values.size))
-    parts = models.split(flat)
+    # state_dict: the layout's key order and shapes, as copies
+    models.values[:] = np.arange(float(models.values.size))
+    parts = models.state_dict()
     assert list(parts) == list(state)
     for name, arr in parts.items():
         assert arr.shape == state[name].shape, name
-        assert not np.shares_memory(arr, flat), name
+        assert not np.shares_memory(arr, models.values), name
     assert np.array_equal(np.concatenate([a.ravel() for a in parts.values()]),
-                          flat)
+                          models.values)
     # load_state_dict writes into the buffer and re-points rebound nodes
     for _, node in models.named_parameters():
         node.value, node.grad = np.zeros(node.value.shape), None
