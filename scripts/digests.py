@@ -44,15 +44,22 @@ With one BLAS thread it rebuilds:
   checkout's ``SRC``, these check the blocked distance against the dense
   matrix.
 
-The digests depend on the BLAS kernel and the CPU, so compare a parent
-and a change on the same machine, never against a stored line.
+``tests/fixtures/digests.json`` holds the line, and
+``tests/test_digests.py`` reruns this script and names every digest that
+differs from it.  A change that moves bytes on purpose rewrites that file
+from this script's output and says why.  The digests depend on the BLAS
+kernel, as acceptance check 10 does; the recorded line was the same on an
+AMD EPYC and an Intel Xeon host, both with numpy 2.4.6.  To see which
+outputs a change moves on a machine where the recorded line does not
+hold, run this script on the parent and on the change there, and diff.
 
 Usage:  python3 scripts/digests.py [SRC]
 
 SRC is the directory the ``swarmflow`` package is imported from (default:
 this checkout's ``src``); point it at another checkout's ``src`` to get
 that commit's line, then diff the two.  A run takes about 30 s on two
-cores of an AMD EPYC host, most of it the two 2000-step trainings.
+cores of an AMD EPYC host and about 85 s on two vCPUs of an Intel Xeon
+host, most of it the two 2000-step trainings.
 """
 
 import argparse

@@ -34,6 +34,13 @@ K, so it is taken only up to ``_BATCH_ROWS`` rows; longer chains walk on.
 The first step always walks: most programs of a sparse step end after one
 plane, and solving their candidates up front costs more than it saves.
 
+No pass runs that the solve does not read.  The line where an earlier row
+meets a plane is built only for the rows a walk or a batch solves.  And
+the LP starts at the preferred velocity, which the speed cap never clips,
+so the violation test that picks the agents to correct also gives each
+program the first row the LP would scan for; only those agents' rows are
+sorted and padded.
+
 The pass builds each close pair once, for its lower-indexed agent, and
 gives the higher-indexed agent the mirror image of that row: the other
 half of the same correction ``u`` and the opposite normal.  So it
@@ -277,9 +284,11 @@ def _first_violated(points, normals, rows, v, bound=0.0):
 def _fold(start, values, pick):
     """``start`` folded with the columns of ``values`` in order by Python's
     ``max`` (``pick`` = np.argmax) or ``min`` (np.argmin): the first
-    extreme value wins, which keeps the sign of a tied zero."""
-    both = np.concatenate([start[:, None], values], axis=1)
-    return both[np.arange(len(both)), pick(both, axis=1)]
+    extreme value wins, which keeps the sign of a tied zero.  The first
+    extreme of ``values`` is picked against ``start`` in a pair, so a tie
+    and a NaN of ``start`` keep ``start``, as they would in one row."""
+    best = values[np.arange(len(values)), pick(values, axis=1)]
+    return np.where(pick(np.stack([start, best]), axis=0) == 0, start, best)
 
 
 # A walk whose chains outlive their first step solves every row they could
@@ -328,16 +337,22 @@ def _follow(solve, points, normals, later, row, result):
             if np.count_nonzero(candidates) * k <= _BATCH_ROWS:
                 break
         r = row[a]
-        # The last step's rows are freed only once these are copied, as in
-        # a plain loop; freeing them first let the heap shrink and fault
-        # back in, about 7000 more page faults on a 4096-agent call.
-        sub_points, sub_normals = points[a], normals[a]
+        # When every program walks, as on the main LP's first step (each
+        # corrected agent has a violated row), the rows serve as they are.
+        # Otherwise the last step's rows are freed only once these are
+        # copied, as in a plain loop; freeing them first let the heap shrink
+        # and fault back in, about 7000 more page faults on a 4096-agent
+        # call.
+        if a.size == n:
+            sub_points, sub_normals, sub_later = points, normals, later
+        else:
+            sub_points, sub_normals, sub_later = points[a], normals[a], later[a]
         attempt, ok = solve(a, r, sub_points, sub_normals)
         fail[a[~ok]] = r[~ok]
         result[a[ok]] = attempt[ok]
         row[a] = _first_violated(
             sub_points, sub_normals,
-            later[a] & (column > r[:, None]) & ok[:, None], attempt)
+            sub_later & (column > r[:, None]) & ok[:, None], attempt)
         a = a[row[a] < k]
         walked = True
     else:
@@ -433,40 +448,39 @@ def _lp_plane(points, normals, valid, plane, radius, opt, direction_opt):
     earlier = valid & (column < plane[:, None]) & ok[:, None]
     line = _first_violated(points, normals, earlier, result)
 
-    # Each earlier row meets the plane in a line fixed by the two planes
-    # alone, so the lines of every program that needs one are built up
-    # front.  A row parallel to the plane has none: the solve fails if the
-    # scan reaches it.
-    scanned = earlier & (line < k)[:, None]
-    owner = np.nonzero(scanned)[0]
-    cross = _cross(normals[scanned], normal[owner])
-    cross_sq = np.vecdot(cross, cross)
-    skew = ~(cross_sq <= _EPS)
-    meets = np.zeros_like(scanned)
-    meets[scanned] = skew
-    owner = owner[skew]
-    line_dir = np.zeros_like(points)
-    line_dir[meets] = cross[skew] / np.sqrt(cross_sq[skew])[:, None]
-    line_normal = _cross(line_dir[meets], normal[owner])
-    scale = (np.vecdot(points[meets] - point[owner], normals[meets])
-             / np.vecdot(line_normal, normals[meets]))
-    line_point = np.zeros_like(points)
-    line_point[meets] = point[owner] + scale[:, None] * line_normal
-
+    # An earlier row j meets program a's plane in a line fixed by the two
+    # planes alone, so the line is built only when a walk or a batch solves
+    # (a, j).  A row parallel to the plane has none, and the solve fails
+    # there; its stand-in line is finite, and its attempt is never used.
     def solve(a, j, sub_points, sub_normals):
+        s = np.arange(len(a))
+        row_point, row_normal = sub_points[s, j], sub_normals[s, j]
+        plane_point, plane_normal = point[a], normal[a]
+        cross = _cross(row_normal, plane_normal)
+        cross_sq = np.vecdot(cross, cross)
+        meets = ~(cross_sq <= _EPS)
+        line_dir = cross / np.sqrt(np.where(meets, cross_sq, 1.0))[:, None]
+        line_normal = _cross(line_dir, plane_normal)
+        scale = np.divide(np.vecdot(row_point - plane_point, row_normal),
+                          np.vecdot(line_normal, row_normal),
+                          out=np.zeros(len(a)), where=meets)
         attempt, line_ok = _lp_line(
             sub_points, sub_normals, valid[a] & (column < j[:, None]),
-            line_point[a, j], line_dir[a, j], radius, opt[a], direction_opt)
-        return attempt, line_ok & meets[a, j]
+            plane_point + scale[:, None] * line_normal, line_dir, radius,
+            opt[a], direction_opt)
+        return attempt, line_ok & meets
 
     fail, result = _follow(solve, points, normals, earlier, line, result)
     return result, ok & (fail == k)
 
 
-def _lp_full(points, normals, valid, radius, opt, direction_opt):
+def _lp_full(points, normals, valid, radius, opt, direction_opt,
+             first=None):
     """Incremental solve of every program.  Returns (fail, result): fail is
     the first row a program cannot honor, or K where it is feasible, and
-    result the optimum over the rows before that one."""
+    result the optimum over the rows before that one.  ``first`` (A,), if
+    given, is each program's first valid row that its start violates,
+    which the solve would otherwise scan for."""
     if direction_opt:
         result = opt * radius  # opt is a unit direction
     else:
@@ -479,8 +493,9 @@ def _lp_full(points, normals, valid, radius, opt, direction_opt):
         return _lp_plane(sub_points, sub_normals, valid[a], i, radius, opt[a],
                          direction_opt)
 
-    return _follow(solve, points, normals, valid,
-                   _first_violated(points, normals, valid, result), result)
+    if first is None:
+        first = _first_violated(points, normals, valid, result)
+    return _follow(solve, points, normals, valid, first, result)
 
 
 def _projected_planes(points, normals, valid, plane):
@@ -540,15 +555,18 @@ def _lp_backproject(points, normals, valid, begin, radius, result):
     return result
 
 
-def _solve_lps(v_pref, points, normals, valid, v_max: float):
+def _solve_lps(v_pref, points, normals, valid, v_max: float, first=None):
     """``solve_velocity_lp`` of A programs at once: ``v_pref`` (A, 3),
     ``points`` and ``normals`` (A, K, 3) and ``valid`` (A, K).  Returns the
     velocities (A, 3) and, per program, whether its half-spaces were
-    infeasible."""
+    infeasible.  ``first`` (A,), if given, must be each program's first
+    valid row that ``v_pref`` violates, ``_first_violated(points, normals,
+    valid, v_pref)``; it stands for the solve's own first scan only where no
+    ``|v_pref|`` exceeds ``v_max``, so that the solve starts at ``v_pref``."""
     radius = float(v_max)
     fail, result = _lp_full(points, normals, valid, radius,
                             np.asarray(v_pref, dtype=np.float64),
-                            direction_opt=False)
+                            direction_opt=False, first=first)
     infeasible = fail < valid.shape[1]
     b = np.flatnonzero(infeasible)
     if b.size:
@@ -576,7 +594,12 @@ def speed_cap(v_pref, cfg: NavConfig) -> float:
     """The speed cap of ``orca_adjust`` for the (M, 3) preferred
     velocities of one step: twice the largest preferred speed, floored at
     the one-step escape speed ``kappa / dt`` so that overlapping agents
-    can always separate, even when nobody wants to move."""
+    can always separate, even when nobody wants to move.
+
+    The cap is at least twice every agent's preferred speed, so the LP
+    never clips the preferred velocity it starts from, rounding included,
+    and ``orca_adjust`` hands it the start rows of its own violation test
+    in place of the LP's first scan."""
     return max(
         2.0 * float(np.max(np.linalg.norm(v_pref, axis=1), initial=0.0)),
         cfg.kappa / cfg.dt)
@@ -630,25 +653,31 @@ def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
     # An agent whose preferred velocity violates none of its half-spaces
     # keeps it: under a cap of twice its speed, that is the LP optimum.  The
     # others solve their programs together, each on its own rows padded to
-    # the longest program.  Sorted by the unique key owner * M + neighbor,
-    # every agent's rows are contiguous and in ascending neighbor order,
-    # and they start after the rows of all lower-indexed agents.
+    # the longest program.  Only their rows are sorted, by the unique key
+    # owner * M + neighbor, so every agent's rows are contiguous and in
+    # ascending neighbor order, after the rows of all lower-indexed agents,
+    # which is the order of the padded slots.
     violated = np.vecdot(normals, points - v_pref[owner]) > 0.0
     corrected = np.zeros(m, dtype=bool)
     corrected[owner[violated]] = True
     agents = np.flatnonzero(corrected)
     out = v_pref.copy()
     if agents.size:
-        degree = np.bincount(owner, minlength=m)
-        counts = degree[agents]
-        first = (np.cumsum(degree) - degree)[agents]
-        order = np.argsort(owner * m + np.concatenate([hi, lo]))
+        rows = np.flatnonzero(corrected[owner])
+        rows = rows[np.argsort(owner[rows] * m
+                               + np.concatenate([hi, lo])[rows])]
+        counts = np.bincount(owner, minlength=m)[agents]
         valid = np.arange(counts.max()) < counts[:, None]
-        rows = order[(first[:, None] + np.arange(counts.max()))[valid]]
+        slots = np.flatnonzero(valid)
         agent_points = np.zeros(valid.shape + (3,))
-        agent_points[valid] = points[rows]
+        agent_points.reshape(-1, 3)[slots] = points[rows]
         agent_normals = np.zeros_like(agent_points)
-        agent_normals[valid] = normals[rows]
+        agent_normals.reshape(-1, 3)[slots] = normals[rows]
+        # The LP starts at v_pref, which the cap never clips (speed_cap), so
+        # its first scan would repeat the test above on the same rows.
+        hit = np.zeros(valid.size, dtype=bool)
+        hit[slots] = violated[rows]
         out[agents] = _solve_lps(v_pref[agents], agent_points, agent_normals,
-                                 valid, v_max)[0]
+                                 valid, v_max,
+                                 hit.reshape(valid.shape).argmax(axis=1))[0]
     return out

@@ -165,7 +165,11 @@ def unguarded_steps(log: TrajectoryLog) -> int:
     """How many steps of a run flown with avoidance were not guarded
     (``navigation.is_guarded``), judged from the preferred velocities it
     logged and the ``NavConfig(kappa, h)`` its rollout gave
-    ``orca_adjust``."""
+    ``orca_adjust``.  A log reloaded from CSV holds no preferred
+    velocities and raises a ``ValueError``."""
+    if log.preferred_velocities is None:
+        raise ValueError("unguarded_steps: the log holds no preferred "
+                         "velocities (a CSV stores only the applied ones)")
     nav = NavConfig(kappa=log.meta["kappa"], dt=1.0 / log.num_steps)
     return sum(not is_guarded(v, nav) for v in log.preferred_velocities)
 

@@ -14,6 +14,7 @@ from scipy.spatial.distance import cdist
 from swarmflow import navigation
 from swarmflow.navigation import (
     NavConfig,
+    _first_violated,
     _fold,
     _perpendiculars,
     _solve_lps,
@@ -21,6 +22,7 @@ from swarmflow.navigation import (
     close_pairs,
     orca_adjust,
     solve_velocity_lp,
+    speed_cap,
 )
 
 KAPPA = 0.06
@@ -1154,14 +1156,78 @@ def test_stacked_lp_matches_object_lp_bitwise(monkeypatch, batch_rows):
 
 def test_line_bound_fold_keeps_the_first_of_tied_values():
     # Python's max and min keep the first of tied values, so a zero bound
-    # keeps the sign it had first; the lockstep fold must do the same.
-    values = [-0.0, 0.0, -1.0, 1.0, -np.inf, np.inf]
+    # keeps the sign it had first; the lockstep fold must do the same.  With
+    # NaN in the starts or rows it must still pick what one pick over the
+    # start and the row side by side picks (np.argmax and np.argmin take
+    # the first NaN), the form the fold replaced.
+    values = [-0.0, 0.0, -1.0, 1.0, -np.inf, np.inf, np.nan]
     rows = np.array(list(itertools.product(values, repeat=3)))
-    for start in (-0.0, 0.0, -1.0, 1.0):
+    finite = ~np.isnan(rows).any(axis=1)
+    for start in (-0.0, 0.0, -1.0, 1.0, np.nan):
+        starts = np.full(len(rows), start)
+        both = np.concatenate([starts[:, None], rows], axis=1)
         for pick, fold in ((np.argmax, max), (np.argmin, min)):
-            got = _fold(np.full(len(rows), start), rows, pick)
-            want = [functools.reduce(fold, row, start) for row in rows.tolist()]
-            assert got.tobytes() == np.array(want).tobytes()
+            got = _fold(starts, rows, pick)
+            old = both[np.arange(len(both)), pick(both, axis=1)]
+            assert got.tobytes() == old.tobytes()
+            if not np.isnan(start):
+                want = [functools.reduce(fold, row, start)
+                        for row in rows[finite].tolist()]
+                assert got[finite].tobytes() == np.array(want).tobytes()
+
+
+def test_start_rows_are_the_lps_own_first_scan(monkeypatch):
+    # ``orca_adjust`` hands ``_solve_lps`` each program's first violated row
+    # from its own violation test, in place of the LP's first scan.  That
+    # is exact while the LP starts at ``v_pref`` unclipped, which a cap of
+    # at least twice every preferred speed keeps with rounding to spare:
+    # with a cap of one times the fastest agent, that agent's start could
+    # be clipped by an ulp.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cfg = NavConfig(kappa=KAPPA, dt=DT)
+    solve = navigation._solve_lps
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(navigation, "_solve_lps", recording)
+    seen = collections.Counter()
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.example(0, "rest")
+    @hypothesis.example(0, "one fast")
+    @hypothesis.given(st.integers(0, 2**32 - 1),
+                      st.sampled_from(["rest", "random", "one fast"]))
+    def check(seed, speeds):
+        rng = np.random.default_rng(seed)
+        m = 30
+        positions = rng.normal(scale=1.5 * KAPPA, size=(m, 3))
+        v_pref = rng.standard_normal((m, 3)) * rng.uniform(0.0, 2.0, (m, 1))
+        if speeds == "rest":  # the cap is the kappa/dt floor
+            v_pref[:] = 0.0
+        elif speeds == "one fast":  # agent 0 heads at its nearest neighbour
+            nearest = 1 + np.argmin(cdist(positions[:1], positions[1:]))
+            heading = positions[nearest] - positions[0]
+            v_pref[0] = 10.0 * KAPPA / DT * heading / np.linalg.norm(heading)
+        calls.clear()
+        orca_adjust(v_pref, positions, cfg)
+        (v, points, normals, valid, v_max, first), = calls
+        assert v_max == speed_cap(v_pref, cfg)
+        assert np.all(2.0 * np.linalg.norm(v, axis=1) <= v_max)
+        assert np.array_equal(first, _first_violated(points, normals, valid, v))
+        scanned = solve(v, points, normals, valid, v_max)
+        assert all(map(np.array_equal, scanned, solve(*calls[0])))
+        seen["floor"] += v_max == KAPPA / DT
+        seen["fast agent corrected"] += bool(
+            speeds == "one fast" and np.all(v == v_pref[0], axis=1).any()
+            and v_max == speed_cap(v_pref[:1], cfg))
+
+    check()
+    assert seen["floor"] >= 20 and seen["fast agent corrected"] >= 20, seen
 
 
 @_CROSSOVERS

@@ -9,6 +9,7 @@ from scipy.spatial.distance import pdist
 
 from swarmflow import autodiff as ad
 from swarmflow import navigation, sampling
+from swarmflow.dataio import load_trajectory_csv, save_trajectory_csv
 from swarmflow.diffusion import DiffusionSchedule, ddpm_sample
 from swarmflow.flowmatch import SIGMA_MIN, cfm_loss
 from swarmflow.models import Checkpoint, ModelConfig, build_models, \
@@ -391,6 +392,23 @@ def test_guarded_feasible_steps_keep_agents_apart(monkeypatch):
 
     check()
     assert checked >= 200, checked
+
+
+def test_unguarded_steps_of_a_reloaded_log_is_a_one_line_error(tmp_path):
+    # A CSV stores only the applied velocities, so a reloaded log cannot
+    # say which of its steps were guarded.
+    cloud = np.random.default_rng(9).standard_normal((6, 3))
+    log = sample_cfm_plus_orca(-cloud, cloud, SampleConfig(
+        num_agents=6, steps=4, kappa=0.5))
+    assert unguarded_steps(log) in range(5)  # the flown log can say
+    path = tmp_path / "trajectory.csv"
+    save_trajectory_csv(path, log)
+    reloaded = load_trajectory_csv(path)
+    assert reloaded.preferred_velocities is None
+    with pytest.raises(ValueError,
+                       match="holds no preferred velocities") as error:
+        unguarded_steps(reloaded)
+    assert "\n" not in str(error.value)
 
 
 def _run_every_sampler():
