@@ -24,6 +24,10 @@ With one BLAS thread it rebuilds:
   digested too (``rerun/sample/...``);
 - the trained parameters of all four checkpoints (``params/...``), which
   stay equal when only the checkpoint format changes;
+- a large flight: ``sample`` from the fixture's flow checkpoint with
+  4096 agents, 4 steps and no avoidance (``large-flight/m4096``), where
+  the field's products are large enough to take other BLAS kernels than
+  at 512 agents;
 - an exact-target integration (``integrate_exact_target``, 512 points,
   100 steps);
 - ``goal-2048`` flights (``sample_cfm_plus_orca``, 2048 agents x 8
@@ -149,6 +153,9 @@ def cli_run(sf, root: Path) -> dict:
         out[f"params/{algorithm}"] = sha256(*(
             part for name, value in ckpt.params.items()
             for part in (name.encode(), value)))
+    cfg = sf.SampleConfig(num_agents=4096, steps=4, use_orca=False, seed=1)
+    out["large-flight/m4096"] = log_digest(
+        sf.sample(sf.load_checkpoint(flow), cfg))
     return out
 
 

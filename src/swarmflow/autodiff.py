@@ -38,11 +38,14 @@ values are bitwise equal, but no new node needs a gradient, so none
 keeps parents or backward rules: each intermediate is freed as soon as
 the caller drops it, and ``backward`` sees nothing to walk.  Sampling
 evaluates the networks this way; training never does.  The flag is
-process-global (not per thread), which is sound because the pipeline is
-single-threaded.
+process-global, not per thread: the worker threads of a sampling step
+(``sampling._split_field``) build their nodes while the calling thread
+holds it off, and so read it as off.
 
-All arithmetic is float64 and single-threaded, so results are bitwise
-reproducible for a fixed sequence of operations.
+All arithmetic is float64, so results are bitwise reproducible for a
+fixed sequence of operations.  A sampling step splits the field
+network's rows across threads, but each row's arithmetic is the same for
+every chunk count.
 """
 
 from __future__ import annotations

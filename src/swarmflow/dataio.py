@@ -19,10 +19,10 @@ creates a new file (``models._open_new`` unlinks an existing target
 first), so a symlink or hard-linked target is replaced, not written
 through.
 
-A trajectory CSV that holds only the bytes the writer emits is parsed by
-``np.loadtxt``'s C reader.  Any other file, and any file that fails a
-check, is read line by line, so the files accepted, the values and the
-error text are those of the line reader alone.
+A trajectory CSV or point cloud that holds only the bytes its writer
+emits is parsed by ``np.loadtxt``'s C reader.  Any other file, and any
+file that fails a check, is read line by line, so the files accepted,
+the values and the error text are those of the line reader alone.
 """
 
 from __future__ import annotations
@@ -96,8 +96,68 @@ def _read_rows(path, lines, sep, width: int, first_line: int):
     return table, line_of_row
 
 
+def _c_table(path, header: bytes, alphabet: bytes, delimiter: str,
+             width: int):
+    """The rows of a table file laid out as its writer writes it, parsed
+    by ``np.loadtxt``'s C reader into a finite (N, ``width``) array; None
+    for any other file and for any failure.
+
+    The file must start with the writer's ``header`` line and hold
+    nothing after it but bytes of ``alphabet``: the writer's digits,
+    ``+-.e``, its field ``delimiter`` and line feeds.  On those bytes the
+    line reader (``_read_rows``) and ``np.loadtxt`` split lines and fields
+    alike, skip the same (empty) lines, and parse each field with the
+    same string-to-double routine, so they accept the same rows with the
+    same values; a line that ``np.loadtxt`` would split otherwise (a
+    leading, trailing or doubled space) makes it fail.  Any other byte
+    sends the file to the line reader, because there the two can differ:
+    ``np.loadtxt`` ends a line at a lone ``\\r``, strips ``\\x1f`` around a
+    field, and refuses ``1_0`` and non-ASCII digits, which ``float()``
+    reads.  The scan reads 1 MiB blocks, so its memory does not grow with
+    the file.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(header)) != header:
+            return None
+        while block := fh.read(1 << 20):
+            if block.translate(None, alphabet):
+                return None
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # a table with no rows warns
+            warnings.simplefilter("error", UserWarning)
+            table = np.loadtxt(fh, delimiter=delimiter, comments=None,
+                               skiprows=1, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
+# the header line save_pointcloud writes, and every byte after it: %.17g
+# of finite floats, single spaces and line feeds
+_XYZ_HEADER = b"# x y z\n"
+_XYZ_BYTES = b"0123456789+-.e \n"
+
+
+def _xyz_table(path):
+    """A point cloud's rows from ``_c_table``, for a file laid out as
+    ``save_pointcloud`` writes it; None for any other."""
+    return _c_table(path, _XYZ_HEADER, _XYZ_BYTES, " ", 3)
+
+
 def load_pointcloud(path) -> np.ndarray:
-    """Read an XYZ text file into an (M, 3) float64 array."""
+    """Read an XYZ text file into an (M, 3) float64 array.
+
+    A file laid out as ``save_pointcloud`` writes it (its header line,
+    then only digits, ``+-.e``, single spaces and line feeds) is parsed
+    in one ``np.loadtxt`` call, see ``_c_table``; any other file, and any
+    that fails a check there, goes to the line reader, so the files
+    accepted, the values and the error text are the line reader's."""
+    cloud = _xyz_table(path)
+    if cloud is not None:
+        return cloud
     with closing(_text_lines(path)) as lines:
         cloud, _ = _read_rows(path, lines, None, 3, 1)
     if not len(cloud):
@@ -405,39 +465,10 @@ def save_trajectory_csv(path, log: TrajectoryLog) -> None:
 
 
 def _writer_table(path):
-    """The rows of a trajectory CSV laid out as ``save_trajectory_csv``
-    writes it, parsed by ``np.loadtxt``'s C reader into a finite (N, 8)
-    array; None for any other file and for any failure.
-
-    The file must start with the header line and hold nothing after it
-    but the bytes the writer emits: digits, ``+-.e``, commas and line
-    feeds.  On those bytes the line reader and ``np.loadtxt`` split lines
-    and fields alike, skip the same (empty) lines, and parse each field
-    with the same string-to-double routine, so they accept the same rows
-    with the same values.  Any other byte sends the file to the line
-    reader, because there the two can differ: ``np.loadtxt`` ends a line
-    at a lone ``\\r``, strips ``\\x1f`` around a field, and refuses
-    ``1_0`` and non-ASCII digits, which ``float()`` reads.  The scan reads
-    1 MiB blocks, so its memory does not grow with the file.
-    """
-    header = (_CSV_HEADER + "\n").encode()
-    with open(path, "rb") as fh:
-        if fh.read(len(header)) != header:
-            return None
-        while block := fh.read(1 << 20):
-            if block.translate(None, _WRITER_BYTES):
-                return None
-    try:
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            # a table with no rows warns
-            warnings.simplefilter("error", UserWarning)
-            table = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1,
-                               ndmin=2)
-    except (ValueError, UserWarning):
-        return None
-    if table.shape[1] != 8 or not np.isfinite(table).all():
-        return None
-    return table
+    """A trajectory CSV's rows from ``_c_table``, for a file laid out as
+    ``save_trajectory_csv`` writes it; None for any other."""
+    return _c_table(path, (_CSV_HEADER + "\n").encode(), _WRITER_BYTES,
+                    ",", 8)
 
 
 def _frames(path, table, line_of_row):

@@ -20,7 +20,8 @@ from . import autodiff as ad
 from .flowmatch import TrainConfig, _run_training
 from .models import (Checkpoint, ModelConfig, ModelSet, _require,
                      kl_divergence)
-from .sampling import TrajectoryLog, _draw_latent, _euler_rollout
+from .sampling import (TrajectoryLog, _draw_latent, _euler_rollout,
+                       _split_field)
 
 __all__ = [
     "DiffusionSchedule", "ddpm_forward_sample", "ddpm_train_loss",
@@ -135,12 +136,13 @@ def ddpm_sample(models: ModelSet, sched: DiffusionSchedule, num_agents: int,
     def velocity_fn(x, _t, k, dt):
         t = n - k  # ancestral step, counting down from n
         beta = betas[t - 1]
-        eps_hat = models.field_net(x, t / n, z).value
+        eps_hat = field(x, t / n)
         x_next = (x - beta / np.sqrt(1.0 - alpha_bars[t - 1]) * eps_hat) \
             / np.sqrt(1.0 - beta)
         if stochastic and t > 1:
             x_next = x_next + np.sqrt(beta) * rng.standard_normal(x.shape)
         return (x_next - x) / dt
 
-    return _euler_rollout(x_start, n, velocity_fn,
-                          algorithm="diffusion", kappa=0.0)
+    with _split_field(models.field_net, z, num_agents) as field:
+        return _euler_rollout(x_start, n, velocity_fn,
+                              algorithm="diffusion", kappa=0.0)

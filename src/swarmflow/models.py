@@ -174,19 +174,35 @@ class GatedContextualNet:
 
     def __call__(self, points, t: float, z) -> Node:
         """Velocity for every point of an (M, 3) cloud; returns (M, 3)."""
+        injects = self.injections(t, z)
+        h = ad.wrap(points)
+        if h.ndim != 2 or h.shape[1] != 3:
+            raise ad.ShapeMismatchError(f"points must be (M, 3), got {h.shape}")
+        return self.run_blocks(h, injects, range(self.blocks))
+
+    def injections(self, t: float, z) -> list:
+        """The context term ``sigmoid(ctx W_g) * (ctx W_c)`` of every
+        block, one ``(dout,)`` node each: the part of the network that
+        depends on ``(t, z)`` alone, shared by all points."""
         z = ad.wrap(z)
         if z.shape != (self.latent_dim,):
             raise ad.ShapeMismatchError(
                 f"latent has shape {z.shape}, expected ({self.latent_dim},)")
-        h = ad.wrap(points)
-        if h.ndim != 2 or h.shape[1] != 3:
-            raise ad.ShapeMismatchError(f"points must be (M, 3), got {h.shape}")
         ctx = ad.concat([ad.wrap(time_embedding(t)), z])
         p = self.params
-        for i in range(self.blocks):
-            gate = ad.sigmoid(ad.matmul(ctx, p[f"b{i}.gate_w"]))
-            inject = ad.mul(gate, ad.matmul(ctx, p[f"b{i}.ctx_w"]))
-            h = ad.dense(h, p[f"b{i}.w"], p[f"b{i}.bias"], inject,
+        return [ad.mul(ad.sigmoid(ad.matmul(ctx, p[f"b{i}.gate_w"])),
+                       ad.matmul(ctx, p[f"b{i}.ctx_w"]))
+                for i in range(self.blocks)]
+
+    def run_blocks(self, h, injects, blocks: range) -> Node:
+        """The ``dense`` blocks ``blocks`` (a range of block indices)
+        applied to the rows of ``h``, with ``injects`` from
+        ``injections``; every block but the network's last ends in a
+        ``tanh``.  No row reads another, so this is the part of the
+        network that can be split by rows (see ``sampling``)."""
+        p, h = self.params, ad.wrap(h)
+        for i in blocks:
+            h = ad.dense(h, p[f"b{i}.w"], p[f"b{i}.bias"], injects[i],
                          act=i < self.blocks - 1)
         return h
 

@@ -928,6 +928,90 @@ def test_trajectory_csv_takes_the_loadtxt_path_on_writer_output(
         log.applied_velocities.tobytes()
 
 
+def _cloud_outcome(path):
+    """What ``load_pointcloud`` gives for ``path``: the cloud's shape and
+    bytes, or the text of its ValueError."""
+    try:
+        cloud = load_pointcloud(path)
+    except ValueError as err:
+        return str(err)
+    return cloud.shape, cloud.tobytes()
+
+
+def _cloud_line_reader_outcome(path):
+    """The same, with the ``np.loadtxt`` path turned off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_xyz_table", lambda path: None)
+        return _cloud_outcome(path)
+
+
+def test_pointcloud_reads_as_the_line_reader_on_mutated_bytes(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rng = np.random.default_rng(21)
+    raws = []
+    for points in (1, 3, 9):
+        path = tmp_path / f"w{points}.xyz"
+        save_pointcloud(path, rng.standard_normal((points, 3)) * 10.0 ** (
+            rng.integers(-20, 20, size=(points, 3))))
+        raws.append(path.read_bytes())
+    path = tmp_path / "input.xyz"
+    xyz_table = dataio._xyz_table
+    seen = {"fast": 0, "loaded": 0, "rejected": 0}
+
+    def counted(path):
+        table = xyz_table(path)
+        seen["fast"] += table is not None
+        return table
+
+    cases = st.sampled_from(raws).flatmap(
+        lambda raw: st.tuples(st.just(raw), _edits(
+            st, len(raw), _CSV_CHUNKS + [b"  ", b" \n", b"\n "])))
+
+    @hypothesis.settings(max_examples=1000, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(cases)
+    def check(case):
+        raw, edits = case
+        path.unlink(missing_ok=True)  # a new file each time, as above
+        path.write_bytes(_apply_edits(raw, edits))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_xyz_table", counted)
+            got = _cloud_outcome(path)
+        assert got == _cloud_line_reader_outcome(path)
+        seen["rejected" if isinstance(got, str) else "loaded"] += 1
+
+    check()
+    assert min(seen.values()) >= 50, seen
+
+
+def test_pointcloud_reads_as_the_line_reader_after_one_edit(tmp_path):
+    path = tmp_path / "input.xyz"
+    save_pointcloud(path, [[1.5, -2.0, 0.25], [3.0, 1e-3, -4e22]])
+    raw = path.read_bytes()
+    for pos in range(len(raw)):
+        for chunk in _CSV_CHUNKS + [b"  "]:
+            for op in ("insert", "replace"):
+                path.unlink()
+                path.write_bytes(_apply_edits(raw, [(op, pos, chunk)]))
+                assert _cloud_outcome(path) == \
+                    _cloud_line_reader_outcome(path), (op, pos, chunk)
+
+
+def test_pointcloud_takes_the_loadtxt_path_on_writer_output(
+        tmp_path, monkeypatch):
+    cloud = np.random.default_rng(22).standard_normal((50, 3))
+    cloud[0] = [-0.0, 1e-300, 1.7976931348623157e308]
+    path = tmp_path / "cloud.xyz"
+    save_pointcloud(path, cloud)
+
+    def refuse(*args):
+        raise AssertionError("the line reader ran")
+
+    monkeypatch.setattr(dataio, "_read_rows", refuse)
+    assert load_pointcloud(path).tobytes() == cloud.tobytes()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd to count open files")
 def test_readers_close_their_file_on_error(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from swarmflow import autodiff as ad
+from swarmflow import sampling
 from swarmflow.diffusion import DiffusionSchedule, ddpm_train_loss
 from swarmflow.flowmatch import Adam, cfm_loss
 from swarmflow.navigation import NavConfig
@@ -87,8 +88,9 @@ def test_field_net_permutation_equivariance():
     assert np.array_equal(out[perm], out_perm)
 
 
-def test_field_net_per_point_independence():
-    # evaluating a subset of rows gives the same rows as the full batch
+def test_field_net_per_point_independence(monkeypatch):
+    # evaluating a subset of rows gives the same rows as the full batch,
+    # bit for bit
     rng = np.random.default_rng(4)
     net = GatedContextualNet(latent_dim=6, hidden=16, blocks=3, rng=rng)
     for _, node in net.params.items():
@@ -97,7 +99,31 @@ def test_field_net_per_point_independence():
     z = rng.standard_normal(6)
     full = net(x, 0.7, z).value
     part = net(x[3:7], 0.7, z).value
-    assert np.allclose(full[3:7], part, rtol=0, atol=1e-15)
+    assert np.array_equal(full[3:7], part)
+    # the fixture's hidden blocks (hidden 128) at every cut the sampler's
+    # row split makes: each chunk gives the rows of the full activations
+    net = GatedContextualNet(latent_dim=16, hidden=128, blocks=6, rng=rng)
+    for _, node in net.params.items():
+        node.value = node.value + 0.1 * rng.standard_normal(node.value.shape)
+    z = rng.standard_normal(16)
+    hidden = range(net.blocks - 1)
+    for rows in (128, 300, 512, 1000, 2700, 4096, 5001):
+        x = rng.standard_normal((rows, 3))
+        injects = net.injections(0.4, z)
+        full = net.run_blocks(x, injects, hidden).value
+        assert full.shape == (rows, 128)
+        for cpus in (2, 3, 4, 8):
+            monkeypatch.setattr(sampling, "_split_cpus", lambda: cpus)
+            for a, b in sampling._row_spans(rows):
+                part = net.run_blocks(x[a:b], injects, hidden).value
+                assert np.array_equal(part, full[a:b]), (rows, cpus, a, b)
+    # the two parts run in turn are the whole network
+    x = rng.standard_normal((40, 3))
+    injects = net.injections(0.4, z)
+    assert np.array_equal(
+        net.run_blocks(net.run_blocks(x, injects, hidden), injects,
+                       range(net.blocks - 1, net.blocks)).value,
+        net(x, 0.4, z).value)
 
 
 # ---------------------------------------------------------------------------

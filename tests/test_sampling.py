@@ -2,6 +2,8 @@
 
 import contextlib
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -470,3 +472,123 @@ def test_training_after_sampling_gets_every_gradient():
     after = gradients()
     assert np.all(np.isfinite(after)) and np.any(after != 0.0)
     assert np.array_equal(before, after)
+
+
+# ---------------------------------------------------------------------------
+# the field network split by rows
+
+FIXTURE = ModelConfig(latent_dim=16)  # the fixture's field: hidden 128
+
+
+def _fixture_field_models(seed=0):
+    """Fixture-size networks with every field weight moved off its
+    initialisation, so the last block is not zero."""
+    models = build_models(FIXTURE, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 100)
+    for name, node in models.named_parameters():
+        if name.startswith("field."):
+            node.value[...] += 0.1 * rng.standard_normal(node.value.shape)
+    return models
+
+
+def _flow_checkpoint(models):
+    return Checkpoint(algorithm="flow", model_config=FIXTURE,
+                      train_config={}, params=models.state_dict())
+
+
+@pytest.mark.parametrize("rows", [1, 127, 128, 255, 256, 512, 1000, 2700,
+                                  4096, 5001])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_row_spans_follow_the_split_rule(monkeypatch, rows, cpus):
+    monkeypatch.setattr(sampling, "_split_cpus", lambda: cpus)
+    spans = sampling._row_spans(rows)
+    starts, stops = np.array(spans).T
+    assert starts[0] == 0 and stops[-1] == rows
+    assert np.array_equal(starts[1:], stops[:-1])
+    assert len(spans) == max(1, min(cpus, rows // 128))
+    if len(spans) > 1:
+        assert np.all(stops - starts >= 128)
+        assert np.all(starts % 64 == 0)
+
+
+@pytest.mark.parametrize("agents", [512, 2700, 4096])
+def test_split_field_gives_the_bits_of_one_chunk(monkeypatch, agents):
+    models = _fixture_field_models()
+    ckpt = _flow_checkpoint(models)
+    cfg = SampleConfig(num_agents=agents, steps=3, use_orca=False, seed=1)
+    sched = DiffusionSchedule(n_steps=3)
+
+    def runs(cpus):
+        monkeypatch.setattr(sampling, "_split_cpus", lambda: cpus)
+        return [sample(ckpt, cfg),
+                ddpm_sample(models, sched, agents, np.random.default_rng(2))]
+
+    want = runs(1)
+    assert np.any(want[0].preferred_velocities != 0.0)
+    for cpus in (2, 4):
+        for log, one in zip(runs(cpus), want):
+            for attr in ("positions", "applied_velocities",
+                         "preferred_velocities"):
+                assert np.array_equal(getattr(log, attr),
+                                      getattr(one, attr)), (cpus, attr)
+
+
+def test_sampling_leaves_no_thread_running(monkeypatch):
+    monkeypatch.setattr(sampling, "_split_cpus", lambda: 2)
+    models = _fixture_field_models()
+    cfg = SampleConfig(num_agents=256, steps=2, use_orca=False)
+    threads = set()
+    run_blocks = type(models.field_net).run_blocks
+
+    def recording(self, h, injects, blocks):
+        threads.add(threading.get_ident())
+        return run_blocks(self, h, injects, blocks)
+
+    monkeypatch.setattr(type(models.field_net), "run_blocks", recording)
+    before = threading.active_count()
+    sample(_flow_checkpoint(models), cfg)
+    assert len(threads) == 2  # the split ran: the caller and one worker
+    assert threading.active_count() == before
+    models.field_net.params["b0.w"].value[0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^velocity field is not finite at "
+                                         r"step 0 \(t=1\)$"):
+        sample(_flow_checkpoint(models), cfg)
+    assert threading.active_count() == before
+
+
+def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(sampling, "_split_cpus", lambda: 2)
+    models = _fixture_field_models()
+    run_blocks = type(models.field_net).run_blocks
+    caller = threading.get_ident()
+
+    def failing(self, h, injects, blocks):
+        if threading.get_ident() != caller:
+            raise RuntimeError("worker failed")
+        return run_blocks(self, h, injects, blocks)
+
+    monkeypatch.setattr(type(models.field_net), "run_blocks", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^worker failed$"):
+        ddpm_sample(models, DiffusionSchedule(n_steps=2), 256,
+                    np.random.default_rng(0))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("env, split", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+    ({"GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "4"}, False),
+])
+def test_the_split_runs_only_beside_a_one_thread_blas(monkeypatch, env,
+                                                      split):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cpus = len(os.sched_getaffinity(0))
+    assert sampling._split_cpus() == (cpus if split else 1)
