@@ -134,26 +134,11 @@ class Node:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def wrap(x) -> Node:
@@ -324,10 +309,10 @@ def _pooled_input_grad(gv, idx, w, m):
     return gx
 
 
-def dense_max(x, w, b, act=False) -> Node:
-    """A layer and a max-pool over its rows as one node: the column
-    maxima of ``dense(x, w, b, act=act)`` for an ``(M, n)`` ``x`` and an
-    ``(h,)`` ``b``.  Ties take the first row, as ``np.argmax`` does.
+def dense_max(x, w, b) -> Node:
+    """A ``tanh`` layer and a max-pool over its rows as one node: the
+    column maxima of ``dense(x, w, b, act=True)`` for an ``(M, n)`` ``x``
+    and an ``(h,)`` ``b``; ties take the first row, as ``np.argmax`` does.
 
     The forward pass runs ``dense``'s operations and then picks the
     maxima, so the value is bitwise that of ``dense`` followed by a
@@ -349,15 +334,14 @@ def dense_max(x, w, b, act=False) -> Node:
             f"{xv.shape} @ {wv.shape} + {b.shape}")
     out = xv @ wv
     out += b.value
-    if act:
-        np.tanh(out, out=out)
+    np.tanh(out, out=out)
     shape = out.shape
     idx = np.argmax(out, axis=0)
     cols = np.arange(shape[1])
     pooled = out[idx, cols]
 
     def vjp(g):
-        gv = g * (1.0 - pooled * pooled) if act else g
+        gv = g * (1.0 - pooled * pooled)
         gx = None
         if x.needs_grad:
             gx = _pooled_input_grad(gv, idx, wv, shape[0])
@@ -392,36 +376,26 @@ def exp(a) -> Node:
 # ---------------------------------------------------------------------------
 # reductions
 
-def reduce_sum(a, axis=None) -> Node:
+def reduce_sum(a) -> Node:
     a = wrap(a)
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis), a.shape).copy()
-
-    return Node(a.value.sum(axis=axis), (a,), (vjp,), "sum")
+    return Node(a.value.sum(), (a,),
+                (lambda g: np.broadcast_to(g, a.shape).copy(),), "sum")
 
 
 # ---------------------------------------------------------------------------
 # shape ops
 
-def concat(nodes, axis=0) -> Node:
+def concat(nodes) -> Node:
+    """The operands joined along their first axis."""
     nodes = [wrap(n) for n in nodes]
     if not nodes:
         raise ValueError("concat: need at least one operand")
-    sizes = [n.shape[axis] for n in nodes]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_vjp(i):
-        sl = [slice(None)] * nodes[i].ndim
-        sl[axis] = slice(offsets[i], offsets[i + 1])
-        sl = tuple(sl)
-        return lambda g: g[sl]
-
-    value = np.concatenate([n.value for n in nodes], axis=axis)
+    offsets = np.cumsum([0] + [n.shape[0] for n in nodes])
+    value = np.concatenate([n.value for n in nodes])
     return Node(value, tuple(nodes),
-                tuple(make_vjp(i) for i in range(len(nodes))), "concat")
+                tuple(lambda g, lo=lo, hi=hi: g[lo:hi]
+                      for lo, hi in zip(offsets[:-1], offsets[1:])),
+                "concat")
 
 
 # ---------------------------------------------------------------------------

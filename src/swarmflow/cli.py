@@ -98,18 +98,7 @@ def _sampling_args(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return _dispatch(args)
-    except BrokenPipeError:
-        raise
-    except Exception as err:  # uniform CLI error reporting
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-
-
-def _dispatch(args) -> int:
+    args = _build_parser().parse_args(argv)
     handlers = {
         "make-data": _cmd_make_data,
         "train": _cmd_train,
@@ -119,7 +108,13 @@ def _dispatch(args) -> int:
         "evaluate": _cmd_evaluate,
         "export": _cmd_export,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except BrokenPipeError:
+        raise
+    except Exception as err:  # uniform CLI error reporting
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 def _cmd_make_data(args) -> int:
@@ -154,16 +149,19 @@ def _split_config(raw: dict):
     return train_kwargs, model_kwargs, diff_kwargs, algorithm
 
 
-def _cmd_train(args) -> int:
-    data_dir = Path(args.data)
-    paths = sorted(data_dir.glob("*.xyz"))
+def _normalized_clouds(directory) -> list:
+    """The ``*.xyz`` clouds of ``directory`` in name order, each moved
+    into the normalized space that ``train`` fits and trajectories live
+    in."""
+    paths = sorted(Path(directory).glob("*.xyz"))
     if not paths:
-        raise ValueError(f"no .xyz clouds in {data_dir}")
-    dataset = []
-    for path in paths:
-        cloud, _ = dataio.normalize_cloud(dataio.load_pointcloud(path))
-        dataset.append(cloud)
+        raise ValueError(f"no .xyz clouds in {directory}")
+    return [dataio.normalize_cloud(dataio.load_pointcloud(p))[0]
+            for p in paths]
 
+
+def _cmd_train(args) -> int:
+    dataset = _normalized_clouds(args.data)
     raw = dataio.parse_config_file(args.config) if args.config else {}
     train_kwargs, model_kwargs, diff_kwargs, algorithm = _split_config(raw)
     if args.seed is not None:
@@ -301,14 +299,8 @@ def _collect_trajectories(entries) -> list:
 
 def _cmd_evaluate(args) -> int:
     logs = _collect_trajectories(args.trajectories)
-    reference = None
-    if args.reference:
-        ref_paths = sorted(Path(args.reference).glob("*.xyz"))
-        if not ref_paths:
-            raise ValueError(f"no .xyz clouds in {args.reference}")
-        # trajectories live in the normalised space train fits in
-        reference = [dataio.normalize_cloud(dataio.load_pointcloud(p))[0]
-                     for p in ref_paths]
+    reference = (_normalized_clouds(args.reference) if args.reference
+                 else None)
     if args.scale is not None:
         scene = dataio.SceneScale(side=args.scale)
         logs = [dataio.to_real_scale(lg, scene)

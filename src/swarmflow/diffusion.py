@@ -16,10 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import autodiff as ad
-from .flowmatch import TrainConfig, _run_training
-from .models import (Checkpoint, ModelConfig, ModelSet, _require,
-                     kl_divergence)
+from .flowmatch import TrainConfig, _field_and_kl, _run_training
+from .models import Checkpoint, ModelConfig, ModelSet, _require
 from .sampling import (TrajectoryLog, _draw_latent, _euler_rollout,
                        _split_field)
 
@@ -91,11 +89,7 @@ def ddpm_train_loss(models: ModelSet, sched: DiffusionSchedule, x0, rng):
     eps = rng.standard_normal(x0.shape)
     xt = ddpm_forward_sample(sched, x0, t, eps)
     eps_hat = models.field_net(xt, t / sched.n_steps, z)
-    delta = eps_hat - eps
-    field_term = ad.mul(ad.reduce_sum(ad.mul(delta, delta)), 1.0 / x0.shape[0])
-    kl_term = kl_divergence(mu, logvar, z, models.bijector)
-    loss = field_term + kl_term
-    return loss, {"field": float(field_term.value), "kl": float(kl_term.value)}
+    return _field_and_kl(models, eps_hat, eps, z, mu, logvar)
 
 
 def train(dataset, train_config: TrainConfig = None,

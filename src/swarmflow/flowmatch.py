@@ -87,8 +87,15 @@ def cfm_loss(models: ModelSet, x0: np.ndarray, rng):
     xt = sample_path_point(x0, t, eps)
     vstar = target_field(x0, eps)
     v = models.field_net(xt, t, z)
-    delta = v - vstar
-    field_term = ad.mul(ad.reduce_sum(ad.mul(delta, delta)), 1.0 / x0.shape[0])
+    return _field_and_kl(models, v, vstar, z, mu, logvar)
+
+
+def _field_and_kl(models: ModelSet, pred, target, z, mu, logvar):
+    """Both trainers' ``(loss, parts)``: the squared error of ``pred``
+    against ``target`` summed over the N points and divided by N, plus
+    the latent KL (``kl_divergence`` looked up at call time)."""
+    delta = pred - target
+    field_term = ad.mul(ad.reduce_sum(ad.mul(delta, delta)), 1.0 / len(target))
     kl_term = kl_divergence(mu, logvar, z, models.bijector)
     loss = field_term + kl_term
     return loss, {"field": float(field_term.value), "kl": float(kl_term.value)}

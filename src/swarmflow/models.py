@@ -240,8 +240,7 @@ class PointSetEncoder:
         last = len(self.widths) - 1
         for i in range(last):
             h = ad.dense(h, p[f"l{i}.w"], p[f"l{i}.bias"], act=True)
-        pooled = ad.dense_max(h, p[f"l{last}.w"], p[f"l{last}.bias"],
-                              act=True)
+        pooled = ad.dense_max(h, p[f"l{last}.w"], p[f"l{last}.bias"])
         mu = ad.dense(pooled, p["mu.w"], p["mu.bias"])
         logvar = ad.dense(pooled, p["logvar.w"], p["logvar.bias"])
         return mu, logvar

@@ -210,8 +210,9 @@ _CUT_ROWS = 64
 
 def _split_cpus() -> int:
     """How many CPUs the row split can use: every CPU this process may
-    run on when OpenBLAS runs one thread, else one.  OpenBLAS takes its
-    thread count from the first of ``OPENBLAS_NUM_THREADS``,
+    run on (``os.cpu_count()`` where there is no ``os.sched_getaffinity``)
+    when OpenBLAS runs one thread, else one.  OpenBLAS takes its thread
+    count from the first of ``OPENBLAS_NUM_THREADS``,
     ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` that holds a positive
     number, or else runs a thread per CPU; its threads spin between
     products, and the split on top of them measured slower than none."""
@@ -220,8 +221,12 @@ def _split_cpus() -> int:
             threads = int(os.environ.get(var, ""))
         except ValueError:
             continue
-        if threads > 0:
-            return len(os.sched_getaffinity(0)) if threads == 1 else 1
+        if threads > 1:
+            return 1
+        if threads == 1:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
+            return os.cpu_count() or 1
     return 1
 
 

@@ -84,9 +84,7 @@ def test_dense_gradients():
 
 
 def test_dense_max_gradients():
-    check_op(ad.dense_max, (6, 5), (5, 3), (3,), seed=65)
-    check_op(lambda x, w, b: ad.dense_max(x, w, b, act=True),
-             (6, 5), (5, 3), (3,), seed=66)
+    check_op(ad.dense_max, (6, 5), (5, 3), (3,), seed=66)
     check_op(ad.dense_max, (1, 4), (4, 2), (2,), seed=67)  # one row
 
 
@@ -96,14 +94,13 @@ def test_unary_gradients():
 
 
 def test_reduction_gradients():
-    check_op(lambda x: ad.reduce_sum(x), (4, 3), seed=60)
-    check_op(lambda x: ad.reduce_sum(x, axis=0), (4, 3), seed=61)
-    check_op(lambda x: ad.reduce_sum(x, axis=1), (4, 3), seed=62)
+    check_op(ad.reduce_sum, (4, 3), seed=60)
+    check_op(ad.reduce_sum, (5,), seed=61)
 
 
 def test_shape_op_gradients():
     check_op(lambda a, b: ad.concat([a, b]), (3, 2), (4, 2), seed=70)
-    check_op(lambda a, b: ad.concat([a, b], axis=1), (3, 2), (3, 4), seed=71)
+    check_op(lambda a, b, c: ad.concat([a, b, c]), (3,), (1,), (2,), seed=71)
 
 
 def test_sum_of_squares_gradient_exact():
@@ -201,8 +198,11 @@ def test_max_ties_route_to_lowest_index():
     w = ad.Node(np.array([[1.0, 2.0]]))
     b = ad.Node(np.zeros(2))
     ad.backward(ad.reduce_sum(ad.dense_max(x, w, b)))
-    assert np.array_equal(x.grad, np.array([[0.0], [3.0], [0.0]]))
-    assert np.array_equal(w.grad, np.array([[3.0, 3.0]]))
+    top = np.tanh(np.array([[1.0, 2.0], [3.0, 6.0], [3.0, 6.0]]))[1]
+    d = 1.0 - top * top  # the tanh derivative at each pooled maximum
+    assert np.array_equal(x.grad, np.array([[0.0], [d[0] + 2.0 * d[1]],
+                                            [0.0]]))
+    assert np.array_equal(w.grad, 3.0 * d[None, :])
 
 
 def test_broadcast_backward_shapes():
@@ -243,7 +243,7 @@ def test_no_record_nodes_keep_no_tape():
     recorded = ad.tanh(ad.matmul(x, w))
     with ad.no_record():
         free = ad.tanh(ad.matmul(x, w))
-        loss = ad.reduce_sum(ad.concat([free, -free], axis=1))
+        loss = ad.reduce_sum(ad.concat([free, ad.neg(free)]))
     assert np.array_equal(free.value, recorded.value)
     assert recorded._parents and recorded._vjps
     assert free._parents == () and free._vjps == ()
@@ -403,8 +403,8 @@ def test_dense_max_is_bitwise_dense_then_a_max_pool():
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
     @hypothesis.given(st.integers(1, 9), st.integers(1, 4), st.integers(1, 5),
-                      st.booleans(), st.data())
-    def check(m, n, h, act, data):
+                      st.data())
+    def check(m, n, h, data):
         xv = data.draw(hnp.arrays(np.float64, (m, n), elements=values))
         wv = data.draw(hnp.arrays(np.float64, (n, h), elements=values))
         bv = data.draw(hnp.arrays(np.float64, (h,), elements=values))
@@ -416,8 +416,8 @@ def test_dense_max_is_bitwise_dense_then_a_max_pool():
             ad.backward(ad.reduce_sum(ad.mul(out, probe)))
             return [out.value, x.grad, w.grad, b.grad]
 
-        fused = run(lambda x, w, b: ad.dense_max(x, w, b, act=act))
-        chain = run(lambda x, w, b: _maxpool(ad.dense(x, w, b, act=act)))
+        fused = run(ad.dense_max)
+        chain = run(lambda x, w, b: _maxpool(ad.dense(x, w, b, act=True)))
         for a, b in zip(fused, chain):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -469,15 +469,17 @@ def test_pooled_input_grad_is_bitwise_the_zero_filled_product(kind):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("m, act", [(512, False), (512, True), (1, False),
-                                    (1, True)])
-def test_dense_max_at_fixture_size_is_bitwise_dense_then_a_max_pool(m, act):
-    # repeated input rows tie their maxima; large entries saturate tanh
-    rng = np.random.default_rng(m + act)
+@pytest.mark.parametrize("m, saturated", [(512, False), (512, True),
+                                          (1, False), (1, True)])
+def test_dense_max_at_fixture_size_is_bitwise_dense_then_a_max_pool(
+        m, saturated):
+    # repeated input rows tie their maxima; large weights saturate tanh,
+    # small ones keep it near its linear range
+    rng = np.random.default_rng(m + saturated)
     xv = rng.standard_normal((m, 128))
     if m > 1:
         xv[m // 2:] = xv[rng.integers(0, m // 2, m - m // 2)]
-    wv = rng.standard_normal((128, 256)) * (8.0 if act else 0.1)
+    wv = rng.standard_normal((128, 256)) * (8.0 if saturated else 0.1)
     bv = rng.standard_normal(256)
     probe = rng.standard_normal(256)
 
@@ -487,8 +489,8 @@ def test_dense_max_at_fixture_size_is_bitwise_dense_then_a_max_pool(m, act):
         ad.backward(ad.reduce_sum(ad.mul(out, probe)))
         return [out.value, x.grad, w.grad, b.grad]
 
-    fused = run(lambda x, w, b: ad.dense_max(x, w, b, act=act))
-    chain = run(lambda x, w, b: _maxpool(ad.dense(x, w, b, act=act)))
+    fused = run(ad.dense_max)
+    chain = run(lambda x, w, b: _maxpool(ad.dense(x, w, b, act=True)))
     for a, b in zip(fused, chain):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 

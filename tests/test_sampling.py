@@ -592,3 +592,15 @@ def test_the_split_runs_only_beside_a_one_thread_blas(monkeypatch, env,
         monkeypatch.setenv(var, value)
     cpus = len(os.sched_getaffinity(0))
     assert sampling._split_cpus() == (cpus if split else 1)
+
+
+def test_the_split_counts_cpus_where_python_has_no_affinity_call(
+        monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    for var in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert sampling._split_cpus() == (os.cpu_count() or 1)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert sampling._split_cpus() == 1
