@@ -3,7 +3,7 @@ must leave byte-identical, as one JSON line of name -> hex digest.
 
 With one BLAS thread it rebuilds:
 
-- the fixture CLI run in a temporary directory: ``make-data`` (512-point
+- the fixture CLI run in RUN_DIR (see below): ``make-data`` (512-point
   sphere, seed 20), ``train`` for flow and for diffusion (``latent_dim``
   16, 2000 epochs, seed 0), then ``sample`` with ``--scale``,
   ``sample --no-orca``, ``sample-cfm-orca`` and ``sample-diffusion``
@@ -49,21 +49,30 @@ With one BLAS thread it rebuilds:
   matrix.
 
 ``tests/fixtures/digests.json`` holds the line, and
-``tests/test_digests.py`` reruns this script and names every digest that
-differs from it.  A change that moves bytes on purpose rewrites that file
+``tests/test_digests.py`` compares it with the line of the test session's
+one run of this script (the ``digest_run`` fixture of
+``tests/conftest.py``) and names every digest that differs.  A change that moves bytes on purpose rewrites that file
 from this script's output and says why.  The digests depend on the BLAS
 kernel, as acceptance check 10 does; the recorded line was the same on an
 AMD EPYC and an Intel Xeon host, both with numpy 2.4.6.  To see which
 outputs a change moves on a machine where the recorded line does not
 hold, run this script on the parent and on the change there, and diff.
 
-Usage:  python3 scripts/digests.py [SRC]
+Usage:  python3 scripts/digests.py [SRC [RUN_DIR]]
 
 SRC is the directory the ``swarmflow`` package is imported from (default:
 this checkout's ``src``); point it at another checkout's ``src`` to get
-that commit's line, then diff the two.  A run takes about 30 s on two
-cores of an AMD EPYC host and about 85 s on two vCPUs of an Intel Xeon
-host, most of it the two 2000-step trainings.
+that commit's line, then diff the two.  RUN_DIR is where the fixture CLI
+run writes its files, and they are kept there (default: a temporary
+directory, removed at the end).  It must be missing or an empty
+directory: every file under it is digested by its relative path, so a
+leftover file would add a name to the line.  The test suite runs the
+script once into a kept RUN_DIR, and acceptance checks 06-08 and 10 and
+the CLI warning tests of ``tests/test_acceptance.py`` read their
+checkpoints, ``flow/checkpoint.swf`` and ``diffusion/checkpoint.swf``,
+from it.  A run takes about 30 s on two cores of an AMD EPYC host and
+about 85 s on two vCPUs of an Intel Xeon host, most of it the two
+2000-step trainings.
 """
 
 import argparse
@@ -267,17 +276,31 @@ def main() -> None:
         "src", nargs="?", type=Path,
         default=Path(__file__).resolve().parent.parent / "src",
         help="directory holding the swarmflow package (default: ./src)")
-    src = parser.parse_args().src.resolve()
+    parser.add_argument(
+        "run_dir", nargs="?", type=Path,
+        help="missing or empty directory to write and keep the fixture CLI "
+             "run in (default: a temporary directory)")
+    args = parser.parse_args()
+    src = args.src.resolve()
     if not (src / "swarmflow" / "__init__.py").is_file():
         raise SystemExit(f"{src}: no swarmflow package here")
+    run_dir = args.run_dir
+    if run_dir is not None and os.path.lexists(run_dir) \
+            and not (run_dir.is_dir() and not any(run_dir.iterdir())):
+        raise SystemExit(f"{run_dir}: RUN_DIR must be missing or an empty "
+                         f"directory (every file under it is digested)")
     # set before numpy loads its BLAS, which reads them once
     for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"
     sys.path.insert(0, str(src))
     import swarmflow as sf
 
-    with tempfile.TemporaryDirectory() as tmp:
-        out = cli_run(sf, Path(tmp))
+    if run_dir is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = cli_run(sf, Path(tmp))
+    else:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        out = cli_run(sf, run_dir)
     out.update(library_runs(sf))
     out.update(chamfer_edges(sf))
     print(json.dumps(out, sort_keys=True))

@@ -1,10 +1,33 @@
-"""Fixtures shared by the file-writer tests."""
+"""Fixtures shared across test modules: the session's one run of
+``scripts/digests.py``, and the linked targets of the file-writer tests."""
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+ROOT = Path(__file__).resolve().parent.parent
 OLD_BYTES = b"bytes of another file\n"
+
+
+@pytest.fixture(scope="session")
+def digest_run(tmp_path_factory):
+    """One run of ``scripts/digests.py`` for the whole session, in its own
+    process: ``line`` is the JSON line it printed and ``root`` the kept
+    RUN_DIR holding every file of its fixture CLI run, among them the
+    2000-step ``flow/checkpoint.swf`` and ``diffusion/checkpoint.swf``."""
+    root = tmp_path_factory.mktemp("digest-run")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "digests.py"),
+         str(ROOT / "src"), str(root)],
+        capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return SimpleNamespace(line=json.loads(run.stdout.splitlines()[-1]),
+                           root=root)
 
 
 @pytest.fixture(params=["hardlink", "symlink"])

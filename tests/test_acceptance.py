@@ -15,16 +15,25 @@ check either way):
   09  every metric agrees with an independent brute-force implementation
   10  identical seed and config reproduce checkpoints and CSVs byte-for-byte
 
-Checks 06-08 and 10 share one module-scoped bundle that trains the flow
-model and the diffusion baseline on the recorded sphere fixture (a few
-minutes of wall time); the remaining checks run in seconds.  The one
-recorded threshold (chamfer accuracy of the trained run) is read from
-tests/fixtures/sphere_thresholds.json, which scripts/record_sphere_fixture.py
-regenerates.
+Checks 06-08 and 10 and the CLI warning tests share one module-scoped
+bundle.  It trains nothing: it loads the flow and diffusion checkpoints of
+the recorded sphere fixture from the session's one run of
+``scripts/digests.py`` (the ``digest_run`` fixture of tests/conftest.py,
+whose RUN_DIR is kept), checks that the script's hard-coded arguments still
+build the fixture that sphere_thresholds.json records, and samples every
+variant.  Checks 06 and 10 also share one timed in-process training of the
+flow model: check 06 holds it to the training budget, and check 10
+compares its bytes with the script's checkpoint, trained in another
+process through the CLI with one BLAS thread.  Those three 2000-step
+trainings take a few minutes of wall time; the remaining checks run in
+seconds.  The one recorded threshold (chamfer accuracy of the trained run)
+is read from tests/fixtures/sphere_thresholds.json, which
+scripts/record_sphere_fixture.py regenerates.
 """
 
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -61,7 +70,7 @@ def _perturb_params(store, amount, rng):
 
 
 # ---------------------------------------------------------------------------
-# shared trained-fixture bundle
+# shared trained-fixture bundle, loaded from the digest script's run
 
 @pytest.fixture(scope="module")
 def recorded():
@@ -70,23 +79,23 @@ def recorded():
 
 
 @pytest.fixture(scope="module")
-def bundle(recorded):
-    """Train the recorded sphere fixture once and sample every variant."""
+def bundle(recorded, digest_run):
+    """Load the recorded sphere fixture's checkpoints from the digest run,
+    check that the run built that fixture, and sample every variant."""
     fx = recorded["fixture"]
     clouds = sf.make_synthetic_dataset(
         fx["data"]["kind"], fx["data"]["n_points"], 1, fx["data"]["seed"])
     dataset = [sf.normalize_cloud(c)[0] for c in clouds]
-    tc = sf.TrainConfig(epochs=fx["train"]["epochs"],
-                        seed=fx["train"]["seed"],
-                        learning_rate=fx["train"]["learning_rate"])
+    tc = sf.TrainConfig(**fx["train"])
     mc = sf.ModelConfig.from_dict(recorded["model_config"])
-
-    t0 = time.perf_counter()
-    flow_ckpt = sf.train(dataset, tc, mc)
-    flow_minutes = (time.perf_counter() - t0) / 60.0
-    t0 = time.perf_counter()
-    diff_ckpt = diffusion.train(dataset, tc, mc)
-    diff_minutes = (time.perf_counter() - t0) / 60.0
+    flow_path = digest_run.root / "flow" / "checkpoint.swf"
+    flow_ckpt = sf.load_checkpoint(flow_path)
+    diff_ckpt = sf.load_checkpoint(
+        digest_run.root / "diffusion" / "checkpoint.swf")
+    _check_same_fixture(flow_ckpt, diff_ckpt, tc, mc)
+    data = sf.load_pointcloud(digest_run.root / "data" / "cloud_000.xyz")
+    assert sf.normalize_cloud(data)[0].tobytes() == dataset[0].tobytes(), \
+        "the digest run's cloud is not the recorded fixture's"
 
     s = fx["sample"]
 
@@ -97,6 +106,12 @@ def bundle(recorded):
         return sf.sample(flow_ckpt, cfg)
 
     log_orca = run(s["steps"])
+    cli_log = sf.load_trajectory_csv(
+        digest_run.root / "sample" / "trajectory.csv")
+    for name in ("positions", "applied_velocities"):
+        assert getattr(cli_log, name).tobytes() \
+            == getattr(log_orca, name).tobytes(), \
+            f"the digest run's sample differs in its {name}"
     log_plain = run(s["steps"], use_orca=False)
     sweep = {n: (log_orca if n == s["steps"] else run(n))
              for n in fx["sweep_steps"]}
@@ -111,11 +126,38 @@ def bundle(recorded):
 
     return SimpleNamespace(
         dataset=dataset, reference=dataset[0], train_config=tc,
-        model_config=mc, flow_ckpt=flow_ckpt, flow_minutes=flow_minutes,
-        diff_minutes=diff_minutes, log_orca=log_orca, log_plain=log_plain,
-        log_diffusion=log_diffusion, sweep=sweep, kappa=s["kappa"],
-        sample_steps=s["steps"], sample_seed=s["seed"],
+        model_config=mc, flow_path=flow_path, log_orca=log_orca,
+        log_plain=log_plain, log_diffusion=log_diffusion, sweep=sweep,
+        kappa=s["kappa"], sample_steps=s["steps"], sample_seed=s["seed"],
         sample_agents=s["agents"], report=report)
+
+
+def _check_same_fixture(flow_ckpt, diff_ckpt, tc, mc):
+    """The digest script hard-codes the fixture's CLI arguments, and
+    sphere_thresholds.json records the fixture: fail if the two drift."""
+    schedule = diffusion.DiffusionSchedule()
+    want = {"flow": asdict(tc),
+            "diffusion": asdict(tc) | {
+                key: getattr(schedule, name)
+                for key, name in diffusion.CONFIG_KEYS.items()}}
+    for ckpt in (flow_ckpt, diff_ckpt):
+        assert ckpt.train_config == want[ckpt.algorithm], \
+            f"{ckpt.algorithm} trained with {ckpt.train_config}"
+        assert ckpt.model_config == mc, \
+            f"{ckpt.algorithm} model is {ckpt.model_config}"
+        assert ckpt.step_count == tc.epochs, \
+            f"{ckpt.algorithm} ran {ckpt.step_count} steps"
+
+
+@pytest.fixture(scope="module")
+def retrained(bundle):
+    """One timed in-process training of the recorded fixture, through the
+    library with the BLAS threads as the session has them: check 06 holds
+    it to the training budget, check 10 to the digest run's bytes."""
+    t0 = time.perf_counter()
+    ckpt = sf.train(bundle.dataset, bundle.train_config, bundle.model_config)
+    return SimpleNamespace(ckpt=ckpt,
+                           minutes=(time.perf_counter() - t0) / 60.0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +385,18 @@ def test_check05_collision_avoidance_keeps_agents_apart():
 # ---------------------------------------------------------------------------
 # check 06 -- trained sphere fixture
 
-def test_check06_trained_sphere_is_collision_free_and_accurate(bundle,
-                                                               recorded):
+def test_check06_trained_sphere_is_collision_free_and_accurate(
+        bundle, retrained, recorded):
     rep = bundle.report(bundle.log_orca)
     cd = sf.chamfer(bundle.log_orca.final_cloud(), bundle.reference)
     threshold = recorded["thresholds"]["chamfer_flow_orca"]
-    assert bundle.flow_minutes < 30.0, \
-        f"training took {bundle.flow_minutes:.1f} minutes"
+    assert retrained.minutes < 30.0, \
+        f"training took {retrained.minutes:.1f} minutes"
     assert rep["FIN"] == 0.0, f"final collision rate {rep['FIN']}"
     assert cd < threshold, f"chamfer {cd:.6f} >= threshold {threshold:.6f}"
     _accept(6, "trained sphere is collision-free and accurate",
             f"FIN {rep['FIN']}, chamfer {cd:.4f} < {threshold:.4f}, "
-            f"trained in {bundle.flow_minutes:.1f} min")
+            f"trained in {retrained.minutes:.1f} min")
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +528,13 @@ def test_check09_metrics_agree_with_brute_force():
 # ---------------------------------------------------------------------------
 # check 10 -- bit-level reproducibility
 
-def test_check10_reruns_are_byte_identical(bundle, tmp_path):
-    # a full second training run with the same seed and config ...
-    ckpt_again = sf.train(bundle.dataset, bundle.train_config,
-                          bundle.model_config)
-    first = tmp_path / "first.swf"
+def test_check10_reruns_are_byte_identical(bundle, retrained, tmp_path):
+    # two independent trainings with the same seed and config: the digest
+    # script's, through the CLI in its own process with one BLAS thread,
+    # and this process's, through the library ...
+    first = bundle.flow_path
     second = tmp_path / "second.swf"
-    sf.save_checkpoint(first, bundle.flow_ckpt)
-    sf.save_checkpoint(second, ckpt_again)
+    sf.save_checkpoint(second, retrained.ckpt)
     same_ckpt = first.read_bytes() == second.read_bytes()
     assert same_ckpt, "retrained checkpoint differs"
 
@@ -501,7 +542,7 @@ def test_check10_reruns_are_byte_identical(bundle, tmp_path):
     cfg = sf.SampleConfig(num_agents=bundle.sample_agents,
                           steps=bundle.sample_steps, use_orca=True,
                           seed=bundle.sample_seed, kappa=bundle.kappa)
-    log_again = sf.sample(ckpt_again, cfg)
+    log_again = sf.sample(retrained.ckpt, cfg)
     first_csv = tmp_path / "first.csv"
     second_csv = tmp_path / "second.csv"
     sf.save_trajectory_csv(first_csv, bundle.log_orca)
@@ -520,10 +561,8 @@ def test_check10_reruns_are_byte_identical(bundle, tmp_path):
 # the sampling commands' warning on unguarded steps, on the fixture model
 
 def _cli_flight(bundle, tmp_path, command, steps):
-    ckpt = tmp_path / "checkpoint.swf"
-    sf.save_checkpoint(ckpt, bundle.flow_ckpt)
     out = tmp_path / command
-    assert main([command, "--checkpoint", str(ckpt),
+    assert main([command, "--checkpoint", str(bundle.flow_path),
                  "--agents", str(bundle.sample_agents), "--steps", str(steps),
                  "--seed", str(bundle.sample_seed), "--out", str(out)]) == 0
     return sf.load_trajectory_csv(out / "trajectory.csv")
