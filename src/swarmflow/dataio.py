@@ -493,7 +493,7 @@ def load_trajectory_csv(path) -> TrajectoryLog:
         frames = _frames(path, table, line_of_row)
     meta_path = f"{path}.meta.json"
     try:
-        with open(meta_path) as fh:
+        with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
     except FileNotFoundError:
         meta = {}

@@ -17,23 +17,17 @@ configured with ``h``.  The two can differ in the last bit (0.01 against
 that trajectories stay byte-identical.
 
 ``sample`` and ``diffusion.ddpm_sample`` evaluate the field network
-split by rows (``_split_field``), with the bytes of one evaluation over
-every row.  Each step forms the ``(t, z)`` injections once, runs the
-hidden blocks on ``min(CPUs, M // 128)`` row chunks (at least one) cut at
-multiples of 64 rows, the first in the calling thread and the others on
-a thread pool that lives only inside the sampling call, and runs the
-last, 3-wide block on all M rows at once.  The split runs only beside a
-one-thread OpenBLAS (``_split_cpus``).  On a 2-vCPU Intel Xeon host,
-perfbench ``show-512`` read 146.7k -> 181.4k agent-steps/s and its
-``wall_s`` 0.607 -> 0.551 s (medians of 10 alternating 20 s pairs);
-by clock the 512 x 100 ``sample`` call was about 12% faster.
-With the BLAS threads unset, as the CLI runs, there is one chunk, and a
-512 x 100 ``sample`` took 0.346 s against 0.354 s without the split
-(medians of 5 alternating runs).
+split by rows on every CPU, bit for bit, while numpy's bundled OpenBLAS
+runs one thread (``_split_field``); with another BLAS there is one
+chunk.  On a 2-vCPU Intel Xeon host with no BLAS variable set, the
+CLI's 512 x 100 ``sample`` took 1.079 s against 1.107 s when the split
+ran only beside a one-thread BLAS (medians of 10 pairs, 7 won).
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -202,64 +196,70 @@ def _draw_latent(models, rng):
     return z
 
 
-# a chunk of the field's hidden blocks holds at least _CHUNK_ROWS rows,
-# and every cut between chunks falls on a multiple of _CUT_ROWS
-_CHUNK_ROWS = 128
-_CUT_ROWS = 64
+try:  # numpy's bundled OpenBLAS as numpy loaded it, and its thread calls
+    _OPENBLAS = ctypes.CDLL(glob.glob(os.path.join(
+        os.path.dirname(np.__path__[0]), "numpy.libs",
+        "libscipy_openblas64_*.so"))[0], mode=os.RTLD_NOLOAD)
+    _OPENBLAS.scipy_openblas_get_num_threads64_.argtypes = []
+    _OPENBLAS.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    _OPENBLAS.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    _OPENBLAS.scipy_openblas_set_num_threads64_.restype = None
+except (IndexError, AttributeError, OSError):  # numpy links another BLAS
+    _OPENBLAS = None
 
 
 def _split_cpus() -> int:
     """How many CPUs the row split can use: every CPU this process may
-    run on (``os.cpu_count()`` where there is no ``os.sched_getaffinity``)
-    when OpenBLAS runs one thread, else one.  OpenBLAS takes its thread
-    count from the first of ``OPENBLAS_NUM_THREADS``,
-    ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` that holds a positive
-    number, or else runs a thread per CPU; its threads spin between
-    products, and the split on top of them measured slower than none."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 1:
-            return 1
-        if threads == 1:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
-    return 1
+    run on, or one where numpy's BLAS is not the OpenBLAS found above."""
+    if _OPENBLAS is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # macOS and Windows have no affinity call
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread inside the block and give it
+    back its thread count on the way out, also when the block raises."""
+    threads = _OPENBLAS.scipy_openblas_get_num_threads64_()
+    _OPENBLAS.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        _OPENBLAS.scipy_openblas_set_num_threads64_(threads)
 
 
 def _row_spans(rows: int) -> list:
     """The ``(start, stop)`` row chunks of the split: ``min(CPUs,
     rows // 128)`` of them (at least one), each of at least 128 rows, cut
     at multiples of 64 rows; CPUs as ``_split_cpus`` counts them."""
-    chunks = max(1, min(_split_cpus(), rows // _CHUNK_ROWS))
-    units = rows // _CUT_ROWS
-    cuts = [_CUT_ROWS * (k * units // chunks) for k in range(chunks)] + [rows]
+    chunks = max(1, min(_split_cpus(), rows // 128))
+    units = rows // 64
+    cuts = [64 * (k * units // chunks) for k in range(chunks)] + [rows]
     return list(zip(cuts[:-1], cuts[1:]))
 
 
 @contextmanager
 def _split_field(net, z, rows: int):
     """Yield ``field(x, t)``, the value of ``net(x, t, z)`` for an
-    ``(rows, 3)`` cloud ``x``, bit for bit, computed on every CPU.
+    ``(rows, 3)`` cloud ``x``, bit for bit, computed on every CPU beside
+    a one-thread OpenBLAS (``_one_blas_thread``).
 
     Each call forms the ``(t, z)`` injections once, runs the hidden
-    blocks on the row chunks of ``_row_spans`` (the first in the calling
-    thread, the others on a thread pool that lives as long as this
-    block), joins their ``(rows, hidden)`` activations and runs the last
-    block, hidden -> 3, on all rows at once in the calling thread.  The
-    hidden products of a chunk of at least 128 rows cut at a multiple of
-    64 give the bits of the full product, but the 3-wide output product
-    of a chunk need not: from about 2600 rows OpenBLAS runs the full
-    product through another kernel.  With one chunk there is no pool.
+    blocks on the row chunks of ``_row_spans``, the first in the calling
+    thread and the others on a pool that lives as long as this block,
+    and runs the last block, hidden -> 3, on their joined activations in
+    the calling thread: a hidden product over a chunk of at least 128
+    rows cut at a multiple of 64 gives the bits of the full product, but
+    from about 2600 rows OpenBLAS runs the 3-wide one through another
+    kernel.  With one chunk no thread starts.
     """
     spans = _row_spans(rows)
     hidden_blocks = range(net.blocks - 1)
     last_block = range(net.blocks - 1, net.blocks)
-    with (ThreadPoolExecutor(len(spans) - 1) if len(spans) > 1
-          else nullcontext()) as pool:
+    with (_one_blas_thread() if _OPENBLAS else nullcontext()), \
+            ThreadPoolExecutor(max(1, len(spans) - 1)) as pool:
         def field(x, t):
             injects = net.injections(t, z)
 

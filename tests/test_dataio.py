@@ -5,7 +5,10 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,6 +567,26 @@ def test_trajectory_csv_sidecar_must_be_a_json_object(tmp_path):
         assert str(sidecar) in str(info.value) and "\n" not in str(info.value)
     sidecar.write_bytes(b'{"kappa": 1}')
     assert load_trajectory_csv(path).meta == {"kappa": 1}
+
+
+def test_trajectory_csv_sidecar_is_utf8_whatever_the_locale(tmp_path):
+    log = _euler_log(np.random.default_rng(13), steps=2, agents=2)
+    path = tmp_path / "run.csv"
+    save_trajectory_csv(path, log)
+    (tmp_path / "run.csv.meta.json").write_bytes(
+        '{"note": "caf\u00e9"}'.encode("utf-8"))
+    # a C locale with neither coercion nor UTF-8 mode decodes text as
+    # ASCII unless the reader names its encoding
+    src = str(Path(dataio.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0", PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from swarmflow.dataio import load_trajectory_csv; "
+            "print(ascii(load_trajectory_csv(sys.argv[1]).meta))")
+    run = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "{'note': 'caf\\xe9'}\n"
 
 
 def test_trajectory_csv_parse_errors(tmp_path):

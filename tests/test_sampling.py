@@ -3,7 +3,10 @@
 import contextlib
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,52 +521,73 @@ def test_split_field_gives_the_bits_of_one_chunk(monkeypatch, agents):
     cfg = SampleConfig(num_agents=agents, steps=3, use_orca=False, seed=1)
     sched = DiffusionSchedule(n_steps=3)
 
-    def runs(cpus):
+    def runs(cpus, blas=sampling._OPENBLAS):
         monkeypatch.setattr(sampling, "_split_cpus", lambda: cpus)
+        monkeypatch.setattr(sampling, "_OPENBLAS", blas)
         return [sample(ckpt, cfg),
                 ddpm_sample(models, sched, agents, np.random.default_rng(2))]
 
     want = runs(1)
     assert np.any(want[0].preferred_velocities != 0.0)
-    for cpus in (2, 4):
-        for log, one in zip(runs(cpus), want):
+    # None: numpy links another BLAS, which sampling leaves as it is
+    for cpus, blas in ((2, sampling._OPENBLAS), (4, sampling._OPENBLAS),
+                       (1, None)):
+        for log, one in zip(runs(cpus, blas), want):
             for attr in ("positions", "applied_velocities",
                          "preferred_velocities"):
                 assert np.array_equal(getattr(log, attr),
                                       getattr(one, attr)), (cpus, attr)
 
 
-def test_sampling_leaves_no_thread_running(monkeypatch):
+@pytest.fixture
+def blas_at_two():
+    """numpy's OpenBLAS set to two threads, its own count restored after;
+    skips where numpy links another BLAS."""
+    blas = sampling._OPENBLAS
+    if blas is None:
+        pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+    threads = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(2)
+    yield blas
+    blas.scipy_openblas_set_num_threads64_(threads)
+
+
+def test_sampling_leaves_no_thread_running(monkeypatch, blas_at_two):
     monkeypatch.setattr(sampling, "_split_cpus", lambda: 2)
     models = _fixture_field_models()
     cfg = SampleConfig(num_agents=256, steps=2, use_orca=False)
     threads = set()
+    blas_threads = set()
     run_blocks = type(models.field_net).run_blocks
 
     def recording(self, h, injects, blocks):
         threads.add(threading.get_ident())
+        blas_threads.add(blas_at_two.scipy_openblas_get_num_threads64_())
         return run_blocks(self, h, injects, blocks)
 
     monkeypatch.setattr(type(models.field_net), "run_blocks", recording)
     before = threading.active_count()
     sample(_flow_checkpoint(models), cfg)
     assert len(threads) == 2  # the split ran: the caller and one worker
+    assert blas_threads == {1}  # beside a one-thread OpenBLAS
+    assert blas_at_two.scipy_openblas_get_num_threads64_() == 2
     assert threading.active_count() == before
     models.field_net.params["b0.w"].value[0, 0] = np.nan
     with pytest.raises(ValueError, match=r"^velocity field is not finite at "
                                          r"step 0 \(t=1\)$"):
         sample(_flow_checkpoint(models), cfg)
+    assert blas_at_two.scipy_openblas_get_num_threads64_() == 2
     assert threading.active_count() == before
 
 
-def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
+def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, blas_at_two):
     monkeypatch.setattr(sampling, "_split_cpus", lambda: 2)
     models = _fixture_field_models()
     run_blocks = type(models.field_net).run_blocks
     caller = threading.get_ident()
 
     def failing(self, h, injects, blocks):
-        if threading.get_ident() != caller:
+        if threading.get_ident() != caller:  # the split ran
             raise RuntimeError("worker failed")
         return run_blocks(self, h, injects, blocks)
 
@@ -572,35 +596,70 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="^worker failed$"):
         ddpm_sample(models, DiffusionSchedule(n_steps=2), 256,
                     np.random.default_rng(0))
+    assert blas_at_two.scipy_openblas_get_num_threads64_() == 2
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("env, split", [
-    ({}, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
-    ({"GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, True),
-    ({"OMP_NUM_THREADS": "4"}, False),
-])
-def test_the_split_runs_only_beside_a_one_thread_blas(monkeypatch, env,
-                                                      split):
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    cpus = len(os.sched_getaffinity(0))
-    assert sampling._split_cpus() == (cpus if split else 1)
-
-
+@pytest.mark.skipif(sampling._OPENBLAS is None,
+                    reason="numpy links a BLAS other than its bundled OpenBLAS")
 def test_the_split_counts_cpus_where_python_has_no_affinity_call(
         monkeypatch):
     # macOS and Windows have no os.sched_getaffinity
-    for var in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
     monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert sampling._split_cpus() == (os.cpu_count() or 1)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    # where numpy links another BLAS, sampling keeps one chunk
+    monkeypatch.setattr(sampling, "_OPENBLAS", None)
     assert sampling._split_cpus() == 1
+
+
+# Samples fixture-size networks with every field weight moved off its
+# initialisation (as _fixture_field_models does): 512 agents with
+# avoidance, and 4096 agents without.  Prints the number of row chunks
+# at 512 agents, then one digest of every sampled array per run.
+_FIXTURE_SAMPLING = """
+import hashlib
+import numpy as np
+from swarmflow import sampling
+from swarmflow.models import Checkpoint, ModelConfig, build_models
+config = ModelConfig(latent_dim=16)
+models = build_models(config, np.random.default_rng(0))
+rng = np.random.default_rng(100)
+for name, node in models.named_parameters():
+    if name.startswith("field."):
+        node.value[...] += 0.1 * rng.standard_normal(node.value.shape)
+ckpt = Checkpoint(algorithm="flow", model_config=config, train_config={},
+                  params=models.state_dict())
+print(len(sampling._row_spans(512)))
+for agents, steps, use_orca in ((512, 5, True), (4096, 4, False)):
+    log = sampling.sample(ckpt, sampling.SampleConfig(
+        num_agents=agents, steps=steps, use_orca=use_orca, seed=1))
+    digest = hashlib.sha256()
+    for array in (log.positions, log.applied_velocities,
+                  log.preferred_velocities):
+        digest.update(array.tobytes())
+    print(agents, digest.hexdigest())
+"""
+
+
+def test_sampled_bytes_do_not_depend_on_the_blas_environment():
+    # sampling holds numpy's OpenBLAS to one thread and splits rows on
+    # every CPU whatever the environment asks of OpenBLAS, so the sampled
+    # bytes and the chunk count are the same with its threads unset, at
+    # one and at two
+    src = str(Path(sampling.__file__).resolve().parents[1])
+    base = {var: value for var, value in os.environ.items() if var not in
+            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in (None, "1", "2"):
+        env = dict(base) if threads is None else dict(
+            base, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _FIXTURE_SAMPLING],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout.splitlines())
+    assert len(outputs[0]) == 3
+    assert outputs[0][0] == str(len(sampling._row_spans(512)))
+    assert outputs[0] == outputs[1] == outputs[2]
