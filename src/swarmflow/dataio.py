@@ -12,7 +12,9 @@ Formats (all little-endian / plain text, stable across platforms):
 The point-cloud and trajectory readers skip blank and ``#`` lines and
 reject NaN and inf, as do the config reader and checkpoint tensors.  Every
 reader raises a one-line ``ValueError`` naming the file (and the line,
-for text) on bad input, a text file that is not UTF-8 included.  Floats
+for text) on bad input, a text file that is not UTF-8 included.  The
+writers refuse NaN and inf before they open a file (a ``TrajectoryLog``
+cannot hold them), so what they write reads back.  Floats
 are printed with %.17g everywhere, which round-trips float64 exactly, so
 save/load cycles and repeated runs are byte-identical.  Every writer
 creates a new file (``models._open_new`` unlinks an existing target
@@ -35,11 +37,12 @@ import warnings
 from array import array
 from contextlib import closing
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .models import (Checkpoint, ModelConfig, _finite_number, _is_int,
-                     _open_new)
+                     _open_new, _require, _require_finite)
 from .sampling import TrajectoryLog
 
 __all__ = [
@@ -109,6 +112,7 @@ def save_pointcloud(path, cloud) -> None:
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.ndim != 2 or cloud.shape[1] != 3:
         raise ValueError(f"expected an (M, 3) cloud, got {cloud.shape}")
+    _require_finite(cloud, f"{path}: cloud")
     with _open_new(path) as fh:
         np.savetxt(fh, cloud, fmt=_FMT, header="x y z", comments="# ")
 
@@ -204,15 +208,16 @@ def make_synthetic_dataset(kind: str, n_points: int, count: int = 1,
     are *not* normalized; feed them through ``normalize_cloud`` before
     training.
     """
-    rng = np.random.default_rng(seed)
     makers = {
         "sphere": _sphere, "torus": _torus, "plane": _plane, "helix": _helix,
     }
     if kind not in makers:
         raise ValueError(
             f"unknown shape kind {kind!r}; choose from {sorted(makers)}")
-    if n_points < 1 or count < 1:
-        raise ValueError("n_points and count must be >= 1")
+    args = SimpleNamespace(n_points=n_points, count=count, seed=seed)
+    _require(args, "a positive int", "n_points", "count")
+    _require(args, "a non-negative int", "seed")
+    rng = np.random.default_rng(seed)
     return [makers[kind](n_points, rng) for _ in range(count)]
 
 
@@ -259,12 +264,15 @@ _VERSION = 2
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Binary write: magic, version, JSON header, raw float64 payload of
-    the parameters."""
+    the parameters.  A NaN or inf tensor raises before the file is
+    opened, as ``load_checkpoint`` would refuse it."""
     # insertion order is part of the format; asarray, not
     # ascontiguousarray: the latter would silently promote 0-d tensors to
     # shape (1,)
     arrays = [(name, np.asarray(arr, dtype=np.float64))
               for name, arr in ckpt.params.items()]
+    for name, arr in arrays:
+        _require_finite(arr, f"{path}: tensor {name!r}")
     header = json.dumps({
         "algorithm": ckpt.algorithm,
         "model_config": asdict(ckpt.model_config),
@@ -348,9 +356,7 @@ def load_checkpoint(path) -> Checkpoint:
             count = math.prod(shape)
             raw = _read_exact(fh, count * 8, path, "payload")
             arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{path}: tensor {entry['name']!r} holds "
-                                 f"NaN or inf")
+            _require_finite(arr, f"{path}: tensor {entry['name']!r}")
             params[entry["name"]] = arr
         trailing = fh.read(1)
         if trailing:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .models import _require_finite
 from .navigation import close_pairs
 from .sampling import TrajectoryLog
 
@@ -48,9 +49,8 @@ def chamfer(a, b) -> float:
         raise ValueError(f"expected (N, 3) clouds, got {a.shape} and {b.shape}")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("chamfer distance of an empty cloud is undefined")
-    for name, cloud in (("a", a), ("b", b)):
-        if not np.isfinite(cloud).all():
-            raise ValueError(f"chamfer: cloud {name} holds NaN or inf")
+    _require_finite(a, "chamfer: cloud a")
+    _require_finite(b, "chamfer: cloud b")
     rows = max(1, _BLOCK // len(b))
     block = np.empty((min(rows, len(a)), len(b)))  # the one block alive
     to_b = np.empty(len(a))
@@ -95,11 +95,8 @@ def collision_rates(log: TrajectoryLog, kappa: float):
     if not (np.isfinite(kappa) and kappa > 0.0):
         raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
     per_frame = []
+    m = log.num_agents
     for frame in log.positions:
-        m = frame.shape[0]
-        if m < 2:
-            per_frame.append(0.0)
-            continue
         violating = np.zeros(m, dtype=bool)
         violating[close_pairs(frame, kappa)[0].ravel()] = True
         per_frame.append(100.0 * float(np.count_nonzero(violating)) / m)

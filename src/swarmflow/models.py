@@ -101,6 +101,12 @@ def _require(settings, rule: str, *names) -> None:
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def _require_finite(value, what: str) -> None:
+    """Raise ``ValueError`` unless every number of ``value`` is finite."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{what} holds NaN or inf")
+
+
 def _open_new(path, mode="w", **kw):
     """``open(path, mode, **kw)`` on a new file: an existing ``path`` is
     unlinked first, never truncated.  On ext4 (``auto_da_alloc``) closing

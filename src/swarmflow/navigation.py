@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .models import _require
+from .models import _require, _require_finite
 
 __all__ = [
     "NavConfig", "build_orca_halfspace", "solve_velocity_lp", "orca_adjust",
@@ -115,13 +115,12 @@ def close_pairs(points, radius: float):
     A k-d tree gathers candidates within a slightly padded radius; the
     exact test then uses sqrt(dx*dx + dy*dy + dz*dz), the same float as
     ``scipy.spatial.distance.cdist``, so the selection matches a dense
-    distance matrix bit for bit.  Rows with a non-finite coordinate are
-    never close to anything, as with ``cdist``.
+    distance matrix bit for bit.  The points must be finite, as
+    ``orca_adjust`` and every ``TrajectoryLog`` hold them.
     """
     points = np.asarray(points, dtype=np.float64)
-    rows = np.flatnonzero(np.all(np.isfinite(points), axis=1))
-    pairs = rows[cKDTree(points[rows]).query_pairs(
-        radius * (1.0 + 1e-9), output_type="ndarray")]
+    pairs = cKDTree(points).query_pairs(radius * (1.0 + 1e-9),
+                                        output_type="ndarray")
     diff = points[pairs[:, 1]] - points[pairs[:, 0]]
     dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
                    + diff[:, 2] * diff[:, 2])
@@ -629,9 +628,8 @@ def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
         raise ValueError(
             f"expected matching (M, 3) arrays, got {v_pref.shape} and "
             f"{positions.shape}")
-    for name, value in (("positions", positions), ("v_pref", v_pref)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"orca_adjust: {name} holds NaN or inf")
+    _require_finite(positions, "orca_adjust: positions")
+    _require_finite(v_pref, "orca_adjust: v_pref")
     m = positions.shape[0]
     if m == 0:
         return np.zeros((0, 3))

@@ -19,9 +19,7 @@ that trajectories stay byte-identical.
 ``sample`` and ``diffusion.ddpm_sample`` evaluate the field network
 split by rows on every CPU, bit for bit, while numpy's bundled OpenBLAS
 runs one thread (``_split_field``); with another BLAS there is one
-chunk.  On a 2-vCPU Intel Xeon host with no BLAS variable set, the
-CLI's 512 x 100 ``sample`` took 1.079 s against 1.107 s when the split
-ran only beside a one-thread BLAS (medians of 10 pairs, 7 won).
+chunk.
 """
 
 from __future__ import annotations
@@ -32,12 +30,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import autodiff as ad
 from .flowmatch import conditional_field
-from .models import Checkpoint, _require, models_from_checkpoint
+from .models import (Checkpoint, _require, _require_finite,
+                     models_from_checkpoint)
 from .navigation import NavConfig, is_guarded, orca_adjust
 
 __all__ = [
@@ -51,11 +51,12 @@ class TrajectoryLog:
     """One sampled run of M agents over S steps.
 
     ``times`` has S+1 strictly decreasing entries, ``positions`` is
-    (S+1, M, 3), the velocity arrays are (S, M, 3); other shapes raise a
-    ``ValueError`` on construction.  ``preferred`` may be None for logs
-    reloaded from CSV, which only stores applied velocities.  ``meta``
-    carries algorithm id, seed, step count, the collision radius, and the
-    scale the coordinates are expressed in.
+    (S+1, M, 3), the velocity arrays are (S, M, 3) with S, M >= 1, and
+    all are finite, as ``load_trajectory_csv`` reads them; anything else
+    raises a ``ValueError`` on construction.  ``preferred`` may be None
+    for logs reloaded from CSV, which only stores applied velocities.
+    ``meta`` carries algorithm id, seed, step count, the collision radius,
+    and the scale the coordinates are expressed in.
     """
 
     times: np.ndarray
@@ -65,16 +66,15 @@ class TrajectoryLog:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        self.applied_velocities = np.asarray(self.applied_velocities,
-                                             dtype=np.float64)
-        if self.preferred_velocities is not None:
-            self.preferred_velocities = np.asarray(self.preferred_velocities,
-                                                   dtype=np.float64)
+        for name in ("times", "positions", "applied_velocities",
+                     "preferred_velocities"):
+            if getattr(self, name) is not None:
+                value = np.asarray(getattr(self, name), dtype=np.float64)
+                _require_finite(value, f"log {name}")
+                setattr(self, name, value)
         shape = self.positions.shape
         steps = (shape[0] - 1, *shape[1:]) if len(shape) == 3 else None
-        if (steps is None or shape[2] != 3
+        if (steps is None or shape[2] != 3 or min(steps[:2]) < 1
                 or self.times.shape != shape[:1]
                 or self.applied_velocities.shape != steps
                 or self.preferred_velocities is not None
@@ -85,7 +85,7 @@ class TrajectoryLog:
                 f"log shapes disagree: times {self.times.shape}, positions "
                 f"{shape}, applied {self.applied_velocities.shape}, "
                 f"preferred {preferred}; expected (S+1,), (S+1, M, 3) and "
-                f"(S, M, 3)")
+                f"(S, M, 3) with S, M >= 1")
         if np.any(np.diff(self.times) >= 0.0):
             raise ValueError("times must be strictly decreasing")
 
@@ -107,11 +107,8 @@ class TrajectoryLog:
     def euler_consistent(self) -> bool:
         """Check ``x[k+1] == x[k] + dt * v_applied[k]`` bit for bit at
         every step, with ``dt`` the frame spacing ``times[0] - times[1]``."""
-        for k in range(self.num_steps):
-            step = self.positions[k] + self.dt * self.applied_velocities[k]
-            if not np.array_equal(step, self.positions[k + 1]):
-                return False
-        return True
+        return np.array_equal(self.positions[1:], self.positions[:-1]
+                              + self.dt * self.applied_velocities)
 
 
 @dataclass
@@ -338,6 +335,7 @@ def integrate_exact_target(x_noise, x0, steps: int) -> TrajectoryLog:
     noise point to its data point is a straight line; this is the oracle
     used to validate the integrator.
     """
+    _require(SimpleNamespace(steps=steps), "a positive int", "steps")
     x_noise = np.asarray(x_noise, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
     if x_noise.shape != x0.shape:

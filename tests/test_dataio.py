@@ -167,6 +167,18 @@ def test_writers_reproduce_recorded_bytes(tmp_path):
 def test_save_pointcloud_validation(tmp_path):
     with pytest.raises(ValueError):
         save_pointcloud(tmp_path / "x.xyz", np.zeros((4, 2)))
+    # NaN and inf, which load_pointcloud refuses, are refused before the
+    # file is opened: an existing target keeps its bytes
+    path = tmp_path / "cloud.xyz"
+    save_pointcloud(path, np.ones((2, 3)))
+    finite = path.read_bytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        cloud = np.ones((2, 3))
+        cloud[1, 2] = bad
+        with pytest.raises(ValueError, match="cloud holds NaN or inf") as info:
+            save_pointcloud(path, cloud)
+        assert str(path) in str(info.value) and "\n" not in str(info.value)
+        assert path.read_bytes() == finite
 
 
 @pytest.mark.parametrize("writer", ["xyz", "ckpt", "csv"])
@@ -204,8 +216,7 @@ def test_trajectory_csv_bad_meta_writes_nothing(tmp_path):
 
 
 def test_trajectory_csv_is_the_savetxt_bytes(tmp_path):
-    # the frame-at-a-time writer gives exactly what np.savetxt wrote, also
-    # for a log without agents (the header alone)
+    # the frame-at-a-time writer gives exactly what np.savetxt wrote
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     hnp = pytest.importorskip("hypothesis.extra.numpy")
@@ -215,7 +226,7 @@ def test_trajectory_csv_is_the_savetxt_bytes(tmp_path):
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
                          database=None)
-    @hypothesis.given(st.integers(0, 40), st.integers(1, 5), st.data())
+    @hypothesis.given(st.integers(1, 40), st.integers(1, 5), st.data())
     def check(m, s, data):
         # strictly decreasing, with every gap finite
         times = np.sort(data.draw(hnp.arrays(
@@ -334,6 +345,18 @@ def test_synthetic_validation():
         make_synthetic_dataset("cube", 10)
     with pytest.raises(ValueError):
         make_synthetic_dataset("sphere", 0)
+    # a wrong type or range is a one-line error in the words of
+    # models._RULES, a bool included
+    for kwargs, message in [
+            ({"n_points": 2.5}, "n_points must be a positive int, got 2.5"),
+            ({"count": True}, "count must be a positive int, got True"),
+            ({"count": 0}, "count must be a positive int, got 0"),
+            ({"seed": 1.5}, "seed must be a non-negative int, got 1.5"),
+            ({"seed": -1}, "seed must be a non-negative int, got -1")]:
+        kwargs = {"n_points": 8, **kwargs}
+        with pytest.raises(ValueError) as info:
+            make_synthetic_dataset("sphere", **kwargs)
+        assert str(info.value) == message
 
 
 def test_checkpoint_roundtrip_is_bitwise(tmp_path):
@@ -480,14 +503,23 @@ def test_checkpoint_corruption_errors(tmp_path):
             load_checkpoint(bad)
         assert str(bad) in str(info.value) and "\n" not in str(info.value)
 
-    # a NaN or inf tensor value is rejected naming the tensor; a NaN
-    # final_loss still loads
+    # a NaN or inf tensor value is refused by the writer, before the
+    # file is opened, and rejected by the reader, each naming the tensor;
+    # the 0-d tensor 's' is the last 8 bytes of the payload.  A NaN
+    # final_loss still saves and loads
+    path.unlink()
+    save_checkpoint(path, _small_checkpoint())
+    finite = path.read_bytes()
     for value in (np.nan, -np.inf):
-        path.unlink()
-        save_checkpoint(path, _small_checkpoint(s=value))
         with pytest.raises(ValueError, match="tensor 's' holds NaN") as info:
-            load_checkpoint(path)
-        assert str(path) in str(info.value)
+            save_checkpoint(path, _small_checkpoint(s=value))
+        assert str(path) in str(info.value) and "\n" not in str(info.value)
+        assert path.read_bytes() == finite
+        bad = tmp_path / "bad_tensor.ckpt"
+        bad.write_bytes(finite[:-8] + struct.pack("<d", value))
+        with pytest.raises(ValueError, match="tensor 's' holds NaN") as info:
+            load_checkpoint(bad)
+        assert str(bad) in str(info.value)
     path.unlink()
     save_checkpoint(path, _small_checkpoint(final_loss=float("nan")))
     assert math.isnan(load_checkpoint(path).final_loss)

@@ -76,10 +76,14 @@ def test_log_validation_shapes():
         (np.zeros((2, 4, 2)), np.zeros((1, 4, 2)), None),
         (np.zeros((2, 4, 3)), np.zeros((1, 4, 3)), np.zeros((1, 4))),
         (np.zeros((2, 4, 3)), np.zeros((1, 4, 3)), np.zeros((1, 3, 3))),
+        # no agents, and one frame with no step: the CSV reader refuses both
+        (np.zeros((2, 0, 3)), np.zeros((1, 0, 3)), None),
+        (np.zeros((2, 0, 3)), np.zeros((1, 0, 3)), np.zeros((1, 0, 3))),
+        (np.zeros((1, 4, 3)), np.zeros((0, 4, 3)), None),
     ]
     for positions, applied, preferred in cases:
         with pytest.raises(ValueError, match="log shapes disagree") as info:
-            TrajectoryLog(times=times, positions=positions,
+            TrajectoryLog(times=times[:len(positions)], positions=positions,
                           applied_velocities=applied,
                           preferred_velocities=preferred)
         assert "\n" not in str(info.value)
@@ -100,6 +104,49 @@ def test_log_validation_times_decreasing():
                       applied_velocities=np.zeros((2, 2, 3)))
 
 
+def test_log_contract_is_what_the_csv_reader_accepts(tmp_path):
+    # a finite log of at least one step and one agent builds, and saves
+    # and reads back bit for bit; one NaN or inf in any of its arrays is a
+    # one-line ValueError naming that array
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(1, 4), st.integers(1, 5), st.booleans(),
+                      st.data())
+    def check(s, m, with_preferred, data):
+        # strictly decreasing, with every gap finite
+        arrays = {"times": np.sort(data.draw(hnp.arrays(
+            np.float64, s + 1, elements=st.floats(-1e300, 1e300),
+            unique=True)))[::-1]}
+        for name, frames in (("positions", s + 1), ("applied_velocities", s),
+                             ("preferred_velocities", s)):
+            arrays[name] = data.draw(hnp.arrays(np.float64, (frames, m, 3),
+                                                elements=floats))
+        if not with_preferred:
+            arrays["preferred_velocities"] = None
+        log = TrajectoryLog(**arrays)
+        path = tmp_path / "run.csv"
+        save_trajectory_csv(path, log)
+        back = load_trajectory_csv(path)
+        for name in ("times", "positions", "applied_velocities"):
+            assert getattr(back, name).tobytes() == arrays[name].tobytes()
+
+        name = data.draw(st.sampled_from(
+            [name for name, value in arrays.items() if value is not None]))
+        bad = arrays[name].copy()
+        bad.flat[data.draw(st.integers(0, bad.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError) as info:
+            TrajectoryLog(**{**arrays, name: bad})
+        assert str(info.value) == f"log {name} holds NaN or inf"
+
+    check()
+
+
 def test_log_properties_and_final_cloud_copy():
     rng = np.random.default_rng(0)
     log = _euler_log(rng.standard_normal((3, 3)),
@@ -118,6 +165,12 @@ def test_log_euler_consistency_detects_corruption():
                      rng.standard_normal((6, 2, 3)))
     assert log.euler_consistent()
     log.positions[3, 0, 0] += 1e-9
+    assert not log.euler_consistent()
+    # one ulp off in the last step alone
+    log = _euler_log(rng.standard_normal((2, 3)),
+                     rng.standard_normal((6, 2, 3)))
+    assert log.euler_consistent()
+    log.positions[-1, 1, 2] = np.nextafter(log.positions[-1, 1, 2], np.inf)
     assert not log.euler_consistent()
 
 
@@ -180,6 +233,12 @@ def test_exact_integration_paths_are_straight():
 def test_exact_integration_shape_mismatch_raises():
     with pytest.raises(ValueError):
         integrate_exact_target(np.zeros((4, 3)), np.zeros((5, 3)), steps=10)
+    # a step count that is not a positive int is a ValueError in the
+    # words of models._RULES, before any arithmetic on it
+    for steps in (0, -1, 2.5, True):
+        with pytest.raises(ValueError) as info:
+            integrate_exact_target(np.zeros((4, 3)), np.ones((4, 3)), steps)
+        assert str(info.value) == f"steps must be a positive int, got {steps}"
 
 
 def test_sample_replicates_documented_draw_order():
