@@ -7,7 +7,9 @@ With one BLAS thread it rebuilds:
   sphere, seed 20), ``train`` for flow and for diffusion (``latent_dim``
   16, 2000 epochs, seed 0), then ``sample`` with ``--scale``,
   ``sample --no-orca``, ``sample-cfm-orca`` and ``sample-diffusion``
-  (512 agents, seed 1), ``evaluate``, and ``export`` of the ``--scale``
+  (512 agents, seed 1), ``evaluate`` of the ``--scale`` run, in
+  training units and, with ``--scale``, of both its trajectories in
+  meters (``evaluate-scale``), and ``export`` of the ``--scale``
   run's final cloud and of its every frame (``--frames``).  Every file the
   run writes is digested under its path in that directory, so
   checkpoints, train logs, trajectories, their sidecars, the metrics
@@ -140,6 +142,10 @@ def cli_run(sf, root: Path) -> dict:
     trajectory = str(root / "sample" / "trajectory.csv")
     cli("evaluate", "--trajectories", trajectory,
         "--reference", str(root / "data"), "--out", str(root / "evaluate"))
+    cli("evaluate", "--trajectories", trajectory,
+        str(root / "sample" / "trajectory_real.csv"),
+        "--reference", str(root / "data"), "--scale",
+        "--out", str(root / "evaluate-scale"))
     cli("export", "--trajectory", trajectory, "--out", str(root / "export"))
     cli("export", "--trajectory", trajectory, "--frames",
         "--out", str(root / "export-frames"))

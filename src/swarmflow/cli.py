@@ -195,6 +195,7 @@ def _cmd_train(args) -> int:
 
 
 def _write_trajectory(log, out_dir, scale) -> None:
+    """Write ``log`` and its ``--scale`` twin; warn of unguarded steps."""
     scene = None if scale is None else dataio.SceneScale(side=scale)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -203,6 +204,12 @@ def _write_trajectory(log, out_dir, scale) -> None:
         real = dataio.to_real_scale(log, scene)
         dataio.save_trajectory_csv(out / "trajectory_real.csv", real)
     print(f"trajectory: {out / 'trajectory.csv'}")
+    count = 0 if log.nav is None else sampling.unguarded_steps(log)
+    if count:
+        print(f"warning: {count} of {log.num_steps} steps unguarded "
+              f"(kappa + 2*v_max*h > culling radius 4*kappa): agents "
+              f"farther apart than 4*kappa were not avoided and may end "
+              f"closer than kappa; more --steps shorten h", file=sys.stderr)
 
 
 def _sample_config(args, ckpt, steps: int,
@@ -221,25 +228,11 @@ def _sample_config(args, ckpt, steps: int,
             f"{args.checkpoint}: bad stored kappa: {err}") from None
 
 
-def _warn_unguarded(log) -> None:
-    """One stderr line when steps of an avoidance run were unguarded: an
-    agent could move far enough that pairs starting beyond the culling
-    radius, which avoidance ignores, may end closer than kappa."""
-    count = sampling.unguarded_steps(log)
-    if count:
-        print(f"warning: {count} of {log.num_steps} steps unguarded "
-              f"(kappa + 2*v_max*h > culling radius 4*kappa): agents "
-              f"farther apart than 4*kappa were not avoided and may end "
-              f"closer than kappa; more --steps shorten h", file=sys.stderr)
-
-
 def _cmd_sample(args) -> int:
     ckpt = dataio.load_checkpoint(args.checkpoint)
     log = sampling.sample(
         ckpt, _sample_config(args, ckpt, args.steps, not args.no_orca))
     _write_trajectory(log, args.out, args.scale)
-    if not args.no_orca:
-        _warn_unguarded(log)
     return 0
 
 
@@ -272,7 +265,6 @@ def _cmd_sample_cfm_orca(args) -> int:
     log = sampling.sample_cfm_plus_orca(plain.final_cloud(),
                                         plain.positions[0], cfg)
     _write_trajectory(log, args.out, args.scale)
-    _warn_unguarded(log)
     return 0
 
 
@@ -303,10 +295,11 @@ def _cmd_evaluate(args) -> int:
                  else None)
     if args.scale is not None:
         scene = dataio.SceneScale(side=args.scale)
-        logs = [dataio.to_real_scale(lg, scene)
-                if lg.meta.get("scale") != "real" else lg for lg in logs]
+        logs = [dataio.to_real_scale(lg, scene) for lg in logs]
         if reference is not None:
             reference = [cloud * scene.factor for cloud in reference]
+    elif any(lg.meta.get("scale") == "real" for lg in logs):
+        raise ValueError("a trajectory is in meters; pass --scale SIDE")
     kappa = args.kappa
     if kappa is None:
         recorded = sorted({float(lg.meta.get("kappa", 0.0)) for lg in logs})
@@ -334,7 +327,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_export(args) -> int:
     log = dataio.load_trajectory_csv(args.trajectory)
-    if args.scale is not None and log.meta.get("scale") != "real":
+    if args.scale is not None:
         log = dataio.to_real_scale(log, dataio.SceneScale(side=args.scale))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

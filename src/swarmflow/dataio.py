@@ -138,6 +138,7 @@ def normalize_cloud(cloud):
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.ndim != 2 or cloud.shape[1] != 3 or cloud.shape[0] == 0:
         raise ValueError(f"expected a non-empty (M, 3) cloud, got {cloud.shape}")
+    _require_finite(cloud, "normalize_cloud: cloud")
     centroid = cloud.mean(axis=0)
     scale = float((cloud - centroid).std())
     if scale == 0.0:
@@ -174,17 +175,20 @@ def to_real_scale(log: TrajectoryLog, scene: SceneScale) -> TrajectoryLog:
     Velocities are scaled directly and positions are *recomposed* by the
     Euler recursion from the scaled initial frame, which preserves the
     bit-exact Euler-consistency invariant of every log (naive position
-    scaling would break it by a few ulp).  Times are left untouched.
+    scaling would break it by a few ulp); the accumulate adds in step
+    order, as the recursion does.  Times are left untouched.  A log in
+    real scale is returned as it is if its ``scale_factor`` is the
+    scene's, and raises a ``ValueError`` otherwise.
     """
-    if log.meta.get("scale") == "real":
-        raise ValueError("trajectory is already in real scale")
     f = scene.factor
+    if log.meta.get("scale") == "real":
+        if log.meta.get("scale_factor") != f:
+            raise ValueError(f"trajectory is in real scale at factor "
+                             f"{log.meta.get('scale_factor')!r}, not {f!r}")
+        return log
     applied = log.applied_velocities * f
-    dt = log.dt
-    positions = np.empty_like(log.positions)
-    positions[0] = log.positions[0] * f
-    for k in range(applied.shape[0]):
-        positions[k + 1] = positions[k] + dt * applied[k]
+    positions = np.cumsum(np.concatenate(
+        [log.positions[:1] * f, log.dt * applied]), axis=0)
     preferred = (None if log.preferred_velocities is None
                  else log.preferred_velocities * f)
     meta = dict(log.meta)
@@ -242,9 +246,8 @@ def _plane(n, rng):
     n_fus = int(round(n * vol[0] / (vol[0] + vol[1])))
     parts = []
     for box, count in ((fuselage, n_fus), (wing, n - n_fus)):
-        if count > 0:
-            lo, hi = box[:, 0], box[:, 1]
-            parts.append(rng.uniform(0.0, 1.0, (count, 3)) * (hi - lo) + lo)
+        lo, hi = box[:, 0], box[:, 1]
+        parts.append(rng.uniform(0.0, 1.0, (count, 3)) * (hi - lo) + lo)
     return np.concatenate(parts, axis=0)
 
 

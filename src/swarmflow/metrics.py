@@ -14,11 +14,12 @@ when reporting physical numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .models import _require_finite
+from .models import _require, _require_finite
 from .navigation import close_pairs
 from .sampling import TrajectoryLog
 
@@ -92,8 +93,7 @@ def collision_rates(log: TrajectoryLog, kappa: float):
     per-frame percentage over *all* frames (initial random frames
     included), the latter looks at the final frame only.
     """
-    if not (np.isfinite(kappa) and kappa > 0.0):
-        raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
+    _require(SimpleNamespace(kappa=kappa), "finite and positive", "kappa")
     per_frame = []
     m = log.num_agents
     for frame in log.positions:

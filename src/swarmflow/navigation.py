@@ -631,9 +631,6 @@ def orca_adjust(v_pref, positions, cfg: NavConfig) -> np.ndarray:
     _require_finite(positions, "orca_adjust: positions")
     _require_finite(v_pref, "orca_adjust: v_pref")
     m = positions.shape[0]
-    if m == 0:
-        return np.zeros((0, 3))
-
     v_max = speed_cap(v_pref, cfg)
 
     # One half-space per close pair, for its lower-indexed agent, and its

@@ -56,7 +56,8 @@ class TrajectoryLog:
     raises a ``ValueError`` on construction.  ``preferred`` may be None
     for logs reloaded from CSV, which only stores applied velocities.
     ``meta`` carries algorithm id, seed, step count, the collision radius,
-    and the scale the coordinates are expressed in.
+    and the scale the coordinates are expressed in.  ``nav`` is the
+    ``NavConfig`` an avoidance flight gave ``orca_adjust``, else None.
     """
 
     times: np.ndarray
@@ -64,6 +65,7 @@ class TrajectoryLog:
     applied_velocities: np.ndarray
     preferred_velocities: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    nav: NavConfig | None = None
 
     def __post_init__(self):
         for name in ("times", "positions", "applied_velocities",
@@ -136,7 +138,8 @@ def _euler_rollout(x0, steps, velocity_fn, kappa=None, /,
     which starts at time t; it runs under ``autodiff.no_record``, so the
     networks it calls build no tape.  With ``kappa`` given (positionally)
     every preferred velocity goes through ``orca_adjust`` with
-    ``NavConfig(kappa, h)``; otherwise it is applied as is.  A preferred
+    ``NavConfig(kappa, h)``, logged as ``nav``; otherwise it is applied
+    as is.  A preferred
     velocity holding NaN or inf raises at the step it appears.  ``meta``
     holds the sampler's own log keys (``algorithm``, ``kappa``, ``seed``);
     the rollout adds ``steps``, ``num_agents`` and ``scale``.
@@ -167,20 +170,18 @@ def _euler_rollout(x0, steps, velocity_fn, kappa=None, /,
     meta.update(steps=steps, num_agents=x.shape[0], scale="training")
     return TrajectoryLog(times=times, positions=positions,
                          applied_velocities=applied,
-                         preferred_velocities=preferred, meta=meta)
+                         preferred_velocities=preferred, meta=meta, nav=nav)
 
 
 def unguarded_steps(log: TrajectoryLog) -> int:
     """How many steps of a run flown with avoidance were not guarded
     (``navigation.is_guarded``), judged from the preferred velocities it
-    logged and the ``NavConfig(kappa, h)`` its rollout gave
-    ``orca_adjust``.  A log reloaded from CSV holds no preferred
-    velocities and raises a ``ValueError``."""
-    if log.preferred_velocities is None:
-        raise ValueError("unguarded_steps: the log holds no preferred "
-                         "velocities (a CSV stores only the applied ones)")
-    nav = NavConfig(kappa=log.meta["kappa"], dt=1.0 / log.num_steps)
-    return sum(not is_guarded(v, nav) for v in log.preferred_velocities)
+    logged and its ``nav``.  A log without either, as a flight without
+    avoidance or a log reloaded from CSV, raises a ``ValueError``."""
+    if log.nav is None or log.preferred_velocities is None:
+        raise ValueError("unguarded_steps: the log holds no avoidance "
+                         "flight (no nav or no preferred velocities)")
+    return sum(not is_guarded(v, log.nav) for v in log.preferred_velocities)
 
 
 def _draw_latent(models, rng):

@@ -287,6 +287,64 @@ def test_evaluate_counts_a_scaled_run_once(pipeline, tmp_path, capsys):
     assert log.meta["scale"] == "real"
 
 
+def _scaled_run(pipeline):
+    run = pipeline["root"] / "units_run"
+    if not run.exists():
+        assert main(["sample", "--checkpoint", str(pipeline["flow"]),
+                     "--agents", "8", "--steps", "5", "--scale",
+                     "--out", str(run)]) == 0
+    return run / "trajectory.csv", run / "trajectory_real.csv"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a 200 m file against the normalised reference
+    (["evaluate", "--trajectories", "REAL", "--reference", "DATA"],
+     "a trajectory is in meters; pass --scale SIDE"),
+    # a 200 m file against a 100 m reference
+    (["evaluate", "--trajectories", "REAL", "--reference", "DATA",
+      "--scale", "100"], "trajectory is in real scale at factor "
+                         "33.333333333333336, not 16.666666666666668"),
+    # meters pooled with training units
+    (["evaluate", "--trajectories", "TRAINING", "REAL", "--kappa", "0.06"],
+     "a trajectory is in meters; pass --scale SIDE"),
+    # a 200 m file exported as 100 m
+    (["export", "--trajectory", "REAL", "--scale", "100"],
+     "trajectory is in real scale at factor 33.333333333333336, not "
+     "16.666666666666668"),
+])
+def test_evaluate_and_export_refuse_to_mix_units(pipeline, tmp_path, capsys,
+                                                  argv, message):
+    training, real = _scaled_run(pipeline)
+    names = {"REAL": str(real), "TRAINING": str(training),
+             "DATA": str(pipeline["data"])}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([names.get(a, a) for a in argv] + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_evaluate_scale_scores_both_files_of_a_run_alike(pipeline, tmp_path,
+                                                        capsys):
+    training, real = _scaled_run(pipeline)
+    reports = []
+    for files in ([training, real], [training, training]):
+        out = tmp_path / f"report-{len(reports)}"
+        assert main(["evaluate", "--trajectories", *map(str, files),
+                     "--reference", str(pipeline["data"]), "--scale",
+                     "--out", str(out)]) == 0
+        reports.append([(out / name).read_bytes()
+                        for name in ("metrics.txt", "metrics.kv")])
+    assert reports[0] == reports[1]
+    # at its own scale a 200 m file exports as it is
+    assert main(["export", "--trajectory", str(real), "--scale",
+                 "--out", str(tmp_path / "export")]) == 0
+    assert np.array_equal(load_pointcloud(tmp_path / "export/final_cloud.xyz"),
+                          load_trajectory_csv(real).final_cloud())
+
+
 def test_sample_diffusion_subcommand(pipeline):
     out = pipeline["root"] / "diffusion_run"
     assert main(["sample-diffusion", "--checkpoint", str(pipeline["diffusion"]),

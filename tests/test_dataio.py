@@ -271,6 +271,12 @@ def test_normalize_cloud_validation():
         normalize_cloud(np.ones((5, 3)))  # zero spread
     with pytest.raises(ValueError):
         normalize_cloud(np.zeros((5, 2)))
+    # a NaN or inf fails here, not as an all-NaN cloud with scale nan
+    for bad in (np.nan, np.inf, -np.inf):
+        cloud = np.array([[bad, 0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="^normalize_cloud: cloud holds "
+                                             "NaN or inf$"):
+            normalize_cloud(cloud)
 
 
 def test_scene_scale_defaults_give_kappa_006():
@@ -297,8 +303,14 @@ def test_to_real_scale_keeps_euler_and_collision_rates():
     # the safety verdict is scale-invariant
     assert collision_rates(real, 0.06 * scene.factor) == \
         collision_rates(log, 0.06)
-    with pytest.raises(ValueError):
-        to_real_scale(real, scene)
+    # a log already in real scale: the same scene keeps it as it is,
+    # another scene is a one-line error naming both factors
+    assert to_real_scale(real, SceneScale(side=200.0)) is real
+    with pytest.raises(ValueError, match=r"^trajectory is in real scale at "
+                       r"factor 33\.333333333333336, not 16\.666666666666668$"
+                       ) as info:
+        to_real_scale(real, SceneScale(side=100.0))
+    assert "\n" not in str(info.value)
 
 
 def test_synthetic_sphere_radius_and_determinism():

@@ -1,6 +1,7 @@
 """Tests for the evaluation battery, checked against brute-force loops."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -242,8 +243,9 @@ def test_collision_rates_single_agent_and_validation():
     log = _log_from_positions(np.zeros((3, 1, 3)) +
                               np.arange(3)[:, None, None])
     assert collision_rates(log, 0.06) == (0.0, 0.0)
-    for bad in (0.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="finite and positive"):
+    for bad in (0.0, 0, -1.0, np.inf, np.nan, "0.1", None, True):
+        with pytest.raises(ValueError, match="^kappa must be finite and "
+                           f"positive, got {re.escape(repr(bad))}$"):
             collision_rates(log, bad)
 
 

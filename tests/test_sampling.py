@@ -14,7 +14,8 @@ from scipy.spatial.distance import pdist
 
 from swarmflow import autodiff as ad
 from swarmflow import navigation, sampling
-from swarmflow.dataio import load_trajectory_csv, save_trajectory_csv
+from swarmflow.dataio import SceneScale, load_trajectory_csv, \
+    save_trajectory_csv, to_real_scale
 from swarmflow.diffusion import DiffusionSchedule, ddpm_sample
 from swarmflow.flowmatch import SIGMA_MIN, cfm_loss
 from swarmflow.models import Checkpoint, ModelConfig, build_models, \
@@ -470,9 +471,25 @@ def test_unguarded_steps_of_a_reloaded_log_is_a_one_line_error(tmp_path):
     reloaded = load_trajectory_csv(path)
     assert reloaded.preferred_velocities is None
     with pytest.raises(ValueError,
-                       match="holds no preferred velocities") as error:
+                       match="holds no avoidance flight") as error:
         unguarded_steps(reloaded)
     assert "\n" not in str(error.value)
+
+
+def test_a_log_keeps_the_nav_config_its_flight_flew_with(tmp_path):
+    logs = _run_every_sampler()
+    for name in ("flow+orca", "orca-to-goal"):  # kappa 0.5, 6 steps
+        assert logs[name].nav == navigation.NavConfig(kappa=0.5, dt=1 / 6)
+    for name in ("flow", "exact-target", "diffusion",
+                 "diffusion-deterministic"):
+        assert logs[name].nav is None
+    flown = logs["flow+orca"]
+    assert to_real_scale(flown, SceneScale()).nav is None
+    save_trajectory_csv(tmp_path / "trajectory.csv", flown)
+    assert load_trajectory_csv(tmp_path / "trajectory.csv").nav is None
+    # a flight without avoidance has no guarded or unguarded steps
+    with pytest.raises(ValueError, match="holds no avoidance flight"):
+        unguarded_steps(logs["flow"])
 
 
 def _run_every_sampler():
